@@ -17,13 +17,14 @@ import sys
 from . import homcheck
 from .combinatorics import double_partitions, embed_double, one_box_successors, \
     partition_str, partitions, shape_str, standard_tableaux, trim
-from .reps import expand_word, g_letter, parse_word, random_word, \
+from .reps import U_LETTER, g_letter, parse_word, random_word, \
     relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
-from .scalars import ParameterPoint, Rat, admissible_point, is_zero_matrix, \
-    parse_rational
+from .scalars import ParameterPoint, admissible_point, guard_bound, \
+    is_zero_matrix, parse_rational
 from .schur import rectangle_schur, schur_normalized, schur_principal
-from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
-    weight_B, weight_B_schur_form, weight_D, weight_table
+from .traces import markov_params, markov_trace_B, markov_trace_D, \
+    plain_point, q1_point, weight_B, weight_B_schur_form, weight_D, \
+    weight_table
 
 
 def _rat_str(x):
@@ -34,13 +35,17 @@ def _dimension(shape) -> int:
     return len(standard_tableaux(shape))
 
 
-def _point_or_exit(q, Q, n, r1, r2):
-    guard = max(n, r1 + r2, 2 * n + 2)
+def _or_exit(make, *args):
+    """make(*args); a ValueError is reported as a parameter error (exit 2)."""
     try:
-        return ParameterPoint(q, Q, guard)
+        return make(*args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def _point_or_exit(q, Q, n, r1, r2):
+    return _or_exit(ParameterPoint, q, Q, guard_bound(n, r1, r2))
 
 
 # -- weights -----------------------------------------------------------------
@@ -51,7 +56,7 @@ def cmd_weights(args) -> int:
     rows = []
     if args.type == "A":
         r = r1 + r2
-        z, _ = markov_params(r1, r2, ParameterPoint(q, Rat(2), 0))
+        z, _ = markov_params(r1, r2, _or_exit(plain_point, q, 0))
         y = None
         Q_out = None
         for mu in partitions(n):
@@ -69,7 +74,7 @@ def cmd_weights(args) -> int:
             rows.append((shape_str(shape), table.entries[shape],
                          _dimension(shape)))
     else:  # type D
-        point = q1_point(q, n, r1, r2)
+        point = _or_exit(q1_point, q, n, r1, r2)
         z, y = markov_params(r1, r2, point)
         Q_out = point.Q
         seen = set()
@@ -113,12 +118,8 @@ def cmd_trace(args) -> int:
         print("error: --Q is required for trace evaluation", file=sys.stderr)
         return 2
     point = _point_or_exit(args.q, args.Q, n, r1, r2)
-    try:
-        w = parse_word(args.word, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    value = markov_trace_B(expand_word(w, point), n, r1, r2, point)
+    w = _or_exit(parse_word, args.word, n)
+    value = markov_trace_B(w, n, r1, r2, point)
     print(str(value))
     return 0
 
@@ -165,29 +166,29 @@ def suite_markov(n, seed, points):
             h = random_word(max(n - 1, 1), rng)
             h_n = word(h.letters, n)
             hg = word(h.letters + (g_letter(n - 1),), n) if n >= 2 else h_n
-            lhs = markov_trace_B(expand_word(hg, p), n, r1, r2, p)
-            rhs = z * markov_trace_B(expand_word(h, p), max(n - 1, 1), r1, r2, p) \
-                if n >= 2 else markov_trace_B(expand_word(h_n, p), n, r1, r2, p)
+            lhs = markov_trace_B(hg, n, r1, r2, p)
+            rhs = z * markov_trace_B(h, max(n - 1, 1), r1, r2, p) \
+                if n >= 2 else markov_trace_B(h_n, n, r1, r2, p)
             if lhs != rhs:
                 markov_ok = False
             ht = word(h.letters + (tprime_letter(n - 1),), n)
-            lhs = markov_trace_B(expand_word(ht, p), n, r1, r2, p)
-            rhs = y * markov_trace_B(expand_word(h, p), max(n - 1, 1), r1, r2, p)
+            lhs = markov_trace_B(ht, n, r1, r2, p)
+            rhs = y * markov_trace_B(h, max(n - 1, 1), r1, r2, p)
             if n >= 2 and lhs != rhs:
                 tprime_ok = False
         for k in range(1, min(n, 4) + 1):
             w_k = word(tuple(tprime_letter(j) for j in range(k)), n)
-            if markov_trace_B(expand_word(w_k, p), n, r1, r2, p) != y**k:
+            if markov_trace_B(w_k, n, r1, r2, p) != y**k:
                 powers_ok = False
         for d_choice in _double_coset_products(n):
             letters, a, b = d_choice
             w_d = word(letters, n)
-            if markov_trace_B(expand_word(w_d, p), n, r1, r2, p) != z**a * y**b:
+            if markov_trace_B(w_d, n, r1, r2, p) != z**a * y**b:
                 coset_ok = False
         for _ in range(5):
             wa, wb = random_word(n, rng), random_word(n, rng)
-            ab = expand_word(word(wa.letters + wb.letters, n), p)
-            ba = expand_word(word(wb.letters + wa.letters, n), p)
+            ab = word(wa.letters + wb.letters, n)
+            ba = word(wb.letters + wa.letters, n)
             if markov_trace_B(ab, n, r1, r2, p) != markov_trace_B(ba, n, r1, r2, p):
                 symmetry_ok = False
     checks.append({"name": f"markov-property-n{n}",
@@ -362,7 +363,6 @@ def suite_typeD(n, seed, points):
 
 
 def _random_d_word(n, rng, max_len=4):
-    from .reps import U_LETTER
     letters = []
     for _ in range(rng.randint(0, max_len)):
         if n < 2:
@@ -377,7 +377,6 @@ def _random_d_word(n, rng, max_len=4):
 def _type_d_relations_ok(n, r1, r2, q, rng) -> bool:
     """Defining relations of the index-2 subalgebra as trace identities on
     random two-sided multiples: tr(a*lhs*b) == tr(a*rhs*b)."""
-    from .reps import U_LETTER
     if n < 2:
         return True
     u = (U_LETTER,)

@@ -16,7 +16,10 @@ trace q - 1 and determinant -q; characters are unaffected by this
 similarity normalization.
 
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
-the type-D front end only, ("u", 0).
+the type-D front end, ("u", 0).  ``Representation.letter_matrix`` defines
+what each letter means; ``evaluate`` multiplies a word's letter matrices.
+``expand_word`` rewrites the same letters over {t, g} independently, as a
+reference for tests.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ class HeckeWord:
         if n < 1:
             raise ValueError("ambient_n must be >= 1")
         for kind, i in self.letters:
-            if kind in ("t", "u"):
+            if kind == "t":
+                continue
+            if kind == "u":
+                if n < 2:
+                    raise ValueError(f"u = t g1 t needs n >= 2 (got n = {n})")
                 continue
             if kind == "tprime":
                 if not 0 <= i <= n - 1:
@@ -138,7 +145,11 @@ def parse_word(text: str, n: int) -> HeckeWord:
 
 
 def expand_word(w: HeckeWord, point: ParameterPoint) -> HeckeElement:
-    """Rewrite a word as a linear combination of words over {t, g} only."""
+    """Rewrite a word as a linear combination of words over {t, g} only.
+
+    Not used to evaluate words: it is the independent rewrite of G_i, t'_i
+    and u that tests compare ``Representation.letter_matrix`` against.
+    """
     q = point.q
     plain = {(): Rat(1)}
 
@@ -195,6 +206,8 @@ class Representation:
         return len(self.g_matrices) + 1
 
     def letter_matrix(self, letter):
+        """Matrix of one letter: g_i and t are the generators; G_i, t'_i and
+        u = t g_1 t are built from them once and cached."""
         kind, i = letter
         if kind == "g":
             return self.g_matrices[i - 1]
@@ -212,6 +225,9 @@ class Representation:
             for j in range(1, i + 1):
                 m = self.letter_matrix(g_letter(j)).dot(m) \
                     .dot(self.letter_matrix(ginv_letter(j)))
+        elif kind == "u":
+            t = self.letter_matrix(T_LETTER)
+            m = t.dot(self.letter_matrix(g_letter(1))).dot(t)
         else:
             raise ValueError(f"unknown letter kind {kind!r}")
         self._letter_cache[letter] = m
@@ -328,19 +344,28 @@ def full_twist_scalar(nu, q):
 
 
 def evaluate(rep: Representation, element):
-    """Matrix of a word or linear combination in the representation."""
-    if isinstance(element, HeckeWord):
-        element = HeckeElement.from_word(element)
+    """Matrix of a word or linear combination in the representation.
+
+    A word is the product of its letter matrices, the identity if it is
+    empty; an element is the coefficient-weighted sum over its words.  A
+    one-letter word returns the representation's own letter matrix, so the
+    result must not be modified in place.
+    """
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "
                          f"representation in size {rep.size}")
-    total = zeros(rep.dimension, rep.dimension)
-    for w, coeff in element.terms.items():
-        m = identity(rep.dimension)
-        for letter in w.letters:
-            m = m.dot(rep.letter_matrix(letter))
-        total = total + m * coeff
-    return total
+    if isinstance(element, HeckeElement):
+        total = zeros(rep.dimension, rep.dimension)
+        for w, coeff in element.terms.items():
+            total = total + evaluate(rep, w) * coeff
+        return total
+    if not element.letters:
+        return identity(rep.dimension)
+    first, *rest = element.letters
+    m = rep.letter_matrix(first)
+    for letter in rest:
+        m = m.dot(rep.letter_matrix(letter))
+    return m
 
 
 def character(rep: Representation, element):

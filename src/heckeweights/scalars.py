@@ -38,8 +38,10 @@ def parse_rational(text):
     """
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Rat(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Rat(num, den)
     return Rat(int(text))
 
 
@@ -68,8 +70,6 @@ class ParameterPoint:
         for s in range(-self.guard_bound, self.guard_bound + 1):
             if Q == -(q**s):
                 raise ValueError(f"Q = -q^{s} is excluded")
-        if Q == -1:
-            raise ValueError("Q = -q^0 is excluded")
 
 
 def qpow(point: ParameterPoint, k: int):
@@ -77,16 +77,20 @@ def qpow(point: ParameterPoint, k: int):
     return point.q ** k
 
 
+def guard_bound(n: int, r1: int, r2: int) -> int:
+    """Guard bound for computations at size n with row bounds r1, r2: enough
+    for every denominator in the weight formulas and seminormal matrices."""
+    return max(n, r1 + r2, 2 * n + 2)
+
+
 def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
     """Deterministic pseudo-random admissible point for computations at
-    size n with row bounds r1, r2.
+    size n with row bounds r1, r2, guarded up to guard_bound(n, r1, r2).
 
-    The guard bound is max(n, r1+r2, 2n+2), enough for every denominator
-    appearing in the weight formulas and seminormal matrices at this size.
     q is drawn from small-height rationals in (1/4, 4) to keep exact
     arithmetic cheap.
     """
-    guard = max(n, r1 + r2, 2 * n + 2)
+    guard = guard_bound(n, r1, r2)
     rng = random.Random(seed)
     while True:
         q = Rat(rng.randint(1, 48), rng.randint(1, 48))

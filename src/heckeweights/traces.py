@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 from .combinatorics import double_partitions, n_stat, one_box_successors, pad, \
     partitions, trim
-from .reps import HeckeElement, HeckeWord, T_LETTER, character, expand_word, \
-    g_letter, typeA_rep, typeB_rep, word
-from .scalars import ParameterPoint, Rat
+from .reps import character, typeA_rep, typeB_rep
+from .scalars import ParameterPoint, Rat, guard_bound
 from .schur import schur_normalized, schur_principal
 
 
@@ -92,8 +91,6 @@ def weight_table(n: int, r1: int, r2: int, point: ParameterPoint) -> WeightTable
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
     """Weighted character sum over all double partitions of n."""
-    if isinstance(element, HeckeWord):
-        element = HeckeElement.from_word(element)
     total = Rat(0)
     for shape in double_partitions(n):
         w = weight_B(shape, r1, r2, point)
@@ -107,8 +104,6 @@ def typeA_markov_trace(element, n: int, r: int, q):
     """Weighted character sum over partitions of n with at most r rows,
     with normalized Schur values as weights."""
     point = plain_point(q)
-    if isinstance(element, HeckeWord):
-        element = HeckeElement.from_word(element)
     total = Rat(0)
     for mu in partitions(n):
         if len(mu) > r:
@@ -126,7 +121,7 @@ def plain_point(q, guard: int = 64) -> ParameterPoint:
 def q1_point(q, n: int, r1: int, r2: int) -> ParameterPoint:
     """The exact Q = 1 specialization used for type D; admissible for any
     q > 0 since 1 is never -q^s."""
-    return ParameterPoint(Rat(q), Rat(1), max(n, r1 + r2, 2 * n + 2))
+    return ParameterPoint(Rat(q), Rat(1), guard_bound(n, r1, r2))
 
 
 # -- type D ------------------------------------------------------------------
@@ -157,27 +152,7 @@ def weight_D(shape, r1: int, r2: int, q) -> list:
     return [TypeDWeight((alpha, beta), None, w)]
 
 
-def expand_type_d(element, point: ParameterPoint) -> HeckeElement:
-    """Rewrite a type-D element (letters u and g) over the type-B alphabet;
-    u becomes t g_1 t."""
-    if isinstance(element, HeckeWord):
-        element = HeckeElement.from_word(element)
-    total = None
-    for w, coeff in element.terms.items():
-        part = expand_word(w, point).scale(coeff)
-        total = part if total is None else total + part
-    if total is None:
-        total = HeckeElement({}, element.ambient_n)
-    return total
-
-
 def markov_trace_D(element, n: int, r1: int, r2: int, q):
-    """Markov trace of a type-D element: expand u and evaluate the
-    two-parameter trace at Q = 1."""
-    point = q1_point(q, n, r1, r2)
-    return markov_trace_B(expand_type_d(element, point), n, r1, r2, point)
-
-
-def u_word(n: int) -> HeckeWord:
-    """The type-D generator u = t g_1 t as a type-B word."""
-    return word((T_LETTER, g_letter(1), T_LETTER), n)
+    """Markov trace of a type-D element (letters u and g): the two-parameter
+    trace at Q = 1."""
+    return markov_trace_B(element, n, r1, r2, q1_point(q, n, r1, r2))

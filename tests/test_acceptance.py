@@ -20,7 +20,7 @@ from heckeweights.scalars import Rat, admissible_point, identity, \
     is_zero_matrix, mat_eq
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, markov_trace_D, \
-    plain_point, q1_point, typeA_markov_trace, u_word, weight_B, \
+    plain_point, q1_point, typeA_markov_trace, weight_B, \
     weight_B_schur_form, weight_D, weight_table
 
 
@@ -230,7 +230,7 @@ def test_criterion_11_type_d():
             # Markov property and u-relations as exact trace identities
             n, r1, r2 = 3, 4, 4
             z, _ = markov_params(r1, r2, q1_point(q, n, r1, r2))
-            uu = u_word(n)
+            uu = word((U_LETTER,), n)
             for _ in range(5):
                 a = random_word(n, rng, use_t=False)
                 b = random_word(n, rng, use_t=False)

@@ -83,6 +83,12 @@ def test_excluded_parameter_exits_2(capsys):
                                 "--q", "2", "--Q", "-4"])
     assert code == 2
     assert "Q = -q^2 is excluded" in err
+    for kind in ("A", "D"):
+        for q in ("1", "0", "-2"):
+            code, _, err = run(capsys, ["weights", "--type", kind, "--n", "2",
+                                        "--q", q])
+            assert code == 2
+            assert err.startswith(f"error: q = {q} is excluded")
 
 
 def test_trace_value(capsys):
@@ -111,6 +117,10 @@ def test_trace_index_out_of_range(capsys):
     code, _, err = run(capsys, ["trace", "--word", "g5", "--n", "2",
                                 "--q", "2", "--Q", "5"])
     assert code == 2
+    code, _, err = run(capsys, ["trace", "--word", "u", "--n", "1",
+                                "--q", "2", "--Q", "5"])
+    assert code == 2
+    assert "u = t g1 t needs n >= 2" in err
 
 
 def test_usage_errors(capsys):
@@ -120,6 +130,9 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["weights", "--type", "A", "--n", "2",
                      "--q", "abc"]) == 2
+    capsys.readouterr()
+    assert cli.main(["weights", "--type", "B", "--n", "2",
+                     "--q", "2", "--Q", "3/0"]) == 2
     capsys.readouterr()
 
 

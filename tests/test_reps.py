@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckeweights.combinatorics import box_stat, double_partitions, partitions
-from heckeweights.reps import HeckeElement, T_LETTER, character, \
+from heckeweights.reps import HeckeElement, T_LETTER, U_LETTER, character, \
     coset_representatives, evaluate, expand_word, full_twist_scalar, g_letter, \
     ginv_letter, parse_word, random_word, relation_residuals, skew_rep, \
     tprime_letter, typeA_rep, typeB_rep, word
@@ -23,6 +23,9 @@ def test_word_validation():
         word((tprime_letter(3),), 3)
     with pytest.raises(ValueError):
         word((("x", 1),), 3)
+    word((U_LETTER,), 2)
+    with pytest.raises(ValueError, match="u = t g1 t needs n >= 2"):
+        word((U_LETTER,), 1)
     with pytest.raises(ValueError):
         word((), 0)
 
@@ -102,14 +105,26 @@ def test_dimension_sum(points):
 
 
 def test_ginv_is_inverse(points):
+    # G_i inverts g_i; every letter, and every random word, evaluates to the
+    # same matrix as its reference rewrite over {t, g}
+    n = 3
+    letters = [T_LETTER, U_LETTER] \
+        + [g_letter(i) for i in range(1, n)] \
+        + [ginv_letter(i) for i in range(1, n)] \
+        + [tprime_letter(i) for i in range(n)]
+    rng = random.Random(17)
     for p in points:
-        rep = typeB_rep(((2,), (1,)), p)
-        for i in (1, 2):
-            gi = evaluate(rep, word((g_letter(i),), 3))
-            gv = evaluate(rep, expand_word(word((ginv_letter(i),), 3), p))
-            assert mat_eq(gi.dot(gv), identity(rep.dimension))
-            # the cached letter matrix agrees with the expansion
-            assert mat_eq(rep.letter_matrix(ginv_letter(i)), gv)
+        words = [word((letter,), n) for letter in letters] \
+            + [random_word(n, rng) for _ in range(10)]
+        for shape in double_partitions(n):
+            rep = typeB_rep(shape, p)
+            for i in range(1, n):
+                gg = evaluate(rep, word((g_letter(i), ginv_letter(i)), n))
+                assert mat_eq(gg, identity(rep.dimension))
+            for w in words:
+                assert mat_eq(evaluate(rep, w),
+                              evaluate(rep, expand_word(w, p))), \
+                    (shape, w.letters)
 
 
 def test_tprime_family(points):
@@ -134,6 +149,18 @@ def test_tprime_zero_is_t(points):
     p = points[0]
     rep = typeB_rep(((1,), (1,)), p)
     assert mat_eq(rep.letter_matrix(tprime_letter(0)), rep.t_matrix)
+
+
+def test_u_letter_is_t_g1_t(points):
+    # the type-D generator u is the letter for t g_1 t, also inside a
+    # weighted element
+    for p in points:
+        for shape in double_partitions(2):
+            rep = typeB_rep(shape, p)
+            tg1t = evaluate(rep, word((T_LETTER, g_letter(1), T_LETTER), 2))
+            assert mat_eq(evaluate(rep, word((U_LETTER,), 2)), tg1t)
+            e = HeckeElement.from_word(word((U_LETTER, g_letter(1)), 2), 3)
+            assert mat_eq(evaluate(rep, e), tg1t.dot(rep.g_matrices[0]) * 3)
 
 
 def test_coset_representatives_shape():

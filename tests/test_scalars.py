@@ -1,7 +1,7 @@
 import pytest
 
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
-    identity, is_zero_matrix, mat_eq, matrix, parse_rational, qpow, rat, \
+    guard_bound, identity, is_zero_matrix, mat_eq, matrix, parse_rational, qpow, rat, \
     specialized_point, zeros
 
 
@@ -15,8 +15,8 @@ def test_parse_rational():
     assert parse_rational("3/4") == Rat(3, 4)
     assert parse_rational("-5") == Rat(-5)
     assert parse_rational(" 7/2 ") == Rat(7, 2)
-    for bad in ("", "a", "1/0/2", "1.5"):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+    for bad in ("", "a", "1/0/2", "1.5", "1/0", "-3/0"):
+        with pytest.raises(ValueError):
             parse_rational(bad)
 
 
@@ -30,6 +30,8 @@ def test_point_validation():
         ParameterPoint(Rat(2), Rat(0), 8)
     with pytest.raises(ValueError):
         ParameterPoint(Rat(2), Rat(-1), 8)
+    with pytest.raises(ValueError, match=r"Q = -q\^0 is excluded"):
+        ParameterPoint(Rat(2), Rat(-1), 0)
 
 
 def test_point_guard():
@@ -46,7 +48,7 @@ def test_admissible_point_deterministic():
     p1 = admissible_point(3, 4, 4, 17)
     p2 = admissible_point(3, 4, 4, 17)
     assert (p1.q, p1.Q, p1.guard_bound) == (p2.q, p2.Q, p2.guard_bound)
-    assert p1.guard_bound == max(3, 8, 8)
+    assert p1.guard_bound == guard_bound(3, 4, 4) == max(3, 8, 8)
     assert Rat(1, 4) < p1.q < 4 and p1.q != 1
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from heckeweights.combinatorics import double_partitions, one_box_successors, \
     standard_tableaux
-from heckeweights.reps import T_LETTER, expand_word, g_letter, ginv_letter, \
-    random_word, tprime_letter, word
+from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
+    ginv_letter, random_word, tprime_letter, word
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point
-from heckeweights.traces import TypeDWeight, expand_type_d, markov_params, \
-    markov_trace_B, markov_trace_D, plain_point, q1_point, typeA_markov_trace, \
-    u_word, weight_B, weight_B_schur_form, weight_D, weight_table
+from heckeweights.traces import markov_params, markov_trace_B, \
+    markov_trace_D, plain_point, q1_point, typeA_markov_trace, weight_B, \
+    weight_B_schur_form, weight_D, weight_table
 
 
 def dim(shape):
@@ -173,7 +173,7 @@ def test_u_quadratic_trace_identity():
     rng = random.Random(3)
     q = Rat(3, 2)
     n, r1, r2 = 3, 4, 4
-    uu = u_word(n)
+    uu = word((U_LETTER,), n)
     for _ in range(6):
         a = random_word(n, rng, use_t=False)
         b = random_word(n, rng, use_t=False)
@@ -195,13 +195,3 @@ def test_markov_trace_D_matches_B_at_Q1():
         assert markov_trace_D(h, n, r1, r2, q) \
             == markov_trace_B(expand_word(h, point1), n, r1, r2, point1)
 
-
-def test_expand_type_d():
-    q = Rat(2)
-    point1 = q1_point(q, 2, 3, 3)
-    from heckeweights.reps import U_LETTER, HeckeElement
-    w = word((U_LETTER, g_letter(1)), 2)
-    e = expand_type_d(HeckeElement.from_word(w, 3), point1)
-    (ww,) = e.terms
-    assert ww.letters == (T_LETTER, g_letter(1), T_LETTER, g_letter(1))
-    assert e.terms[ww] == 3
