@@ -15,24 +15,19 @@ import random
 import sys
 
 from . import homcheck
-from .combinatorics import double_partitions, embed_double, one_box_successors, \
-    partition_str, partitions, shape_str, standard_tableaux, trim
+from .combinatorics import dimension, double_partitions, partition_str, \
+    partitions, shape_str
 from .reps import U_LETTER, g_letter, parse_word, random_word, \
-    relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
+    tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
-    is_zero_matrix, parse_rational
-from .schur import rectangle_schur, schur_normalized, schur_principal
-from .traces import markov_params, markov_trace_B, markov_trace_D, \
-    plain_point, q1_point, weight_B, weight_B_schur_form, weight_D, \
-    weight_table
+    parse_rational
+from .schur import schur_normalized
+from .traces import markov_params, markov_trace_B, plain_point, q1_point, \
+    weight_D, weight_table
 
 
 def _rat_str(x):
     return None if x is None else str(x)
-
-
-def _dimension(shape) -> int:
-    return len(standard_tableaux(shape))
 
 
 def _or_exit(make, *args):
@@ -61,7 +56,7 @@ def cmd_weights(args) -> int:
         Q_out = None
         for mu in partitions(n):
             rows.append((partition_str(mu), schur_normalized(mu, r, q),
-                         _dimension((mu, ()))))
+                         dimension((mu, ()))))
     elif args.type == "B":
         if args.Q is None:
             print("error: --Q is required for type B", file=sys.stderr)
@@ -72,7 +67,7 @@ def cmd_weights(args) -> int:
         Q_out = point.Q
         for shape in double_partitions(n):
             rows.append((shape_str(shape), table.entries[shape],
-                         _dimension(shape)))
+                         dimension(shape)))
     else:  # type D
         point = _or_exit(q1_point, q, n, r1, r2)
         z, y = markov_params(r1, r2, point)
@@ -83,7 +78,7 @@ def cmd_weights(args) -> int:
             if (beta, alpha) in seen:
                 continue
             seen.add(shape)
-            dim = _dimension(shape)
+            dim = dimension(shape)
             for entry in weight_D(shape, r1, r2, q):
                 if entry.split_index is None:
                     rows.append((shape_str(shape), entry.weight, dim))
@@ -125,240 +120,116 @@ def cmd_trace(args) -> int:
 
 
 # -- verify ------------------------------------------------------------------
+#
+# A suite draws its cases (points, sizes, random words) and hands them to the
+# check catalogue in ``homcheck``; it compares nothing itself.
 
 def _points(n, r1, r2, seed, count):
     return [admissible_point(n, r1, r2, seed + 1000 * i) for i in range(count)]
 
 
-def _all_zero(residuals) -> bool:
-    return all(is_zero_matrix(m) for m in residuals)
-
-
 def suite_relations(n, seed, points):
     pts = _points(n, n + 1, n + 1, seed, points)
-    type_a = all(_all_zero(relation_residuals(typeA_rep(mu, p)))
-                 for p in pts for k in range(1, n + 1) for mu in partitions(k))
-    type_b = all(_all_zero(relation_residuals(typeB_rep(s, p)))
-                 for p in pts for k in range(1, n + 1)
-                 for s in double_partitions(k))
-    skew = all(_all_zero(relation_residuals(skew_rep(s, k + 1, k + 1, p.q)))
-               for p in pts for k in range(1, min(n, 3) + 1)
-               for s in double_partitions(k))
+    k = min(n, 3)
     return [
-        {"name": f"relations-typeA-n{n}", "paper_ref": "Section 2 (H1)-(H3)",
-         "pass": type_a},
-        {"name": f"relations-typeB-n{n}", "paper_ref": "Section 2 (H1)-(H6)",
-         "pass": type_b},
-        {"name": f"relations-skew-n{min(n, 3)}", "paper_ref": "Lemma 3.2",
-         "pass": skew},
+        homcheck.relations_report("typeA", pts, range(1, n + 1),
+                                  name=f"relations-typeA-n{n}"),
+        homcheck.relations_report("typeB", pts, range(1, n + 1),
+                                  name=f"relations-typeB-n{n}"),
+        homcheck.relations_report("skew", pts, range(1, k + 1),
+                                  name=f"relations-skew-n{k}"),
     ]
 
 
 def suite_markov(n, seed, points):
-    checks = []
     rng = random.Random(seed)
     pts = _points(n, n + 1, n + 1, seed, points)
-    markov_ok = tprime_ok = powers_ok = coset_ok = symmetry_ok = True
+    r = n + 1
+    hs, pairs = [], []
     for p in pts:
-        r1 = r2 = n + 1
-        z, y = markov_params(r1, r2, p)
-        for _ in range(5):
-            h = random_word(max(n - 1, 1), rng)
-            h_n = word(h.letters, n)
-            hg = word(h.letters + (g_letter(n - 1),), n) if n >= 2 else h_n
-            lhs = markov_trace_B(hg, n, r1, r2, p)
-            rhs = z * markov_trace_B(h, max(n - 1, 1), r1, r2, p) \
-                if n >= 2 else markov_trace_B(h_n, n, r1, r2, p)
-            if lhs != rhs:
-                markov_ok = False
-            ht = word(h.letters + (tprime_letter(n - 1),), n)
-            lhs = markov_trace_B(ht, n, r1, r2, p)
-            rhs = y * markov_trace_B(h, max(n - 1, 1), r1, r2, p)
-            if n >= 2 and lhs != rhs:
-                tprime_ok = False
-        for k in range(1, min(n, 4) + 1):
-            w_k = word(tuple(tprime_letter(j) for j in range(k)), n)
-            if markov_trace_B(w_k, n, r1, r2, p) != y**k:
-                powers_ok = False
-        for d_choice in _double_coset_products(n):
-            letters, a, b = d_choice
-            w_d = word(letters, n)
-            if markov_trace_B(w_d, n, r1, r2, p) != z**a * y**b:
-                coset_ok = False
-        for _ in range(5):
-            wa, wb = random_word(n, rng), random_word(n, rng)
-            ab = word(wa.letters + wb.letters, n)
-            ba = word(wb.letters + wa.letters, n)
-            if markov_trace_B(ab, n, r1, r2, p) != markov_trace_B(ba, n, r1, r2, p):
-                symmetry_ok = False
-    checks.append({"name": f"markov-property-n{n}",
-                   "paper_ref": "Section 4 definition; Lemma 5.2", "pass": markov_ok})
-    checks.append({"name": f"tprime-property-n{n}", "paper_ref": "Prop 4.1",
-                   "pass": tprime_ok})
-    checks.append({"name": "tprime-powers", "paper_ref": "Lemma 5.4",
-                   "pass": powers_ok})
-    checks.append({"name": "double-coset-reduction", "paper_ref": "Section 4",
-                   "pass": coset_ok})
-    checks.append({"name": "trace-symmetry", "paper_ref": "Section 4 definition",
-                   "pass": symmetry_ok})
-    return checks
+        hs.append((p, [random_word(max(n - 1, 1), rng) for _ in range(5)]))
+        pairs.append((p, [(random_word(n, rng), random_word(n, rng))
+                          for _ in range(5)]))
+    # h lives in the size-(n-1) algebra, which is trivial at n = 1
+    hs = hs if n >= 2 else []
+    return [
+        homcheck.markov_property(n, r, r, hs, name=f"markov-property-n{n}"),
+        homcheck.tprime_property(n, r, r, hs, name=f"tprime-property-n{n}"),
+        homcheck.tprime_powers(n, r, r, pts, range(1, min(n, 4) + 1)),
+        homcheck.double_coset_reduction(n, r, r, pts,
+                                        _double_coset_products(n)),
+        homcheck.trace_symmetry(n, r, r, pairs),
+    ]
 
 
 def _double_coset_products(n):
-    """All products d_1 ... d_n with d_i in {1, g_{i-1}, t'_{i-1}}, with the
-    g- and t'-factor counts."""
-    out = [((), 0, 0)]
+    """All products d_1 ... d_n with d_i in {1, g_{i-1}, t'_{i-1}}."""
+    out = [()]
     for i in range(1, n + 1):
-        grown = []
-        for letters, a, b in out:
-            grown.append((letters, a, b))
-            if i >= 2:
-                grown.append((letters + (g_letter(i - 1),), a + 1, b))
-            grown.append((letters + (tprime_letter(i - 1),), a, b + 1))
-        out = grown
-    return out
+        choices = [()] + ([(g_letter(i - 1),)] if i >= 2 else []) \
+            + [(tprime_letter(i - 1),)]
+        out = [letters + c for letters in out for c in choices]
+    return [word(letters, n) for letters in out]
 
 
 def suite_branching(n, seed, points):
     pts = _points(n, n + 2, n + 2, seed, points)
-    branch_ok = norm_ok = forms_ok = True
-    for p in pts:
-        r1 = r2 = n + 2
-        for k in range(0, n):
-            for shape in double_partitions(k):
-                total = sum(weight_B(s, r1, r2, p)
-                            for s in one_box_successors(shape))
-                if weight_B(shape, r1, r2, p) != total:
-                    branch_ok = False
-        table = weight_table(n, r1, r2, p)
-        if sum(w * _dimension(s) for s, w in table.entries.items()) != 1:
-            norm_ok = False
-        for shape in double_partitions(n):
-            if weight_B(shape, r1, r2, p) != weight_B_schur_form(shape, r1, r2, p):
-                forms_ok = False
+    r = n + 2
     return [
-        {"name": f"weight-branching-n{n}", "paper_ref": "Lemma 5.1",
-         "pass": branch_ok},
-        {"name": f"weight-normalization-n{n}", "paper_ref": "Eq. (9)",
-         "pass": norm_ok},
-        {"name": f"weight-two-forms-n{n}", "paper_ref": "Eq. (10) = Eq. (11)",
-         "pass": forms_ok},
+        homcheck.weight_branching(r, r, pts, range(n),
+                                  name=f"weight-branching-n{n}"),
+        homcheck.weight_normalization(n, r, r, pts,
+                                      name=f"weight-normalization-n{n}"),
+        homcheck.weight_two_forms(r, r, pts, [n],
+                                  name=f"weight-two-forms-n{n}"),
     ]
 
 
 def suite_schur(n, seed, points):
-    pts = _points(n, n + 1, n + 1, seed, points)
-    rect_ok = fact_ok = pieri_ok = norm_ok = True
-    for p in pts:
-        q = p.q
-        for m in range(1, 4):
-            for r1 in range(1, 4):
-                for r2 in range(0, 3):
-                    if rectangle_schur(m, r1, r2, q) != \
-                            schur_normalized((m,) * r1, r1 + r2, q):
-                        rect_ok = False
-        m = r1 = n + 1
-        for r2 in (n + 1, n + 2):
-            r = r1 + r2
-            for shape in double_partitions(n):
-                mu = embed_double(shape, m, r1)
-                alpha, beta = shape
-                rhs = q ** (m * r1 * (r1 - 1) // 2 + r1 * sum(beta)) \
-                    * ((1 - q) / (1 - q**r)) ** sum(mu) \
-                    * schur_principal(alpha, r1, q) \
-                    * schur_principal(beta, r2, q)
-                for i in range(1, r1 + 1):
-                    for j in range(1, r2 + 1):
-                        a_i = alpha[i - 1] if i <= len(alpha) else 0
-                        b_j = beta[j - 1] if j <= len(beta) else 0
-                        rhs *= (1 - q ** (m + r1 + a_i - b_j + j - i)) \
-                            / (1 - q ** (r1 + j - i))
-                if schur_normalized(mu, r, q) != rhs:
-                    fact_ok = False
-        for r in (2, 3, 4):
-            for k in range(0, n):
-                for mu in partitions(k):
-                    succ = {trim(s[0]) for s in
-                            one_box_successors((mu, ())) if s[1] == ()}
-                    if schur_normalized(mu, r, q) != \
-                            sum(schur_normalized(nu, r, q) for nu in succ):
-                        pieri_ok = False
-            total = sum(schur_normalized(mu, r, q) * _dimension((mu, ()))
-                        for mu in partitions(n) if len(mu) <= r)
-            if total != 1:
-                norm_ok = False
+    qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
+    rectangles = [(m, r1, r2) for m in range(1, 4) for r1 in range(1, 4)
+                  for r2 in range(0, 3)]
     return [
-        {"name": "rectangle-closed-form", "paper_ref": "Section 5 rectangle display",
-         "pass": rect_ok},
-        {"name": f"schur-factorization-n{n}", "paper_ref": "Eq. (4)",
-         "pass": fact_ok},
-        {"name": f"pieri-n{n}", "paper_ref": "Lemma 5.1 proof", "pass": pieri_ok},
-        {"name": f"typeA-normalization-n{n}", "paper_ref": "Section 5 (Wenzl weights)",
-         "pass": norm_ok},
+        homcheck.rectangle_closed_form(qs, rectangles),
+        homcheck.schur_factorization(n, n + 1, n + 1, (n + 1, n + 2), qs,
+                                     name=f"schur-factorization-n{n}"),
+        homcheck.pieri(qs, (2, 3, 4), range(n), name=f"pieri-n{n}"),
+        homcheck.typeA_normalization(qs, [(n, r) for r in (2, 3, 4)],
+                                     name=f"typeA-normalization-n{n}"),
     ]
 
 
 def suite_hom(n, seed, points):
     n = min(n, 3)
-    pts = _points(n, n + 1, n + 1, seed, min(points, 3))
-    eig_ok = match_ok = ratio_ok = True
-    for p in pts:
-        q = p.q
-        m = r1 = n + 1
-        if not homcheck.rho_eigenvalue_report(m, r1, q).passed:
-            eig_ok = False
-        if not homcheck.character_match_report(n, m, r1, q, samples=20,
-                                               seed=seed).passed:
-            match_ok = False
-        for r2 in (n + 1, n + 2):
-            if not homcheck.weight_ratio_report(n, m, r1, r2, q).passed:
-                ratio_ok = False
+    qs = [p.q for p in _points(n, n + 1, n + 1, seed, min(points, 3))]
+    m = r1 = n + 1
     return [
-        {"name": "rho-eigenvalues", "paper_ref": "Lemma 3.2", "pass": eig_ok},
-        {"name": f"character-match-n{n}", "paper_ref": "Theorem 3.3",
-         "pass": match_ok},
-        {"name": f"weight-ratio-n{n}", "paper_ref": "Eq. (13)", "pass": ratio_ok},
+        homcheck.rho_eigenvalue_report(m, r1, qs, name="rho-eigenvalues"),
+        homcheck.character_match_report(n, m, r1, qs, samples=20, seed=seed,
+                                        name=f"character-match-n{n}"),
+        homcheck.weight_ratio_report(n, m, r1, (n + 1, n + 2), qs,
+                                     name=f"weight-ratio-n{n}"),
     ]
 
 
 def suite_typeD(n, seed, points):
-    pts = _points(n, n + 1, n + 1, seed, points)
+    qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
     rng = random.Random(seed)
-    incl_ok = markov_ok = rel_ok = True
-    for p in pts:
-        q = p.q
-        r1 = r2 = n + 1
-        point1 = q1_point(q, n, r1, r2)
-        for shape in double_partitions(n):
-            alpha, beta = shape
-            entries = weight_D(shape, r1, r2, q)
-            if alpha == beta:
-                ok = all(e.weight == weight_B(shape, r1, r2, point1)
-                         for e in entries)
-            else:
-                ok = entries[0].weight == \
-                    weight_B((alpha, beta), r1, r2, point1) \
-                    + weight_B((beta, alpha), r1, r2, point1)
-            if not ok:
-                incl_ok = False
-        z, _ = markov_params(r1, r2, point1)
-        for _ in range(5):
-            h = _random_d_word(max(n - 1, 1), rng)
-            if n >= 2:
-                hg = word(h.letters + (g_letter(n - 1),), n)
-                lhs = markov_trace_D(hg, n, r1, r2, q)
-                rhs = z * markov_trace_D(h, max(n - 1, 1), r1, r2, q)
-                if lhs != rhs:
-                    markov_ok = False
-        if not _type_d_relations_ok(n, r1, r2, q, rng):
-            rel_ok = False
+    r = n + 1
+    hs, relations = [], []
+    for q in qs:
+        hs.append((q, [_random_d_word(max(n - 1, 1), rng) for _ in range(5)]))
+        relations.append((q, [(_random_d_word(n, rng, max_len=2), lhs, rhs,
+                               _random_d_word(n, rng, max_len=2))
+                              for lhs, rhs in _type_d_relations(n)
+                              for _ in range(3)]))
+    hs = hs if n >= 2 else []
     return [
-        {"name": f"typeD-inclusion-weights-n{n}", "paper_ref": "Prop 6.1",
-         "pass": incl_ok},
-        {"name": f"typeD-markov-property-n{n}", "paper_ref": "Section 6 (Geck)",
-         "pass": markov_ok},
-        {"name": "typeD-relations", "paper_ref": "Section 6 (D1)-(D5)",
-         "pass": rel_ok},
+        homcheck.typeD_inclusion_weights(n, r, r, qs,
+                                         name=f"typeD-inclusion-weights-n{n}"),
+        homcheck.typeD_markov_property(n, r, r, hs,
+                                       name=f"typeD-markov-property-n{n}"),
+        homcheck.typeD_relations(n, r, r, relations),
     ]
 
 
@@ -374,47 +245,21 @@ def _random_d_word(n, rng, max_len=4):
     return word(letters, n)
 
 
-def _type_d_relations_ok(n, r1, r2, q, rng) -> bool:
-    """Defining relations of the index-2 subalgebra as trace identities on
-    random two-sided multiples: tr(a*lhs*b) == tr(a*rhs*b)."""
+def _type_d_relations(n):
+    """Defining relations of the index-2 subalgebra as (lhs, rhs) letter
+    tuples; rhs None marks the quadratic relation of the letter lhs[0]."""
     if n < 2:
-        return True
-    u = (U_LETTER,)
-    pairs = []
-    for i in range(1, n - 1):
-        pairs.append(((g_letter(i), g_letter(i + 1), g_letter(i)),
-                      (g_letter(i + 1), g_letter(i), g_letter(i + 1))))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            pairs.append(((g_letter(i), g_letter(j)),
-                          (g_letter(j), g_letter(i))))
+        return []
+    text = [f"g{i} g{i + 1} g{i} = g{i + 1} g{i} g{i + 1}"
+            for i in range(1, n - 1)]
+    text += [f"g{i} g{j} = g{j} g{i}" for i in range(1, n)
+             for j in range(i + 2, n)]
     # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
-    pairs.append((u + (g_letter(1),), (g_letter(1),) + u))
-    for i in range(3, n):
-        pairs.append((u + (g_letter(i),), (g_letter(i),) + u))
-    if n >= 3:
-        pairs.append((u + (g_letter(2),) + u, (g_letter(2),) + u + (g_letter(2),)))
-    point = q1_point(q, n, r1, r2)
-    for lhs, rhs in pairs + [((g_letter(1), g_letter(1)), None),
-                             (u + u, None)]:
-        for _ in range(3):
-            a = _random_d_word(n, rng, max_len=2)
-            b = _random_d_word(n, rng, max_len=2)
-            left = word(a.letters + lhs + b.letters, n)
-            if rhs is None:
-                # quadratic relation x^2 = (q-1)x + q
-                x = word(a.letters + lhs[:1] + b.letters, n)
-                one = word(a.letters + b.letters, n)
-                target = markov_trace_D(x, n, r1, r2, q) * (q - 1) \
-                    + markov_trace_D(one, n, r1, r2, q) * q
-                if markov_trace_D(left, n, r1, r2, q) != target:
-                    return False
-            else:
-                right = word(a.letters + rhs + b.letters, n)
-                if markov_trace_D(left, n, r1, r2, q) != \
-                        markov_trace_D(right, n, r1, r2, q):
-                    return False
-    return True
+    text += ["u g1 = g1 u"] + [f"u g{i} = g{i} u" for i in range(3, n)]
+    text += ["u g2 u = g2 u g2"] if n >= 3 else []
+    pairs = [tuple(parse_word(side, n).letters for side in t.split("="))
+             for t in text]
+    return pairs + [(parse_word(x, n).letters, None) for x in ("g1 g1", "u u")]
 
 
 SUITES = {
@@ -429,16 +274,21 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](args.n, args.seed, args.points))
+    if args.n < 1 or args.points < 1:
+        print("error: verify needs --n >= 1 and --points >= 1",
+              file=sys.stderr)
+        return 2
+    reports = [report for name in names
+               for report in SUITES[name](args.n, args.seed, args.points)]
     doc = {
         "params": {"n": args.n, "seed": args.seed, "points": args.points,
                    "suite": args.suite},
-        "checks": checks,
+        "checks": [{"name": r.name, "paper_ref": r.paper_ref,
+                    "pass": r.passed, "cases": r.cases, "failure": r.failure}
+                   for r in reports],
     }
     print(json.dumps(doc, indent=2))
-    return 0 if all(c["pass"] for c in checks) else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -498,6 +348,10 @@ def main(argv=None) -> int:
             args.r1 = args.n + 1
         if args.r2 is None:
             args.r2 = args.n + 1
+        if min(args.r1, args.r2) < 0 or args.r1 + args.r2 < 1:
+            print("error: --r1 and --r2 must be nonnegative with "
+                  "r1 + r2 >= 1", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except SystemExit as exc:

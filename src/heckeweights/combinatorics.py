@@ -169,6 +169,11 @@ def standard_tableaux(shape) -> list:
     return out
 
 
+def dimension(shape) -> int:
+    """Dimension of the irreducible module: the number of standard tableaux."""
+    return len(standard_tableaux(shape))
+
+
 def box_stat(t: DoubleTableau, entry: int) -> BoxStat:
     comp, row, col = t.box(entry)
     return BoxStat(component=comp, content=col - row, row=row)

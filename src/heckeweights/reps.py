@@ -76,6 +76,13 @@ class HeckeWord:
             else:
                 raise ValueError(f"unknown letter kind {kind!r}")
 
+    def __str__(self):
+        """The word in ``parse_word`` tokens."""
+        return " ".join(_TOKENS[kind].format(i) for kind, i in self.letters)
+
+
+_TOKENS = {"t": "t", "u": "u", "g": "g{}", "ginv": "G{}", "tprime": "t'{}"}
+
 
 def word(letters, n: int) -> HeckeWord:
     return HeckeWord(letters=tuple(letters), ambient_n=n)
@@ -201,6 +208,11 @@ class Representation:
     point: ParameterPoint
     _letter_cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        for m in self.g_matrices + [self.t_matrix]:
+            if m is not None:
+                m.flags.writeable = False
+
     @property
     def size(self) -> int:
         return len(self.g_matrices) + 1
@@ -230,6 +242,7 @@ class Representation:
             m = t.dot(self.letter_matrix(g_letter(1))).dot(t)
         else:
             raise ValueError(f"unknown letter kind {kind!r}")
+        m.flags.writeable = False
         self._letter_cache[letter] = m
         return m
 
@@ -348,8 +361,8 @@ def evaluate(rep: Representation, element):
 
     A word is the product of its letter matrices, the identity if it is
     empty; an element is the coefficient-weighted sum over its words.  A
-    one-letter word returns the representation's own letter matrix, so the
-    result must not be modified in place.
+    one-letter word returns the representation's own letter matrix, which is
+    read-only.
     """
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "

@@ -71,6 +71,9 @@ class ParameterPoint:
             if Q == -(q**s):
                 raise ValueError(f"Q = -q^{s} is excluded")
 
+    def __str__(self):
+        return f"q = {self.q}, Q = {self.Q}"
+
 
 def qpow(point: ParameterPoint, k: int):
     """q**k, exactly, for any integer k."""

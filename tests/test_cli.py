@@ -2,9 +2,8 @@ import csv
 import io
 import json
 
-import pytest
-
-from heckeweights import cli
+from heckeweights import cli, homcheck
+from heckeweights.scalars import admissible_point
 
 
 def run(capsys, argv):
@@ -134,6 +133,22 @@ def test_usage_errors(capsys):
     assert cli.main(["weights", "--type", "B", "--n", "2",
                      "--q", "2", "--Q", "3/0"]) == 2
     capsys.readouterr()
+    for argv in (
+            ["weights", "--type", "B", "--n", "2", "--q", "2", "--Q", "5",
+             "--r1", "0", "--r2", "0"],
+            ["weights", "--type", "A", "--n", "2", "--q", "2",
+             "--r1", "0", "--r2", "0"],
+            ["weights", "--type", "D", "--n", "2", "--q", "2",
+             "--r1", "0", "--r2", "0"],
+            ["weights", "--type", "D", "--n", "2", "--q", "2", "--r1", "-3"],
+            ["trace", "--word", "t", "--n", "1", "--r1", "-1", "--q", "2",
+             "--Q", "5"],
+            ["verify", "--suite", "markov", "--n", "0"],
+            ["verify", "--suite", "hom", "--n", "0"],
+            ["verify", "--suite", "relations", "--points", "0"],
+            ["verify", "--suite", "relations", "--points", "-1"]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_verify_passes(capsys):
@@ -143,8 +158,11 @@ def test_verify_passes(capsys):
     doc = json.loads(out)
     assert doc["checks"]
     for check in doc["checks"]:
-        assert set(check) == {"name", "paper_ref", "pass"}
+        assert set(check) == {"name", "paper_ref", "pass", "cases",
+                              "failure"}
         assert check["pass"] is True
+        assert check["cases"] > 0
+        assert check["failure"] is None
 
 
 def test_verify_all_suites_listed(capsys):
@@ -160,11 +178,38 @@ def test_verify_all_suites_listed(capsys):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "relations",
                         lambda n, seed, points: [
-                            {"name": "forced", "paper_ref": "none",
-                             "pass": False}])
+                            homcheck.Report("forced", "none", cases=1,
+                                            failure="forced failure")])
     code, out, _ = run(capsys, ["verify", "--suite", "relations"])
     assert code == 1
-    assert json.loads(out)["checks"][0]["pass"] is False
+    check = json.loads(out)["checks"][0]
+    assert check["pass"] is False
+    assert check["failure"] == "forced failure"
+
+
+def test_verify_failure_names_counterexample(capsys, monkeypatch):
+    real = homcheck.weight_B
+    broken = ((1,), ())
+
+    def weight_B(shape, r1, r2, point):
+        w = real(shape, r1, r2, point)
+        return 2 * w if shape == broken else w
+
+    monkeypatch.setattr(homcheck, "weight_B", weight_B)
+    code, out, _ = run(capsys, ["verify", "--suite", "branching", "--n", "2",
+                                "--points", "1"])
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "weight-branching-n2"
+    assert check["pass"] is False
+    # the first case, the empty shape, already sees the doubled successor
+    p = admissible_point(2, 4, 4, 0)
+    lhs = real(((), ()), 4, 4, p)
+    rhs = 2 * real(broken, 4, 4, p) + real(((), (1,)), 4, 4, p)
+    assert check["failure"] == (
+        f"weight of []|[] = sum over its successors [1]|[], []|[1] at "
+        f"q = {p.q}, Q = {p.Q}: {lhs} != {rhs}")
+    assert "/" in str(rhs)
 
 
 def test_verify_deterministic(capsys):

@@ -2,17 +2,15 @@ import random
 
 import pytest
 
-from heckeweights.combinatorics import box_stat, double_partitions, partitions
+from heckeweights.combinatorics import double_partitions, partitions
+from heckeweights.homcheck import relations_report
 from heckeweights.reps import HeckeElement, T_LETTER, U_LETTER, character, \
     coset_representatives, evaluate, expand_word, full_twist_scalar, g_letter, \
     ginv_letter, parse_word, random_word, relation_residuals, skew_rep, \
     tprime_letter, typeA_rep, typeB_rep, word
-from heckeweights.scalars import Rat, admissible_point, identity, \
-    is_zero_matrix, mat_eq, specialized_point
-
-
-def all_relations_hold(rep):
-    return all(is_zero_matrix(m) for m in relation_residuals(rep))
+from heckeweights.scalars import Rat, identity, is_zero_matrix, mat_eq, \
+    specialized_point
+from heckeweights.traces import plain_point
 
 
 def test_word_validation():
@@ -34,6 +32,7 @@ def test_parse_word():
     w = parse_word("t g1 G2 t'0 t'2", 3)
     assert w.letters == (T_LETTER, g_letter(1), ginv_letter(2),
                          tprime_letter(0), tprime_letter(2))
+    assert str(w) == "t g1 G2 t'0 t'2"
     assert parse_word("", 2).letters == ()
     for bad in ("h1", "g", "t'x", "g1g2"):
         with pytest.raises(ValueError, match="bad word token"):
@@ -53,24 +52,19 @@ def test_element_algebra():
 
 
 def test_typeA_relations(points):
-    for p in points:
-        for n in range(1, 5):
-            for mu in partitions(n):
-                assert all_relations_hold(typeA_rep(mu, p))
+    report = relations_report("typeA", points, range(1, 5))
+    assert report.passed, report.failure
 
 
 def test_typeB_relations(points):
-    for p in points:
-        for n in range(1, 4):
-            for shape in double_partitions(n):
-                assert all_relations_hold(typeB_rep(shape, p))
+    report = relations_report("typeB", points, range(1, 4))
+    assert report.passed, report.failure
 
 
 def test_skew_relations():
-    for q in (Rat(2), Rat(1, 2), Rat(3, 2)):
-        for n in range(1, 3):
-            for shape in double_partitions(n):
-                assert all_relations_hold(skew_rep(shape, n + 1, n + 1, q))
+    pts = [plain_point(q) for q in (Rat(2), Rat(1, 2), Rat(3, 2))]
+    report = relations_report("skew", pts, range(1, 3))
+    assert report.passed, report.failure
 
 
 def test_relation_residuals_catch_corruption(point):
@@ -80,7 +74,7 @@ def test_relation_residuals_catch_corruption(point):
     broken = type(rep)(label=rep.label, dimension=rep.dimension,
                        basis=rep.basis, t_matrix=rep.t_matrix,
                        g_matrices=[g], point=rep.point)
-    assert not all_relations_hold(broken)
+    assert not all(is_zero_matrix(m) for m in relation_residuals(broken))
 
 
 def test_worked_example_matrices(point):
@@ -264,6 +258,16 @@ def test_character_conjugation_invariance(points):
             conj = word((g_letter(i),) + w.letters + (ginv_letter(i),), 3)
             assert character(rep, expand_word(conj, p)) \
                 == character(rep, expand_word(w, p))
+
+
+def test_cached_matrices_read_only(points):
+    rep = typeB_rep(((1,), (1,)), points[0])
+    for letter in (g_letter(1), T_LETTER, ginv_letter(1), tprime_letter(1),
+                   U_LETTER):
+        m = evaluate(rep, word((letter,), 2))
+        with pytest.raises(ValueError):
+            m[0, 0] = Rat(7)
+    assert evaluate(rep, word((g_letter(1),), 2)) is rep.g_matrices[0]
 
 
 def test_evaluate_size_check(points):

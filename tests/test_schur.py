@@ -1,6 +1,7 @@
-from heckeweights.combinatorics import partitions, standard_tableaux, trim
+from heckeweights.combinatorics import partitions, trim
+from heckeweights.homcheck import rectangle_closed_form, typeA_normalization
 from heckeweights.scalars import Rat
-from heckeweights.schur import rectangle_schur, schur_normalized, schur_principal
+from heckeweights.schur import schur_normalized, schur_principal
 
 
 def semistandard_sum(alpha, r, q):
@@ -62,20 +63,14 @@ def test_frozen_values():
 
 
 def test_normalization_sums_to_one():
-    for q in (Rat(2), Rat(1, 2), Rat(7, 4)):
-        for r in (1, 2, 3, 5):
-            for n in range(1, 5):
-                total = sum(
-                    schur_normalized(mu, r, q)
-                    * len(standard_tableaux((mu, ())))
-                    for mu in partitions(n) if len(mu) <= r)
-                assert total == 1
+    report = typeA_normalization((Rat(2), Rat(1, 2), Rat(7, 4)),
+                                 [(n, r) for r in (1, 2, 3, 5)
+                                  for n in range(1, 5)])
+    assert report.passed and report.cases == 48, report.failure
 
 
 def test_rectangle_closed_form():
-    for q in (Rat(2), Rat(2, 3)):
-        for m in range(1, 4):
-            for r1 in range(1, 4):
-                for r2 in range(0, 3):
-                    assert rectangle_schur(m, r1, r2, q) \
-                        == schur_normalized((m,) * r1, r1 + r2, q)
+    report = rectangle_closed_form((Rat(2), Rat(2, 3)),
+                                   [(m, r1, r2) for m in range(1, 4)
+                                    for r1 in range(1, 4) for r2 in range(3)])
+    assert report.passed and report.cases == 54, report.failure

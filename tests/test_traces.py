@@ -1,19 +1,14 @@
 import random
 
-import pytest
-
-from heckeweights.combinatorics import double_partitions, one_box_successors, \
-    standard_tableaux
+from heckeweights.combinatorics import dimension, double_partitions
+from heckeweights.homcheck import weight_branching, weight_normalization, \
+    weight_two_forms
 from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
     ginv_letter, random_word, tprime_letter, word
-from heckeweights.scalars import ParameterPoint, Rat, admissible_point
+from heckeweights.scalars import Rat
 from heckeweights.traces import markov_params, markov_trace_B, \
     markov_trace_D, plain_point, q1_point, typeA_markov_trace, weight_B, \
-    weight_B_schur_form, weight_D, weight_table
-
-
-def dim(shape):
-    return len(standard_tableaux(shape))
+    weight_D, weight_table
 
 
 def test_worked_example(point):
@@ -46,35 +41,26 @@ def test_row_bounds_give_zero(point):
 
 
 def test_normalization(points):
-    for p in points:
-        for n in range(1, 5):
-            for (r1, r2) in ((n + 1, n + 1), (n + 1, n + 2)):
-                total = sum(weight_B(shape, r1, r2, p) * dim(shape)
-                            for shape in double_partitions(n))
-                assert total == 1
+    for n in range(1, 5):
+        for (r1, r2) in ((n + 1, n + 1), (n + 1, n + 2)):
+            report = weight_normalization(n, r1, r2, points)
+            assert report.passed, report.failure
 
 
 def test_two_forms_agree(points):
-    for p in points:
-        for n in range(1, 5):
-            for shape in double_partitions(n):
-                assert weight_B(shape, 5, 5, p) \
-                    == weight_B_schur_form(shape, 5, 5, p)
+    report = weight_two_forms(5, 5, points, range(1, 5))
+    assert report.passed, report.failure
 
 
 def test_branching(points):
-    for p in points:
-        for n in range(0, 4):
-            for shape in double_partitions(n):
-                total = sum(weight_B(s, 5, 5, p)
-                            for s in one_box_successors(shape))
-                assert weight_B(shape, 5, 5, p) == total
+    report = weight_branching(5, 5, points, range(0, 4))
+    assert report.passed, report.failure
 
 
 def test_weight_table(point):
     table = weight_table(2, 3, 3, point)
     assert set(table.entries) == set(double_partitions(2))
-    assert sum(w * dim(s) for s, w in table.entries.items()) == 1
+    assert sum(w * dimension(s) for s, w in table.entries.items()) == 1
     assert (table.z, table.y) == markov_params(3, 3, point)
 
 
@@ -161,7 +147,7 @@ def test_weight_D_normalization():
                 if (beta, alpha) in seen:
                     continue
                 seen.add((alpha, beta))
-                d = dim((alpha, beta))
+                d = dimension((alpha, beta))
                 for e in weight_D((alpha, beta), r1, r2, q):
                     total += e.weight * (d if e.split_index is None else d // 2)
             assert total == 1
