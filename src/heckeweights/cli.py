@@ -65,12 +65,12 @@ def cmd_weights(args) -> int:
         table = weight_table(n, r1, r2, point)
         z, y = table.z, table.y
         Q_out = point.Q
-        for shape in double_partitions(n):
-            rows.append((shape_str(shape), table.entries[shape],
-                         dimension(shape)))
+        for shape, weight in table.entries.items():
+            rows.append((shape_str(shape), weight, dimension(shape)))
     else:  # type D
         point = _or_exit(q1_point, q, n, r1, r2)
-        z, y = markov_params(r1, r2, point)
+        table = weight_table(n, r1, r2, point)
+        z, y = table.z, table.y
         Q_out = point.Q
         seen = set()
         for shape in double_partitions(n):
@@ -334,10 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "n", None) is not None and args.n < 0:

@@ -16,6 +16,7 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 Partition = tuple
 
@@ -170,8 +171,21 @@ def standard_tableaux(shape) -> list:
 
 
 def dimension(shape) -> int:
-    """Dimension of the irreducible module: the number of standard tableaux."""
-    return len(standard_tableaux(shape))
+    """Dimension of the irreducible module, the number of standard tableaux:
+    (n choose |alpha|) f^alpha f^beta, with f by the hook length formula."""
+    alpha, beta = trim(shape[0]), trim(shape[1])
+    return comb(sum(alpha) + sum(beta), sum(alpha)) \
+        * _hook_count(alpha) * _hook_count(beta)
+
+
+def _hook_count(alpha) -> int:
+    """f^alpha = |alpha|! / (product of the hook lengths of alpha)."""
+    hooks = 1
+    for i, part in enumerate(alpha):
+        for j in range(part):
+            below = sum(1 for rest in alpha[i + 1:] if rest > j)
+            hooks *= part - j + below
+    return factorial(sum(alpha)) // hooks
 
 
 def box_stat(t: DoubleTableau, entry: int) -> BoxStat:

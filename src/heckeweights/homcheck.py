@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import comb as binomial
 
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, partitions, shape_str, trim
@@ -351,10 +350,7 @@ def weight_ratio_report(n: int, m: int, r1: int, r2s, qs):
 def skew_dimension_report(n: int, m: int, r1: int, q):
     """Skew module dimension bookkeeping: (n choose |alpha|) f^alpha f^beta."""
     for shape in double_partitions(n):
-        alpha, beta = shape
-        yield (skew_rep(shape, m, r1, q).dimension,
-               binomial(n, sum(alpha)) * dimension((alpha, ()))
-               * dimension((beta, ())),
+        yield (skew_rep(shape, m, r1, q).dimension, dimension(shape),
                lambda: f"dimension of the skew module {shape_str(shape)}")
 
 

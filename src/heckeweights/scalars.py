@@ -67,6 +67,8 @@ class ParameterPoint:
             raise ValueError("Q = 0 is excluded")
         if self.guard_bound < 0:
             raise ValueError("guard_bound must be nonnegative")
+        if Q > 0:
+            return  # -q^s < 0 for every s, since q > 0
         for s in range(-self.guard_bound, self.guard_bound + 1):
             if Q == -(q**s):
                 raise ValueError(f"Q = -q^{s} is excluded")

@@ -4,14 +4,22 @@ The trace is always computed as the weighted sum of irreducible characters,
 never by inductive rewriting: the weight formula is the object under test
 and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
+
+``weight_B`` evaluates the product formula in integers (one gcd per weight,
+not one per factor) and ``weight_table`` is the one cached source of
+weights: a read-only table of every shape of one size, built once per
+(n, r1, r2, point) and kept in a bounded cache.  ``markov_trace_B`` and
+``weight_D`` read that table.  ``weight_B_schur_form`` is the independent
+oracle for ``weight_B`` and shares no code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
-from .combinatorics import double_partitions, n_stat, one_box_successors, pad, \
-    partitions, trim
+from .combinatorics import double_partitions, n_stat, pad, partitions, trim
 from .reps import character, typeA_rep, typeB_rep
 from .scalars import ParameterPoint, Rat, guard_bound
 from .schur import schur_normalized, schur_principal
@@ -19,26 +27,61 @@ from .schur import schur_normalized, schur_principal
 
 def weight_B(shape, r1: int, r2: int, point: ParameterPoint):
     """Weight of the double partition (alpha, beta) for the two-parameter
-    Markov trace with row bounds r1, r2; zero beyond the row bounds."""
+    Markov trace with row bounds r1, r2; zero beyond the row bounds.
+
+    The product formula is evaluated in integers.  With q = a/b and
+    Q = c/d, a factor 1 - q^k is (b^k - a^k) / b^k, and a cross factor
+    Q q^x + q^y is q^min(x,y) (c a^u b^(s-u) + d a^v b^(s-v)) / (d b^s)
+    with u = x - min, v = y - min, s = |x - y|.  The integer parts multiply
+    into one numerator and one denominator, the powers of a and b add up in
+    two exponents (the d of each cross factor cancels against its partner),
+    and one Rat is built at the end: a single gcd.
+    """
     alpha, beta = trim(shape[0]), trim(shape[1])
     if len(alpha) > r1 or len(beta) > r2:
         return Rat(0)
-    q, Q = point.q, point.Q
+    a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
     r = r1 + r2
     n = sum(alpha) + sum(beta)
-    a, b = pad(alpha, r1), pad(beta, r2)
-    w = q ** (n_stat(alpha) + n_stat(beta)) * ((1 - q) / (1 - q**r)) ** n
-    for i in range(1, r1 + 1):
-        for j in range(i + 1, r1 + 1):
-            w *= (1 - q ** (a[i - 1] - a[j - 1] + j - i)) / (1 - q ** (j - i))
-    for i in range(1, r2 + 1):
-        for j in range(i + 1, r2 + 1):
-            w *= (1 - q ** (b[i - 1] - b[j - 1] + j - i)) / (1 - q ** (j - i))
+    lam, mu = pad(alpha, r1), pad(beta, r2)
+    top = n + r + 1
+    pa, pb = [1] * top, [1] * top
+    for k in range(1, top):
+        pa[k], pb[k] = pa[k - 1] * a, pb[k - 1] * b
+
+    def cross(x, y):
+        """(c q^x + d q^y) / q^min(x,y) times b^|x-y|, and min, max."""
+        low, high = min(x, y), max(x, y)
+        return (c * pa[x - low] * pb[high - x]
+                + d * pa[y - low] * pb[high - y]), low, high
+
+    # q^(n(alpha) + n(beta)) * ((1 - q) / (1 - q^r))^n
+    ea = n_stat(alpha) + n_stat(beta)
+    eb = -ea + (r - 1) * n
+    num = (b - a) ** n
+    den = (pb[r] - pa[r]) ** n
+    for parts in (lam, mu):
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                k = parts[i] - parts[j] + j - i
+                num *= pb[k] - pa[k]
+                den *= pb[j - i] - pa[j - i]
+                eb -= parts[i] - parts[j]
     for i in range(1, r1 + 1):
         for j in range(1, r2 + 1):
-            w *= (Q * q ** (a[i - 1] - i) + q ** (b[j - 1] - j)) \
-                / (Q * q ** (-i) + q ** (-j))
-    return w
+            t, low, high = cross(lam[i - 1] - i, mu[j - 1] - j)
+            num *= t
+            ea += low
+            eb -= high
+            t, low, high = cross(-i, -j)
+            den *= t
+            ea -= low
+            eb += high
+    # ea is the order of the weight at q = 0 and eb minus its degree in q;
+    # neither depends on Q (Q != -1), and for Q > 0 the weight lies in
+    # (0, 1] for every q > 0, so both are nonnegative.
+    return Rat(num * a ** ea * b ** eb, den)
 
 
 def weight_B_schur_form(shape, r1: int, r2: int, point: ParameterPoint):
@@ -70,33 +113,38 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
     return z, y
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightTable:
+    """The weights of every double partition of n at one point, read-only."""
+
     n: int
     r1: int
     r2: int
     point: ParameterPoint
-    entries: dict
+    entries: MappingProxyType
     z: object
     y: object
 
 
+# Bounded: a long-lived process meets unboundedly many points, and each
+# table holds every shape of one size.
+@lru_cache(maxsize=64)
 def weight_table(n: int, r1: int, r2: int, point: ParameterPoint) -> WeightTable:
+    """The one source of weights: computed once per (n, r1, r2, point) and
+    kept in a bounded cache."""
     entries = {shape: weight_B(shape, r1, r2, point)
                for shape in double_partitions(n)}
     z, y = markov_params(r1, r2, point)
-    return WeightTable(n=n, r1=r1, r2=r2, point=point, entries=entries,
-                       z=z, y=y)
+    return WeightTable(n=n, r1=r1, r2=r2, point=point,
+                       entries=MappingProxyType(entries), z=z, y=y)
 
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
     """Weighted character sum over all double partitions of n."""
     total = Rat(0)
-    for shape in double_partitions(n):
-        w = weight_B(shape, r1, r2, point)
-        if w == 0:
-            continue
-        total += w * character(typeB_rep(shape, point), element)
+    for shape, w in weight_table(n, r1, r2, point).entries.items():
+        if w != 0:
+            total += w * character(typeB_rep(shape, point), element)
     return total
 
 
@@ -142,13 +190,12 @@ def weight_D(shape, r1: int, r2: int, q) -> list:
     partition, at the forced specialization Q = 1."""
     alpha, beta = trim(shape[0]), trim(shape[1])
     n = sum(alpha) + sum(beta)
-    point = q1_point(q, n, r1, r2)
+    entries = weight_table(n, r1, r2, q1_point(q, n, r1, r2)).entries
     if alpha == beta:
-        w = weight_B((alpha, alpha), r1, r2, point)
+        w = entries[(alpha, alpha)]
         return [TypeDWeight((alpha, alpha), 1, w),
                 TypeDWeight((alpha, alpha), 2, w)]
-    w = weight_B((alpha, beta), r1, r2, point) \
-        + weight_B((beta, alpha), r1, r2, point)
+    w = entries[(alpha, beta)] + entries[(beta, alpha)]
     return [TypeDWeight((alpha, beta), None, w)]
 
 

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from heckeweights import cli, homcheck
 from heckeweights.scalars import admissible_point
@@ -226,3 +230,26 @@ def test_weights_deterministic(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+def test_commands_back_to_back_match_single_runs(capsys):
+    """weights, trace and verify run in one process, one after another and
+    twice over, print what each prints alone in a fresh process."""
+    argvs = [
+        ["weights", "--type", "D", "--n", "3", "--q", "5/4", "--format", "csv"],
+        ["trace", "--word", "t g1 G2 t'1", "--n", "3", "--q", "2",
+         "--Q", "-7/3"],
+        ["verify", "--suite", "typeD", "--n", "2", "--seed", "1",
+         "--points", "1"],
+        ["weights", "--type", "B", "--n", "3", "--r1", "1", "--q", "3/7",
+         "--Q", "-5/2"],
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    single = [subprocess.run([sys.executable, "-m", "heckeweights.cli"]
+                             + argv, capture_output=True, text=True, env=env)
+              for argv in argvs]
+    for _ in range(2):
+        for argv, alone in zip(argvs, single):
+            code, out, _ = run(capsys, argv)
+            assert (code, out) == (alone.returncode, alone.stdout), argv

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from heckeweights.combinatorics import DoubleTableau, add_box, addable_corners, \
-    apply_transposition, axial_parameter, box_stat, double_partitions, \
-    embed_double, mu_content, n_stat, one_box_successors, pad, \
-    parse_partition, parse_shape, partition_str, partitions, \
+    apply_transposition, axial_parameter, box_stat, dimension, \
+    double_partitions, embed_double, mu_content, n_stat, one_box_successors, \
+    pad, parse_partition, parse_shape, partition_str, partitions, \
     removable_corners, shape_str, standard_tableaux, trim
 
 
@@ -86,6 +86,12 @@ def test_standard_tableaux_counts():
             expected = math.comb(n, sum(alpha)) \
                 * hook_count(alpha) * hook_count(beta)
             assert len(standard_tableaux((alpha, beta))) == expected
+
+
+def test_dimension_counts_standard_tableaux():
+    for n in range(7):
+        for shape in double_partitions(n):
+            assert dimension(shape) == len(standard_tableaux(shape)), shape
 
 
 def test_tableaux_sorted_and_standard():

@@ -1,11 +1,14 @@
+import dataclasses
 import random
+
+import pytest
 
 from heckeweights.combinatorics import dimension, double_partitions
 from heckeweights.homcheck import weight_branching, weight_normalization, \
     weight_two_forms
 from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
     ginv_letter, random_word, tprime_letter, word
-from heckeweights.scalars import Rat
+from heckeweights.scalars import ParameterPoint, Rat
 from heckeweights.traces import markov_params, markov_trace_B, \
     markov_trace_D, plain_point, q1_point, typeA_markov_trace, weight_B, \
     weight_D, weight_table
@@ -47,9 +50,19 @@ def test_normalization(points):
             assert report.passed, report.failure
 
 
+# 3-digit points, two with negative Q, guarded for n <= 6 and r1 + r2 <= 6
+THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229), 14),
+               ParameterPoint(Rat(911, 127), Rat(389, 754), 14),
+               ParameterPoint(Rat(100, 999), Rat(-998, 7), 14)]
+
+
 def test_two_forms_agree(points):
     report = weight_two_forms(5, 5, points, range(1, 5))
     assert report.passed, report.failure
+    for r1, r2 in ((2, 4), (4, 2), (0, 3), (3, 0), (1, 5)):
+        report = weight_two_forms(r1, r2, THREE_DIGIT, range(7))
+        assert report.passed, report.failure
+        assert report.cases == 3 * 139  # 139 shapes of sizes 0..6
 
 
 def test_branching(points):
@@ -62,6 +75,23 @@ def test_weight_table(point):
     assert set(table.entries) == set(double_partitions(2))
     assert sum(w * dimension(s) for s, w in table.entries.items()) == 1
     assert (table.z, table.y) == markov_params(3, 3, point)
+
+
+def test_weight_table_cache_is_bounded():
+    maxsize = weight_table.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 5):
+        weight_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5), 4))
+    assert weight_table.cache_info().currsize <= maxsize
+
+
+def test_weight_table_is_read_only(point):
+    table = weight_table(2, 3, 3, point)
+    with pytest.raises(TypeError):
+        table.entries[((2,), ())] = Rat(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.z = Rat(0)
+    assert weight_table(2, 3, 3, point) is table
 
 
 def test_trace_of_identity_and_t(points):
@@ -135,22 +165,6 @@ def test_weight_D_structure():
     point1 = q1_point(q, 2, 3, 3)
     assert merged[0].weight == weight_B(((2,), ()), 3, 3, point1) \
         + weight_B(((), (2,)), 3, 3, point1)
-
-
-def test_weight_D_normalization():
-    for q in (Rat(2), Rat(1, 2), Rat(5, 3)):
-        for n in (1, 2, 3):
-            r1 = r2 = n + 1
-            total = Rat(0)
-            seen = set()
-            for alpha, beta in double_partitions(n):
-                if (beta, alpha) in seen:
-                    continue
-                seen.add((alpha, beta))
-                d = dimension((alpha, beta))
-                for e in weight_D((alpha, beta), r1, r2, q):
-                    total += e.weight * (d if e.split_index is None else d // 2)
-            assert total == 1
 
 
 def test_u_quadratic_trace_identity():
