@@ -21,9 +21,8 @@ from .reps import U_LETTER, g_letter, parse_word, random_word, \
     tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
-from .schur import schur_normalized
 from .traces import markov_params, markov_trace_B, plain_point, q1_point, \
-    weight_D, weight_table
+    weight_B, weight_D, weight_table
 
 
 def _rat_str(x):
@@ -50,12 +49,13 @@ def cmd_weights(args) -> int:
     q = args.q
     rows = []
     if args.type == "A":
-        r = r1 + r2
-        z, _ = markov_params(r1, r2, _or_exit(plain_point, q, 0))
+        point = _or_exit(plain_point, q, 0)
+        z, _ = markov_params(r1, r2, point)
         y = None
         Q_out = None
         for mu in partitions(n):
-            rows.append((partition_str(mu), schur_normalized(mu, r, q),
+            rows.append((partition_str(mu),
+                         weight_B((mu, ()), r1 + r2, 0, point),
                          dimension((mu, ()))))
     elif args.type == "B":
         if args.Q is None:

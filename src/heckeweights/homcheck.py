@@ -20,7 +20,7 @@ from .combinatorics import dimension, double_partitions, embed_double, \
 from .reps import T_LETTER, character, full_twist_scalar, g_letter, \
     random_word, relation_residuals, skew_rep, tprime_letter, typeA_rep, \
     typeB_rep, word
-from .scalars import Rat, is_zero_matrix, specialized_point
+from .scalars import Rat, is_zero_matrix, specialized_point, to_rat
 from .schur import rectangle_schur, schur_normalized, schur_principal
 from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
     weight_B, weight_B_schur_form, weight_D, weight_table
@@ -91,8 +91,8 @@ def relations_report(family: str, points, sizes, name=None) -> Report:
         for k in sizes:
             for shape in shapes_of(k):
                 residuals = relation_residuals(rep_of(shape, k, p))
-                bad = next((i for i, m in enumerate(residuals)
-                            if not is_zero_matrix(m)), None)
+                bad = next((i for i, (num, _) in enumerate(residuals)
+                            if not is_zero_matrix(num)), None)
                 report.check(bad is None, lambda: (
                     f"{family} module {shape} at {p}: relation residual "
                     f"{bad} is nonzero"))
@@ -283,7 +283,8 @@ def rho_eigenvalue_report(m: int, r1: int, qs):
         for shape, expected in ((((1,), ()), -(q ** (r1 + m))),
                                 (((), (1,)), Rat(-1))):
             rep = skew_rep(shape, m, r1, q)
-            yield ({rep.t_matrix[i, i] for i in range(rep.dimension)},
+            t = to_rat(*rep.t_matrix)
+            yield ({t[i, i] for i in range(rep.dimension)},
                    {expected},
                    lambda: f"t-spectrum on {shape_str(shape)} at q = {q}")
 

@@ -15,18 +15,27 @@ P(x) = (q - x)(1 - q x) / (1 - x)^2, the unique square-root-free choice with
 trace q - 1 and determinant -q; characters are unaffected by this
 similarity normalization.
 
+Every matrix of a representation is a pair (num, den): a read-only numpy
+object array of integers and one positive integer, the least common
+denominator of the entries, standing for num / den.  ``_build`` computes the
+generators' entries as ``Rat`` and converts each matrix once.
+
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
 the type-D front end, ("u", 0).  ``Representation.letter_matrix`` defines
-what each letter means; ``evaluate`` multiplies a word's letter matrices.
-``expand_word`` rewrites the same letters over {t, g} independently, as a
-reference for tests.
+what each letter means; ``evaluate`` multiplies a word's letter matrices in
+integers, numerators by ``dot`` and denominators as ints, and ``character``
+makes the one division.  ``expand_word`` rewrites the same letters over
+{t, g} independently, as a reference for tests.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from . import combinatorics as comb
 from .combinatorics import DoubleTableau, apply_transposition, axial_parameter, \
@@ -198,7 +207,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 @dataclass
 class Representation:
-    """Shape-indexed family of generator matrices over exact rationals."""
+    """Shape-indexed family of generator matrices, each a pair (num, den)
+    of a read-only integer array and its least common denominator."""
 
     label: object
     dimension: int
@@ -211,15 +221,16 @@ class Representation:
     def __post_init__(self):
         for m in self.g_matrices + [self.t_matrix]:
             if m is not None:
-                m.flags.writeable = False
+                m[0].flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self.g_matrices) + 1
 
     def letter_matrix(self, letter):
-        """Matrix of one letter: g_i and t are the generators; G_i, t'_i and
-        u = t g_1 t are built from them once and cached."""
+        """Matrix (num, den) of one letter: g_i and t are the generators;
+        G_i, t'_i and u = t g_1 t are built from them once, reduced to their
+        least common denominator and cached."""
         kind, i = letter
         if kind == "g":
             return self.g_matrices[i - 1]
@@ -231,20 +242,57 @@ class Representation:
             return self._letter_cache[letter]
         q = self.point.q
         if kind == "ginv":
-            m = self.g_matrices[i - 1] * (1 / q) + identity(self.dimension) * (1 / q - 1)
+            m = _combination([(1 / q, self.g_matrices[i - 1]),
+                              (1 / q - 1, (identity(self.dimension), 1))])
         elif kind == "tprime":
-            m = self.letter_matrix(T_LETTER)
-            for j in range(1, i + 1):
-                m = self.letter_matrix(g_letter(j)).dot(m) \
-                    .dot(self.letter_matrix(ginv_letter(j)))
+            # t'_0 = t and t'_i = g_i t'_{i-1} G_i
+            m = self.letter_matrix(T_LETTER) if i == 0 else _product([
+                self.letter_matrix(g_letter(i)),
+                self.letter_matrix(tprime_letter(i - 1)),
+                self.letter_matrix(ginv_letter(i))])
         elif kind == "u":
             t = self.letter_matrix(T_LETTER)
-            m = t.dot(self.letter_matrix(g_letter(1))).dot(t)
+            m = _product([t, self.letter_matrix(g_letter(1)), t])
         else:
             raise ValueError(f"unknown letter kind {kind!r}")
-        m.flags.writeable = False
+        m = _reduced(*m)
+        m[0].flags.writeable = False
         self._letter_cache[letter] = m
         return m
+
+
+# -- matrices over one denominator -------------------------------------------
+
+def _integer_form(m):
+    """The Rat matrix m as (num, den), den the least common denominator of
+    its entries."""
+    den = math.lcm(*(e.denominator for e in m.flat))
+    return np.array([[e.numerator * (den // e.denominator) for e in row]
+                     for row in m], dtype=object), den
+
+
+def _reduced(num, den):
+    """The same matrix over the least common denominator of its entries."""
+    g = math.gcd(den, *num.flat)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def _product(factors):
+    """Product of (num, den) matrices: numerators by dot, denominators as
+    ints, nothing reduced."""
+    (num, den), *rest = factors
+    for m, d in rest:
+        num = num.dot(m)
+        den *= d
+    return num, den
+
+
+def _combination(terms):
+    """Sum of c * num / den over (c, (num, den)) terms with rational c, over
+    one common denominator, not reduced."""
+    den = math.lcm(*(c.denominator * d for c, (_, d) in terms))
+    return sum(m * (c.numerator * (den // (c.denominator * d)))
+               for c, (m, d) in terms), den
 
 
 def _seminormal_g(basis, index, i: int, axial, q):
@@ -280,19 +328,27 @@ def _build(label, shape, point, axial, t_eigenvalue):
     index = {t.boxes: s for s, t in enumerate(basis)}
     d = len(basis)
     n = sum(shape[0]) + sum(shape[1])
-    g_matrices = [_seminormal_g(basis, index, i, axial, point.q)
+    g_matrices = [_integer_form(_seminormal_g(basis, index, i, axial, point.q))
                   for i in range(1, n)]
     t_matrix = None
     if t_eigenvalue is not None:
-        t_matrix = zeros(d, d)
-        for s, t in enumerate(basis):
-            t_matrix[s, s] = t_eigenvalue(t)
+        t = zeros(d, d)
+        for s, tableau in enumerate(basis):
+            t[s, s] = t_eigenvalue(tableau)
+        t_matrix = _integer_form(t)
     return Representation(label=label, dimension=d, basis=basis,
                           t_matrix=t_matrix, g_matrices=g_matrices,
                           point=point)
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process meets unboundedly many points.  128 holds
+# every shape of sizes n and n - 1 at one point up to n = 6 (65 + 36), which
+# a Markov-property check uses together, and the 20 shapes of two points at
+# n = 3 that a stream of trace queries reuses.
+REP_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=REP_CACHE_SIZE)
 def typeA_rep(mu, point: ParameterPoint) -> Representation:
     """Seminormal representation of the one-parameter algebra on standard
     tableaux of the partition mu."""
@@ -302,7 +358,7 @@ def typeA_rep(mu, point: ParameterPoint) -> Representation:
                   lambda t, i: axial_parameter(t, i, point), None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REP_CACHE_SIZE)
 def typeB_rep(shape, point: ParameterPoint) -> Representation:
     """Seminormal representation indexed by a double partition; t acts
     diagonally by Q or -1 according to the component holding entry 1."""
@@ -316,7 +372,7 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
                   lambda t, i: axial_parameter(t, i, point), t_eig)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REP_CACHE_SIZE)
 def skew_rep(shape, m: int, r1: int, q) -> Representation:
     """Skew realization on tableaux of the double partition, with axial
     scalars taken from absolute contents inside the glued diagram and t
@@ -357,61 +413,65 @@ def full_twist_scalar(nu, q):
 
 
 def evaluate(rep: Representation, element):
-    """Matrix of a word or linear combination in the representation.
+    """Matrix of a word or linear combination in the representation, as a
+    pair (num, den) of an integer array and a positive integer.
 
-    A word is the product of its letter matrices, the identity if it is
-    empty; an element is the coefficient-weighted sum over its words.  A
-    one-letter word returns the representation's own letter matrix, which is
-    read-only.
+    A word is the product of its letter matrices: the numerators multiplied
+    by ``dot``, the denominators as ints, nothing reduced; the empty word is
+    (identity, 1).  An element is the coefficient-weighted sum over its words,
+    put over one common denominator.  A one-letter word returns the
+    representation's own letter numerator, which is read-only.
     """
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "
                          f"representation in size {rep.size}")
     if isinstance(element, HeckeElement):
-        total = zeros(rep.dimension, rep.dimension)
-        for w, coeff in element.terms.items():
-            total = total + evaluate(rep, w) * coeff
-        return total
+        if not element.terms:
+            return zeros(rep.dimension, rep.dimension), 1
+        return _combination([(coeff, evaluate(rep, w))
+                             for w, coeff in element.terms.items()])
     if not element.letters:
-        return identity(rep.dimension)
-    first, *rest = element.letters
-    m = rep.letter_matrix(first)
-    for letter in rest:
-        m = m.dot(rep.letter_matrix(letter))
-    return m
+        return identity(rep.dimension), 1
+    return _product([rep.letter_matrix(letter) for letter in element.letters])
 
 
 def character(rep: Representation, element):
-    """Trace of evaluate(rep, element)."""
-    m = evaluate(rep, element)
-    return sum(m[i, i] for i in range(rep.dimension))
+    """Trace of evaluate(rep, element): the integer trace of the numerator
+    over the denominator, the one division of an evaluation."""
+    num, den = evaluate(rep, element)
+    return Rat(num.trace(), den)
 
 
 def relation_residuals(rep: Representation) -> list:
-    """Left-minus-right matrices for every defining relation that applies;
-    all zero iff the generator matrices are a valid representation."""
+    """Left minus right of every defining relation that applies, as pairs
+    (num, den).  A residual is zero exactly when its integer numerator is
+    zero, so the generator matrices are a valid representation iff every
+    numerator is zero."""
     G = rep.g_matrices
     q = rep.point.q
-    d = rep.dimension
-    I = identity(d)
+    I = identity(rep.dimension), 1
+
+    def difference(left, right):
+        return _combination([(1, _product(left)), (-1, _product(right))])
+
     res = []
     for i in range(len(G) - 1):
-        res.append(G[i].dot(G[i + 1]).dot(G[i])
-                   - G[i + 1].dot(G[i]).dot(G[i + 1]))
+        res.append(difference([G[i], G[i + 1], G[i]],
+                              [G[i + 1], G[i], G[i + 1]]))
     for i in range(len(G)):
         for j in range(i + 2, len(G)):
-            res.append(G[i].dot(G[j]) - G[j].dot(G[i]))
+            res.append(difference([G[i], G[j]], [G[j], G[i]]))
     for g in G:
-        res.append(g.dot(g) - g * (q - 1) - I * q)
+        res.append(_combination([(1, _product([g, g])), (1 - q, g), (-q, I)]))
     if rep.t_matrix is not None:
         t = rep.t_matrix
         Q = rep.point.Q
-        res.append(t.dot(t) - t * (Q - 1) - I * Q)
+        res.append(_combination([(1, _product([t, t])), (1 - Q, t), (-Q, I)]))
         if G:
             g1 = G[0]
-            res.append(t.dot(g1).dot(t).dot(g1) - g1.dot(t).dot(g1).dot(t))
+            res.append(difference([t, g1, t, g1], [g1, t, g1, t]))
         for g in G[1:]:
-            res.append(t.dot(g) - g.dot(t))
+            res.append(difference([t, g], [g, t]))
     return res
 
 

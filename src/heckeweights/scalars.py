@@ -5,8 +5,11 @@ All computations in this package happen over the rationals.  ``Rat`` is
 ``fractions.Fraction``) and falls back to ``Fraction`` otherwise; both store
 fractions in lowest terms with positive denominator and both are exact.
 
-Matrices are plain numpy arrays with ``dtype=object`` holding ``Rat``
-entries, so ``A.dot(B)`` is exact.
+A representation's matrix is a pair (num, den): a numpy array with
+``dtype=object`` holding Python integers, and one positive integer
+denominator, so products are exact integer ``dot``s and a trace needs one
+division.  The representations build each generator with ``Rat`` entries
+and convert it once; ``to_rat`` is the one way back to ``Rat`` entries.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
-
-
-ONE = Rat(1)
-ZERO = Rat(0)
 
 
 def rat(num, den=1):
@@ -119,7 +118,7 @@ def specialized_point(q, m: int, r1: int) -> ParameterPoint:
     return ParameterPoint(q, -(q ** (r1 + m)), r1 + m - 1)
 
 
-# -- dense matrices over Rat ------------------------------------------------
+# -- dense matrices -----------------------------------------------------------
 
 def matrix(rows):
     """Dense matrix from nested lists, entries coerced to Rat."""
@@ -127,16 +126,18 @@ def matrix(rows):
 
 
 def zeros(rows: int, cols: int):
-    m = np.empty((rows, cols), dtype=object)
-    m[:] = ZERO
-    return m
+    """Zero matrix with integer entries, exact beside Rat entries."""
+    return np.zeros((rows, cols), dtype=object)
 
 
 def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = ONE
-    return m
+    """Identity matrix with integer entries, exact beside Rat entries."""
+    return np.identity(n, dtype=object)
+
+
+def to_rat(num, den):
+    """The matrix num / den with Rat entries."""
+    return np.array([[Rat(e, den) for e in row] for row in num], dtype=object)
 
 
 def is_zero_matrix(a) -> bool:

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .combinatorics import double_partitions, n_stat, pad, partitions, trim
 from .reps import character, typeA_rep, typeB_rep
 from .scalars import ParameterPoint, Rat, guard_bound
-from .schur import schur_normalized, schur_principal
+from .schur import schur_principal
 
 
 def weight_B(shape, r1: int, r2: int, point: ParameterPoint):
@@ -149,14 +149,16 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
 
 
 def typeA_markov_trace(element, n: int, r: int, q):
-    """Weighted character sum over partitions of n with at most r rows,
-    with normalized Schur values as weights."""
+    """Weighted character sum over partitions of n with at most r rows.
+    The weight of mu is weight_B((mu, ()), r, 0): with no second row bound it
+    is the normalized Schur value of mu in r variables."""
     point = plain_point(q)
     total = Rat(0)
     for mu in partitions(n):
         if len(mu) > r:
             continue
-        total += schur_normalized(mu, r, q) * character(typeA_rep(mu, point), element)
+        total += weight_B((mu, ()), r, 0, point) \
+            * character(typeA_rep(mu, point), element)
     return total
 
 

@@ -4,12 +4,12 @@ import pytest
 
 from heckeweights.combinatorics import double_partitions, partitions
 from heckeweights.homcheck import relations_report
-from heckeweights.reps import HeckeElement, T_LETTER, U_LETTER, character, \
-    coset_representatives, evaluate, expand_word, full_twist_scalar, g_letter, \
-    ginv_letter, parse_word, random_word, relation_residuals, skew_rep, \
-    tprime_letter, typeA_rep, typeB_rep, word
-from heckeweights.scalars import Rat, identity, is_zero_matrix, mat_eq, \
-    specialized_point
+from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
+    U_LETTER, character, coset_representatives, evaluate, expand_word, \
+    full_twist_scalar, g_letter, ginv_letter, parse_word, random_word, \
+    relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
+from heckeweights.scalars import ParameterPoint, Rat, identity, \
+    is_zero_matrix, mat_eq, specialized_point, to_rat
 from heckeweights.traces import plain_point
 
 
@@ -69,12 +69,13 @@ def test_skew_relations():
 
 def test_relation_residuals_catch_corruption(point):
     rep = typeB_rep(((1,), (1,)), point)
-    g = rep.g_matrices[0].copy()
-    g[0, 0] = g[0, 0] + 1
+    num, den = rep.g_matrices[0]
+    g = num.copy()
+    g[0, 0] = g[0, 0] + den
     broken = type(rep)(label=rep.label, dimension=rep.dimension,
                        basis=rep.basis, t_matrix=rep.t_matrix,
-                       g_matrices=[g], point=rep.point)
-    assert not all(is_zero_matrix(m) for m in relation_residuals(broken))
+                       g_matrices=[(g, den)], point=rep.point)
+    assert not all(is_zero_matrix(m) for m, _ in relation_residuals(broken))
 
 
 def test_worked_example_matrices(point):
@@ -82,9 +83,9 @@ def test_worked_example_matrices(point):
     # and determinant -q = -2
     rep = typeB_rep(((1,), (1,)), point)
     assert rep.dimension == 2
-    t = rep.t_matrix
+    t = to_rat(*rep.t_matrix)
     assert t[0, 0] == 5 and t[1, 1] == -1 and t[0, 1] == 0 and t[1, 0] == 0
-    g = rep.g_matrices[0]
+    g = to_rat(*rep.g_matrices[0])
     assert g[0, 0] + g[1, 1] == 1
     assert g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == -2
 
@@ -114,10 +115,10 @@ def test_ginv_is_inverse(points):
             rep = typeB_rep(shape, p)
             for i in range(1, n):
                 gg = evaluate(rep, word((g_letter(i), ginv_letter(i)), n))
-                assert mat_eq(gg, identity(rep.dimension))
+                assert mat_eq(to_rat(*gg), identity(rep.dimension))
             for w in words:
-                assert mat_eq(evaluate(rep, w),
-                              evaluate(rep, expand_word(w, p))), \
+                assert mat_eq(to_rat(*evaluate(rep, w)),
+                              to_rat(*evaluate(rep, expand_word(w, p)))), \
                     (shape, w.letters)
 
 
@@ -129,20 +130,23 @@ def test_tprime_family(points):
             for shape in double_partitions(n):
                 rep = typeB_rep(shape, p)
                 d = rep.dimension
-                mats = [rep.letter_matrix(tprime_letter(i)) for i in range(n)]
+                mats = [to_rat(*rep.letter_matrix(tprime_letter(i)))
+                        for i in range(n)]
                 for i, m in enumerate(mats):
                     assert mat_eq(m.dot(m), m * (p.Q - 1) + identity(d) * p.Q)
                     chain = tuple(g_letter(j) for j in range(i, 0, -1)) \
                         + (T_LETTER,) \
                         + tuple(ginv_letter(j) for j in range(1, i + 1))
-                    direct = evaluate(rep, expand_word(word(chain, n), p))
+                    direct = to_rat(*evaluate(rep,
+                                              expand_word(word(chain, n), p)))
                     assert mat_eq(m, direct)
 
 
 def test_tprime_zero_is_t(points):
     p = points[0]
     rep = typeB_rep(((1,), (1,)), p)
-    assert mat_eq(rep.letter_matrix(tprime_letter(0)), rep.t_matrix)
+    assert mat_eq(to_rat(*rep.letter_matrix(tprime_letter(0))),
+                  to_rat(*rep.t_matrix))
 
 
 def test_u_letter_is_t_g1_t(points):
@@ -151,10 +155,12 @@ def test_u_letter_is_t_g1_t(points):
     for p in points:
         for shape in double_partitions(2):
             rep = typeB_rep(shape, p)
-            tg1t = evaluate(rep, word((T_LETTER, g_letter(1), T_LETTER), 2))
-            assert mat_eq(evaluate(rep, word((U_LETTER,), 2)), tg1t)
+            tg1t = to_rat(*evaluate(rep, word((T_LETTER, g_letter(1),
+                                                T_LETTER), 2)))
+            assert mat_eq(to_rat(*evaluate(rep, word((U_LETTER,), 2))), tg1t)
             e = HeckeElement.from_word(word((U_LETTER, g_letter(1)), 2), 3)
-            assert mat_eq(evaluate(rep, e), tg1t.dot(rep.g_matrices[0]) * 3)
+            assert mat_eq(to_rat(*evaluate(rep, e)),
+                          tg1t.dot(to_rat(*rep.g_matrices[0])) * 3)
 
 
 def test_coset_representatives_shape():
@@ -199,7 +205,7 @@ def test_coset_products_span(points):
             w = word(l1 + l2, n)
             vec = []
             for rep in reps:
-                m = evaluate(rep, expand_word(w, p))
+                m = to_rat(*evaluate(rep, expand_word(w, p)))
                 vec.extend(m.flat)
             vectors.append(vec)
     assert len(vectors) == 8
@@ -216,9 +222,9 @@ def test_skew_matches_generic_matrices():
             for shape in double_partitions(n):
                 a = skew_rep(shape, m, r1, q)
                 b = typeB_rep(shape, p)
-                assert mat_eq(a.t_matrix, b.t_matrix)
+                assert mat_eq(to_rat(*a.t_matrix), to_rat(*b.t_matrix))
                 for ga, gb in zip(a.g_matrices, b.g_matrices):
-                    assert mat_eq(ga, gb)
+                    assert mat_eq(to_rat(*ga), to_rat(*gb))
 
 
 def test_skew_rep_validation():
@@ -243,7 +249,7 @@ def test_full_twist_direct_evaluation(points):
         for nu in partitions(f):
             rep = typeA_rep(nu, p)
             cycle = tuple(g_letter(j) for j in range(f - 1, 0, -1))
-            m = evaluate(rep, word(cycle * f, f))
+            m = to_rat(*evaluate(rep, word(cycle * f, f)))
             expected = identity(rep.dimension) * full_twist_scalar(nu, p.q)
             assert mat_eq(m, expected)
 
@@ -264,10 +270,10 @@ def test_cached_matrices_read_only(points):
     rep = typeB_rep(((1,), (1,)), points[0])
     for letter in (g_letter(1), T_LETTER, ginv_letter(1), tprime_letter(1),
                    U_LETTER):
-        m = evaluate(rep, word((letter,), 2))
+        num, _ = evaluate(rep, word((letter,), 2))
         with pytest.raises(ValueError):
-            m[0, 0] = Rat(7)
-    assert evaluate(rep, word((g_letter(1),), 2)) is rep.g_matrices[0]
+            num[0, 0] = 7
+    assert evaluate(rep, word((g_letter(1),), 2))[0] is rep.g_matrices[0][0]
 
 
 def test_evaluate_size_check(points):
@@ -275,3 +281,82 @@ def test_evaluate_size_check(points):
     rep = typeB_rep(((1,), (1,)), p)
     with pytest.raises(ValueError):
         evaluate(rep, word((g_letter(2),), 3))
+
+
+def fraction_letter(rep, letter):
+    """A letter's matrix in Rat arithmetic, entry by entry from the
+    generators: G_i = g_i / q + (1/q - 1), t'_i = g_i t'_{i-1} G_i,
+    u = t g_1 t.  The reference for the integer letter matrices."""
+    kind, i = letter
+    q = rep.point.q
+    if kind == "g":
+        return to_rat(*rep.g_matrices[i - 1])
+    if kind == "ginv":
+        return fraction_letter(rep, g_letter(i)) * (1 / q) \
+            + identity(rep.dimension) * (1 / q - 1)
+    t = to_rat(*rep.t_matrix)
+    if kind == "u":
+        return t.dot(fraction_letter(rep, g_letter(1))).dot(t)
+    m = t  # t = t'_0
+    for j in range(1, i + 1):
+        m = fraction_letter(rep, g_letter(j)).dot(m) \
+            .dot(fraction_letter(rep, ginv_letter(j)))
+    return m
+
+
+def fraction_product(rep, w):
+    """The product of a word's letter matrices in Rat arithmetic."""
+    m = identity(rep.dimension)
+    for letter in w.letters:
+        m = m.dot(fraction_letter(rep, letter))
+    return m
+
+
+def test_integer_product_matches_fraction_product():
+    # evaluate's integer product over one denominator equals the Rat product
+    # on every shape of size <= 4, at 3-digit points (two with Q < 0), on
+    # random words with G_i, t'_i and u
+    rng = random.Random(29)
+    pts = [ParameterPoint(Rat(347, 512), Rat(-613, 229), 10),
+           ParameterPoint(Rat(911, 127), Rat(389, 754), 10),
+           ParameterPoint(Rat(128, 311), Rat(-7, 205), 10)]
+    cases = 0
+    for p in pts:
+        for n in range(1, 5):
+            reps = [(typeB_rep(shape, p), True)
+                    for shape in double_partitions(n)] \
+                + [(typeA_rep(mu, p), False) for mu in partitions(n)]
+            for rep, use_t in reps:
+                for _ in range(6):
+                    letters = random_word(n, rng, max_len=8,
+                                          use_t=use_t).letters
+                    if use_t and n >= 2:
+                        k = rng.randint(0, len(letters))
+                        letters = letters[:k] + (U_LETTER,) + letters[k:]
+                    w = word(letters, n)
+                    assert mat_eq(to_rat(*evaluate(rep, w)),
+                                  fraction_product(rep, w)), (rep.label, p, str(w))
+                    cases += 1
+    assert cases == 3 * 6 * (37 + 1 + 2 + 3 + 5)
+
+
+def test_character_of_empty_word_is_dimension(points):
+    for n in range(1, 5):
+        for shape in double_partitions(n):
+            rep = typeB_rep(shape, points[0])
+            assert character(rep, word((), n)) == rep.dimension
+
+
+def test_rep_caches_are_bounded():
+    # more distinct points than the caches hold: none keeps more than its
+    # maxsize entries
+    for k in range(REP_CACHE_SIZE + 5):
+        q = Rat(k + 2, k + 3)
+        p = plain_point(q)
+        typeA_rep((1,), p)
+        typeB_rep(((1,), ()), p)
+        skew_rep(((1,), ()), 2, 2, q)
+    for cached in (typeA_rep, typeB_rep, skew_rep):
+        info = cached.cache_info()
+        assert info.maxsize == REP_CACHE_SIZE
+        assert info.currsize <= info.maxsize

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from heckeweights.combinatorics import dimension, double_partitions
+from heckeweights.combinatorics import dimension, double_partitions, \
+    partitions
 from heckeweights.homcheck import weight_branching, weight_normalization, \
     weight_two_forms
 from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
     ginv_letter, random_word, tprime_letter, word
 from heckeweights.scalars import ParameterPoint, Rat
+from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
     markov_trace_D, plain_point, q1_point, typeA_markov_trace, weight_B, \
     weight_D, weight_table
@@ -195,3 +197,19 @@ def test_markov_trace_D_matches_B_at_Q1():
         assert markov_trace_D(h, n, r1, r2, q) \
             == markov_trace_B(expand_word(h, point1), n, r1, r2, point1)
 
+
+
+def test_typeA_weight_is_normalized_schur_value():
+    # the type-A weight of mu in r rows is weight_B((mu, ()), r, 0); the
+    # normalized Schur value stays its independent reference
+    cases = 0
+    for q in (Rat(347, 512), Rat(911, 127), Rat(128, 311), Rat(2),
+              Rat(1, 3)):
+        p = plain_point(q)
+        for n in range(8):
+            for mu in partitions(n):
+                for r in range(1, 9):
+                    assert weight_B((mu, ()), r, 0, p) \
+                        == schur_normalized(mu, r, q), (mu, r, q)
+                    cases += 1
+    assert cases == 5 * 8 * 45
