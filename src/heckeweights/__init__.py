@@ -2,7 +2,7 @@
 algebras of types A, B and D, over rational parameter points."""
 
 from .scalars import ParameterPoint, Rat, admissible_point, parse_rational, \
-    rat, specialized_point
+    specialized_point
 from .combinatorics import DoubleTableau, double_partitions, embed_double, \
     parse_partition, parse_shape, partition_str, partitions, shape_str, \
     standard_tableaux
@@ -16,7 +16,7 @@ from .traces import markov_params, markov_trace_B, markov_trace_D, weight_B, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParameterPoint", "Rat", "admissible_point", "parse_rational", "rat",
+    "ParameterPoint", "Rat", "admissible_point", "parse_rational",
     "specialized_point", "DoubleTableau", "double_partitions", "embed_double",
     "parse_partition", "parse_shape", "partition_str", "partitions",
     "shape_str", "standard_tableaux", "rectangle_schur", "schur_normalized",

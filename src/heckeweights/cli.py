@@ -11,7 +11,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
+import re
 import sys
 
 from . import homcheck
@@ -337,9 +339,21 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _attach_negative_values(argv):
+    """argv with "--Q -3/2" written "--Q=-3/2": argparse reads a token that
+    starts with "-" as an option unless it is a plain number such as -3."""
+    argv = list(argv)
+    for k in range(len(argv) - 1, 0, -1):
+        if (argv[k][:1] == "-" and argv[k][1:2] not in ("", "-")
+                and re.fullmatch("--[^=]+", argv[k - 1])):
+            argv[k - 1:k + 1] = [argv[k - 1] + "=" + argv[k]]
+    return argv
+
+
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        args = PARSER.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "n", None) is not None and args.n < 0:
@@ -361,7 +375,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint():  # pragma: no cover
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: silence the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,7 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial, prod
 
 Partition = tuple
 
@@ -73,16 +73,6 @@ def addable_corners(alpha) -> list:
         above = alpha[r - 2] if r >= 2 else None
         if above is None or above > here:
             corners.append((r, here + 1))
-    return corners
-
-
-def removable_corners(alpha) -> list:
-    alpha = trim(alpha)
-    corners = []
-    for r in range(1, len(alpha) + 1):
-        below = alpha[r] if r < len(alpha) else 0
-        if alpha[r - 1] > below:
-            corners.append((r, alpha[r - 1]))
     return corners
 
 
@@ -170,22 +160,19 @@ def standard_tableaux(shape) -> list:
     return out
 
 
+def hook_lengths(alpha) -> list:
+    """Hook lengths of the boxes of the partition alpha, row by row."""
+    return [part - j + sum(1 for p in alpha[i + 1:] if p > j)
+            for i, part in enumerate(alpha) for j in range(part)]
+
+
 def dimension(shape) -> int:
     """Dimension of the irreducible module, the number of standard tableaux:
-    (n choose |alpha|) f^alpha f^beta, with f by the hook length formula."""
+    (n choose |alpha|) f^alpha f^beta, which by the hook length formula is
+    n! over the product of the hook lengths of alpha and of beta."""
     alpha, beta = trim(shape[0]), trim(shape[1])
-    return comb(sum(alpha) + sum(beta), sum(alpha)) \
-        * _hook_count(alpha) * _hook_count(beta)
-
-
-def _hook_count(alpha) -> int:
-    """f^alpha = |alpha|! / (product of the hook lengths of alpha)."""
-    hooks = 1
-    for i, part in enumerate(alpha):
-        for j in range(part):
-            below = sum(1 for rest in alpha[i + 1:] if rest > j)
-            hooks *= part - j + below
-    return factorial(sum(alpha)) // hooks
+    return factorial(sum(alpha) + sum(beta)) \
+        // prod(hook_lengths(alpha) + hook_lengths(beta))
 
 
 def box_stat(t: DoubleTableau, entry: int) -> BoxStat:

@@ -475,19 +475,6 @@ def relation_residuals(rep: Representation) -> list:
     return res
 
 
-def coset_representatives(n: int) -> list:
-    """The 2n right coset representatives of the size-(n-1) algebra inside
-    the size-n algebra, as words."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    reps = [word((), n), word((tprime_letter(n - 1),), n)]
-    for k in range(1, n):
-        chain = tuple(g_letter(j) for j in range(n - 1, n - k - 1, -1))
-        reps.append(word(chain, n))
-        reps.append(word(chain + (tprime_letter(n - k - 1),), n))
-    return reps
-
-
 def random_word(n: int, rng: random.Random, max_len: int = 4,
                 use_t: bool = True) -> HeckeWord:
     """Random short word in the size-n algebra (deterministic given rng)."""

@@ -25,11 +25,6 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 
-def rat(num, den=1):
-    """Exact rational number num/den."""
-    return Rat(num, den)
-
-
 def parse_rational(text):
     """Parse 'p/q' or an integer string into a Rat.
 
@@ -76,11 +71,6 @@ class ParameterPoint:
         return f"q = {self.q}, Q = {self.Q}"
 
 
-def qpow(point: ParameterPoint, k: int):
-    """q**k, exactly, for any integer k."""
-    return point.q ** k
-
-
 def guard_bound(n: int, r1: int, r2: int) -> int:
     """Guard bound for computations at size n with row bounds r1, r2: enough
     for every denominator in the weight formulas and seminormal matrices."""
@@ -120,11 +110,6 @@ def specialized_point(q, m: int, r1: int) -> ParameterPoint:
 
 # -- dense matrices -----------------------------------------------------------
 
-def matrix(rows):
-    """Dense matrix from nested lists, entries coerced to Rat."""
-    return np.array([[Rat(e) for e in row] for row in rows], dtype=object)
-
-
 def zeros(rows: int, cols: int):
     """Zero matrix with integer entries, exact beside Rat entries."""
     return np.zeros((rows, cols), dtype=object)
@@ -142,7 +127,3 @@ def to_rat(num, den):
 
 def is_zero_matrix(a) -> bool:
     return all(e == 0 for e in a.flat)
-
-
-def mat_eq(a, b) -> bool:
-    return a.shape == b.shape and is_zero_matrix(a - b)

@@ -1,17 +1,30 @@
-"""Principal specializations of Schur functions and their normalizations.
+"""Principal specializations of Schur functions and their normalizations,
+in integers with q = a/b and one Rat at the end.  ``schur_principal`` uses
+the hook-content formula (Macdonald, I.3 Ex. 1; Stanley, EC2, Thm 7.21.2)
 
-Everything is computed by the hook-free ratio product
+    s_alpha(1, ..., q^(r-1)) = q^n(alpha) prod_x (1-q^(r+c(x))) / (1-q^h(x))
 
-    s_alpha(1, q, ..., q^(r-1))
-        = q^{n(alpha)} * prod_{i<j<=r} (1 - q^{a_i - a_j + j - i}) / (1 - q^{j-i})
-
-which needs no polynomial division and is exact at any q > 0, q != 1.
+over the boxes x, with content c and hook length h.  It runs over boxes, not
+over the pairs of rows of ``traces.weight_B``, so the Schur form of the
+weight is an independent formula for it.
 """
 
 from __future__ import annotations
 
-from .combinatorics import n_stat, pad, trim
+from .combinatorics import hook_lengths, n_stat, trim
 from .scalars import Rat
+
+
+def _hook_content(alpha, r: int, q):
+    """a, b with q = a/b, and the products over the boxes of alpha of
+    b^(r+c) - a^(r+c) and b^h - a^h, as 1 - q^k = (b^k - a^k) / b^k."""
+    a, b = q.numerator, q.denominator
+    top = bottom = 1
+    contents = [j - i for i, part in enumerate(alpha) for j in range(part)]
+    for c, h in zip(contents, hook_lengths(alpha)):
+        top *= b ** (r + c) - a ** (r + c)
+        bottom *= b ** h - a ** h
+    return a, b, top, bottom
 
 
 def schur_principal(alpha, r: int, q):
@@ -19,27 +32,32 @@ def schur_principal(alpha, r: int, q):
     alpha = trim(alpha)
     if len(alpha) > r:
         return Rat(0)
-    a = pad(alpha, r)
-    value = q ** n_stat(alpha)
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            value *= (1 - q ** (a[i - 1] - a[j - 1] + j - i)) / (1 - q ** (j - i))
-    return value
+    a, b, top, bottom = _hook_content(alpha, r, q)
+    n = n_stat(alpha)
+    return Rat(a ** n * top, bottom * b ** ((r - 1) * sum(alpha) - n))
 
 
 def schur_normalized(alpha, r: int, q):
-    """s_{alpha,r}(q) = s_alpha / s_[1]^{|alpha|} at x_i = q^(i-1)."""
+    """s_{alpha,r}(q) = s_alpha / s_[1]^{|alpha|} at x_i = q^(i-1), with
+    s_[1] = (b^r - a^r) / (b^(r-1) (b - a)) folded into the same integers."""
     alpha = trim(alpha)
-    one_var = schur_principal((1,), r, q)
-    return schur_principal(alpha, r, q) / one_var ** sum(alpha)
+    if len(alpha) > r:
+        return Rat(0)
+    a, b, top, bottom = _hook_content(alpha, r, q)
+    size = sum(alpha)
+    return Rat((a * b) ** n_stat(alpha) * (b - a) ** size * top,
+               bottom * (b ** r - a ** r) ** size)
 
 
 def rectangle_schur(m: int, r1: int, r2: int, q):
     """Closed form of s_{[m^r1], r1+r2}(q), the normalized Schur value of
-    the r1 x m rectangle."""
-    r = r1 + r2
-    value = q ** (m * r1 * (r1 - 1) // 2)
+    the r1 x m rectangle: q^(m r1 (r1-1)/2) / s_[1]^(m r1) times the product
+    over i <= r1, j <= r2 of (1 - q^(m+r1+j-i)) / (1 - q^(r1+j-i))."""
+    a, b, r, k = q.numerator, q.denominator, r1 + r2, m * r1
+    top = (a * b) ** (k * (r1 - 1) // 2) * (b - a) ** k
+    bottom = (b ** r - a ** r) ** k
     for i in range(1, r1 + 1):
         for j in range(1, r2 + 1):
-            value *= (1 - q ** (m + r1 + j - i)) / (1 - q ** (r1 + j - i))
-    return value / schur_principal((1,), r, q) ** (m * r1)
+            top *= b ** (m + r1 + j - i) - a ** (m + r1 + j - i)
+            bottom *= b ** (r1 + j - i) - a ** (r1 + j - i)
+    return Rat(top, bottom)

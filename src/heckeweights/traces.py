@@ -15,12 +15,13 @@ oracle for ``weight_B`` and shares no code with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import double_partitions, n_stat, pad, partitions, trim
-from .reps import character, typeA_rep, typeB_rep
+from .combinatorics import double_partitions, n_stat, pad, trim
+from .reps import evaluate, typeB_rep
 from .scalars import ParameterPoint, Rat, guard_bound
 from .schur import schur_principal
 
@@ -140,26 +141,15 @@ def weight_table(n: int, r1: int, r2: int, point: ParameterPoint) -> WeightTable
 
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
-    """Weighted character sum over all double partitions of n."""
-    total = Rat(0)
-    for shape, w in weight_table(n, r1, r2, point).entries.items():
-        if w != 0:
-            total += w * character(typeB_rep(shape, point), element)
-    return total
-
-
-def typeA_markov_trace(element, n: int, r: int, q):
-    """Weighted character sum over partitions of n with at most r rows.
-    The weight of mu is weight_B((mu, ()), r, 0): with no second row bound it
-    is the normalized Schur value of mu in r variables."""
-    point = plain_point(q)
-    total = Rat(0)
-    for mu in partitions(n):
-        if len(mu) > r:
-            continue
-        total += weight_B((mu, ()), r, 0, point) \
-            * character(typeA_rep(mu, point), element)
-    return total
+    """Weighted character sum over all double partitions of n, in integers:
+    the weights' numerators times the integer traces over one common
+    denominator, and one Rat at the end."""
+    values = [(w, evaluate(typeB_rep(shape, point), element))
+              for shape, w in weight_table(n, r1, r2, point).entries.items()
+              if w != 0]
+    den = math.lcm(*(w.denominator * d for w, (_, d) in values))
+    return Rat(sum(w.numerator * (den // (w.denominator * d)) * num.trace()
+                   for w, (num, d) in values), den)
 
 
 def plain_point(q, guard: int = 64) -> ParameterPoint:

@@ -1,0 +1,68 @@
+"""Helpers that only the tests use: scalar and matrix shorthands, removable
+corners, the coset representatives of the size-(n-1) algebra, and the
+type-A Markov trace."""
+
+import numpy as np
+
+from heckeweights.combinatorics import partitions, trim
+from heckeweights.reps import character, g_letter, tprime_letter, typeA_rep, \
+    word
+from heckeweights.scalars import Rat, is_zero_matrix
+from heckeweights.traces import plain_point, weight_B
+
+
+def rat(num, den=1):
+    """Exact rational number num/den."""
+    return Rat(num, den)
+
+
+def qpow(point, k: int):
+    """q**k, exactly, for any integer k."""
+    return point.q ** k
+
+
+def matrix(rows):
+    """Dense matrix from nested lists, entries coerced to Rat."""
+    return np.array([[Rat(e) for e in row] for row in rows], dtype=object)
+
+
+def mat_eq(a, b) -> bool:
+    return a.shape == b.shape and is_zero_matrix(a - b)
+
+
+def removable_corners(alpha) -> list:
+    """1-based (row, col) positions where a box may be removed."""
+    alpha = trim(alpha)
+    corners = []
+    for r in range(1, len(alpha) + 1):
+        below = alpha[r] if r < len(alpha) else 0
+        if alpha[r - 1] > below:
+            corners.append((r, alpha[r - 1]))
+    return corners
+
+
+def coset_representatives(n: int) -> list:
+    """The 2n right coset representatives of the size-(n-1) algebra inside
+    the size-n algebra, as words."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    reps = [word((), n), word((tprime_letter(n - 1),), n)]
+    for k in range(1, n):
+        chain = tuple(g_letter(j) for j in range(n - 1, n - k - 1, -1))
+        reps.append(word(chain, n))
+        reps.append(word(chain + (tprime_letter(n - k - 1),), n))
+    return reps
+
+
+def typeA_markov_trace(element, n: int, r: int, q):
+    """Weighted character sum over partitions of n with at most r rows.
+    The weight of mu is weight_B((mu, ()), r, 0): with no second row bound it
+    is the normalized Schur value of mu in r variables."""
+    point = plain_point(q)
+    total = Rat(0)
+    for mu in partitions(n):
+        if len(mu) > r:
+            continue
+        total += weight_B((mu, ()), r, 0, point) \
+            * character(typeA_rep(mu, point), element)
+    return total

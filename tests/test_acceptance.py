@@ -19,10 +19,9 @@ from heckeweights.homcheck import character_match_report, markov_property, \
     weight_two_forms
 from heckeweights.reps import U_LETTER, evaluate, full_twist_scalar, \
     g_letter, random_word, typeA_rep, word
-from heckeweights.scalars import Rat, admissible_point, identity, mat_eq, \
-    to_rat
-from heckeweights.traces import markov_params, typeA_markov_trace, weight_B, \
-    weight_D
+from heckeweights.scalars import Rat, admissible_point, identity, to_rat
+from heckeweights.traces import markov_params, weight_B, weight_D
+from helpers import mat_eq, typeA_markov_trace
 
 
 def criterion(num, label, limit_s, body):

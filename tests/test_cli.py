@@ -94,6 +94,40 @@ def test_excluded_parameter_exits_2(capsys):
             assert err.startswith(f"error: q = {q} is excluded")
 
 
+def test_negative_rational_after_a_space(capsys):
+    """A value such as -3/2 may follow its option after a space, as well as
+    after "="."""
+    for argv in (["weights", "--type", "B", "--n", "1", "--q", "2",
+                  "--Q", "-3/2"],
+                 ["trace", "--word", "t g1", "--n", "2", "--q", "2",
+                  "--Q", "-3/2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        joined = argv[:-2] + ["--Q=-3/2"]
+        assert (code, out) == run(capsys, joined)[:2], argv
+    code, _, err = run(capsys, ["weights", "--type", "A", "--n", "1",
+                                "--q", "-3/2"])
+    assert code == 2
+    assert err.startswith("error: q = -3/2 is excluded")
+
+
+def test_closed_stdout_ends_without_traceback():
+    """A reader that closes the pipe early (as "| head" does) ends the
+    command quietly, without a BrokenPipeError traceback.  The table is
+    larger than a pipe buffer, so the write fails for certain."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckeweights.cli", "weights", "--type", "B",
+         "--n", "8", "--q", "347/512", "--Q", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_trace_value(capsys):
     code, out, _ = run(capsys, ["trace", "--word", "t", "--n", "1",
                                 "--r1", "1", "--r2", "1", "--q", "2",

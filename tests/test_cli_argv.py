@@ -1,5 +1,6 @@
 """Generated argvs over the CLI grammar: every one returns 0 or 1, or exits 2
-with ``error:`` on stderr, and none ends in an exception."""
+with ``error:`` on stderr, none ends in an exception, and a value that
+follows its option after a space is read as that option's value."""
 
 import contextlib
 import io
@@ -61,3 +62,14 @@ def test_every_argv_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert "error:" in err.getvalue(), argv
+    if values_follow_options(argv):
+        # argparse must not take a value such as -1/2 for an option
+        assert "expected one argument" not in err.getvalue(), argv
+
+
+def values_follow_options(argv):
+    """Whether argv is a command and then pairs of an option and a value
+    that is not itself an option."""
+    return (len(argv) % 2 == 1 and argv[0] in ("weights", "trace", "verify")
+            and all(opt.startswith("--") for opt in argv[1::2])
+            and not any(value.startswith("--") for value in argv[2::2]))

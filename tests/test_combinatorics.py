@@ -5,8 +5,9 @@ import pytest
 from heckeweights.combinatorics import DoubleTableau, add_box, addable_corners, \
     apply_transposition, axial_parameter, box_stat, dimension, \
     double_partitions, embed_double, mu_content, n_stat, one_box_successors, \
-    pad, parse_partition, parse_shape, partition_str, partitions, \
-    removable_corners, shape_str, standard_tableaux, trim
+    pad, parse_partition, parse_shape, partition_str, partitions, shape_str, \
+    standard_tableaux, trim
+from helpers import removable_corners
 
 
 def hook_count(alpha):

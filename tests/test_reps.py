@@ -5,12 +5,13 @@ import pytest
 from heckeweights.combinatorics import double_partitions, partitions
 from heckeweights.homcheck import relations_report
 from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
-    U_LETTER, character, coset_representatives, evaluate, expand_word, \
+    U_LETTER, character, evaluate, expand_word, \
     full_twist_scalar, g_letter, ginv_letter, parse_word, random_word, \
     relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
-    is_zero_matrix, mat_eq, specialized_point, to_rat
+    is_zero_matrix, specialized_point, to_rat
 from heckeweights.traces import plain_point
+from helpers import coset_representatives, mat_eq
 
 
 def test_word_validation():

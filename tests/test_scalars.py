@@ -1,8 +1,9 @@
 import pytest
 
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
-    guard_bound, identity, is_zero_matrix, mat_eq, matrix, parse_rational, qpow, rat, \
-    specialized_point, zeros
+    guard_bound, identity, is_zero_matrix, parse_rational, specialized_point, \
+    zeros
+from helpers import mat_eq, matrix, qpow, rat
 
 
 def test_rat_basics():

@@ -12,8 +12,8 @@ from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
 from heckeweights.scalars import ParameterPoint, Rat
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
-    markov_trace_D, plain_point, q1_point, typeA_markov_trace, weight_B, \
-    weight_D, weight_table
+    markov_trace_D, plain_point, q1_point, weight_B, weight_D, weight_table
+from helpers import typeA_markov_trace
 
 
 def test_worked_example(point):
