@@ -51,7 +51,7 @@ def cmd_weights(args) -> int:
     q = args.q
     rows = []
     if args.type == "A":
-        point = _or_exit(plain_point, q, 0)
+        point = _or_exit(plain_point, q)
         z, _ = markov_params(r1, r2, point)
         y = None
         Q_out = None
@@ -64,15 +64,13 @@ def cmd_weights(args) -> int:
             print("error: --Q is required for type B", file=sys.stderr)
             return 2
         point = _point_or_exit(q, args.Q, n, r1, r2)
-        table = weight_table(n, r1, r2, point)
-        z, y = table.z, table.y
+        z, y = markov_params(r1, r2, point)
         Q_out = point.Q
-        for shape, weight in table.entries.items():
+        for shape, weight in weight_table(n, r1, r2, point).items():
             rows.append((shape_str(shape), weight, dimension(shape)))
     else:  # type D
-        point = _or_exit(q1_point, q, n, r1, r2)
-        table = weight_table(n, r1, r2, point)
-        z, y = table.z, table.y
+        point = _or_exit(q1_point, q)
+        z, y = markov_params(r1, r2, point)
         Q_out = point.Q
         seen = set()
         for shape in double_partitions(n):
@@ -209,6 +207,8 @@ def suite_hom(n, seed, points):
         homcheck.rho_eigenvalue_report(m, r1, qs, name="rho-eigenvalues"),
         homcheck.character_match_report(n, m, r1, qs, samples=20, seed=seed,
                                         name=f"character-match-n{n}"),
+        homcheck.skew_dimension_report(n, m, r1, qs[0],
+                                       name=f"skew-dimensions-n{n}"),
         homcheck.weight_ratio_report(n, m, r1, (n + 1, n + 2), qs,
                                      name=f"weight-ratio-n{n}"),
     ]

@@ -1,4 +1,6 @@
-"""Partitions, double partitions, standard tableaux and box statistics.
+"""Partitions, double partitions, standard tableaux, the box statistics the
+seminormal matrices read (contents, hook lengths), and the printed form of
+shapes.
 
 Conventions fixed here (and relied on everywhere else for reproducibility):
 
@@ -10,7 +12,8 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
 * a tableau stores the map entry -> box, where a box is ``(component, row,
   column)`` with 1-based row/column and component 0 (first) or 1 (second);
 * the canonical order on tableaux of one shape is lexicographic on the
-  tuple of boxes for entries 1, 2, ..., n.
+  tuple of boxes for entries 1, 2, ..., n;
+* a shape is printed as ``[a,b,...]|[c,...]``; no input format reads it.
 """
 
 from __future__ import annotations
@@ -112,22 +115,6 @@ class DoubleTableau:
     shape: tuple
     boxes: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.boxes)
-
-    def box(self, entry: int):
-        if not 1 <= entry <= self.size:
-            raise ValueError(f"entry {entry} out of range 1..{self.size}")
-        return self.boxes[entry - 1]
-
-
-@dataclass(frozen=True)
-class BoxStat:
-    component: int
-    content: int
-    row: int
-
 
 def standard_tableaux(shape) -> list:
     """All standard tableaux of the double partition, canonically ordered."""
@@ -175,19 +162,15 @@ def dimension(shape) -> int:
         // prod(hook_lengths(alpha) + hook_lengths(beta))
 
 
-def box_stat(t: DoubleTableau, entry: int) -> BoxStat:
-    comp, row, col = t.box(entry)
-    return BoxStat(component=comp, content=col - row, row=row)
-
-
 def apply_transposition(t: DoubleTableau, i: int):
     """Swap entries i and i+1 if the result is standard, else None.
 
     The swap breaks standardness exactly when the two boxes share a row or
     a column of the same component (in which case they are adjacent).
     """
-    if not 1 <= i <= t.size - 1:
-        raise ValueError(f"index {i} out of range 1..{t.size - 1}")
+    n = len(t.boxes)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index {i} out of range 1..{n - 1}")
     b1, b2 = t.boxes[i - 1], t.boxes[i]
     if b1[0] == b2[0] and (b1[1] == b2[1] or b1[2] == b2[2]):
         return None
@@ -205,11 +188,11 @@ def axial_parameter(t: DoubleTableau, i: int, point):
     -1/Q (first to second) or -Q (second to first); at Q = -q^(r1+m) this
     reduces to the plain content-difference rule inside the glued diagram.
     """
-    s1, s2 = box_stat(t, i), box_stat(t, i + 1)
-    base = point.q ** (s2.content - s1.content)
-    if s1.component == s2.component:
+    (c1, row1, col1), (c2, row2, col2) = t.boxes[i - 1], t.boxes[i]
+    base = point.q ** ((col2 - row2) - (col1 - row1))
+    if c1 == c2:
         return base
-    if s1.component == 0:
+    if c1 == 0:
         return -base / point.Q
     return -point.Q * base
 
@@ -224,7 +207,7 @@ def mu_content(box, m: int, r1: int) -> int:
     return col - (row + r1)
 
 
-# -- text encoding (CLI) -----------------------------------------------------
+# -- text output (CLI) -------------------------------------------------------
 
 def partition_str(alpha) -> str:
     return "[" + ",".join(str(p) for p in trim(alpha)) + "]"
@@ -233,22 +216,3 @@ def partition_str(alpha) -> str:
 def shape_str(shape) -> str:
     return partition_str(shape[0]) + "|" + partition_str(shape[1])
 
-
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad partition {text!r}: expected [a,b,...]")
-    inner = text[1:-1].strip()
-    parts = tuple(int(p) for p in inner.split(",")) if inner else ()
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"bad partition {text!r}: parts must decrease")
-    if parts and parts[-1] < 0:
-        raise ValueError(f"bad partition {text!r}: negative part")
-    return trim(parts)
-
-
-def parse_shape(text: str):
-    if "|" not in text:
-        raise ValueError(f"bad shape {text!r}: expected alpha|beta")
-    a, b = text.split("|", 1)
-    return (parse_partition(a), parse_partition(b))

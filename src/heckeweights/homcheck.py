@@ -3,10 +3,11 @@
 Each check takes its cases from the caller (sizes, points, words, row
 bounds) and returns a ``Report``: name, paper reference, the number of cases
 compared and the first failure, which names the shape or word, the point and
-both exact values as ``p/q``.  ``heckeweights verify`` and the acceptance
-gate in ``tests/test_acceptance.py`` run these same functions, the gate at
-larger sizes.  Most checks are written as generators of (lhs, rhs,
-describe) cases and turned into report-returning functions by ``identity``.
+both exact values as ``p/q``.  ``heckeweights verify --suite all`` runs
+every check here, and the acceptance gate in ``tests/test_acceptance.py``
+runs the same functions at larger sizes.  Most checks are written as
+generators of (lhs, rhs, describe) cases and turned into report-returning
+functions by ``identity``.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def weight_branching(r1, r2, points, sizes):
 def weight_normalization(n, r1, r2, points):
     """The weights of the shapes of size n, times dimensions, sum to 1."""
     for p in points:
-        entries = weight_table(n, r1, r2, p).entries
-        yield (sum(w * dimension(s) for s, w in entries.items()), 1,
+        weights = weight_table(n, r1, r2, p)
+        yield (sum(w * dimension(s) for s, w in weights.items()), 1,
                lambda: f"sum of weight * dimension over size {n} at {p}")
 
 
@@ -363,7 +364,7 @@ def typeD_inclusion_weights(n, r1, r2, qs):
     weight(beta, alpha); each split half of (alpha, alpha) weighs
     weight(alpha, alpha)."""
     for q in qs:
-        point1 = q1_point(q, n, r1, r2)
+        point1 = q1_point(q)
         for shape in double_partitions(n):
             alpha, beta = shape
             if alpha == beta:
@@ -380,7 +381,7 @@ def typeD_markov_property(n, r1, r2, cases):
     """tr_D(h g_{n-1}) = z tr_D(h) for type-D words h of size n-1; cases are
     (q, words h) pairs."""
     for q, hs in cases:
-        z, _ = markov_params(r1, r2, q1_point(q, n, r1, r2))
+        z, _ = markov_params(r1, r2, q1_point(q))
         for h in hs:
             yield (markov_trace_D(word(h.letters + (g_letter(n - 1),), n),
                                   n, r1, r2, q),

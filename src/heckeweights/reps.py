@@ -25,7 +25,9 @@ the type-D front end, ("u", 0).  ``Representation.letter_matrix`` defines
 what each letter means; ``evaluate`` multiplies a word's letter matrices in
 integers, numerators by ``dot`` and denominators as ints, and ``character``
 makes the one division.  ``expand_word`` rewrites the same letters over
-{t, g} independently, as a reference for tests.
+{t, g} independently, as a reference for tests; its result is a
+``HeckeElement``, a map from words to coefficients with no arithmetic of its
+own, which ``evaluate`` takes as the weighted sum of its words.
 """
 
 from __future__ import annotations
@@ -99,43 +101,14 @@ def word(letters, n: int) -> HeckeWord:
 
 @dataclass
 class HeckeElement:
-    """A finite linear combination of words; no zero coefficients stored."""
+    """A finite linear combination of words, as the map word -> coefficient
+    with no zero coefficients stored."""
 
     terms: dict
     ambient_n: int
 
     def __post_init__(self):
         self.terms = {w: c for w, c in self.terms.items() if c != 0}
-
-    @classmethod
-    def from_word(cls, w: HeckeWord, coeff=1):
-        return cls({w: Rat(coeff)}, w.ambient_n)
-
-    def __add__(self, other):
-        if self.ambient_n != other.ambient_n:
-            raise ValueError("ambient sizes differ")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Rat(0)) + c
-        return HeckeElement(terms, self.ambient_n)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Rat(c)
-        return HeckeElement({w: c * v for w, v in self.terms.items()},
-                            self.ambient_n)
-
-    def __mul__(self, other):
-        if self.ambient_n != other.ambient_n:
-            raise ValueError("ambient sizes differ")
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = word(w1.letters + w2.letters, self.ambient_n)
-                terms[w] = terms.get(w, Rat(0)) + c1 * c2
-        return HeckeElement(terms, self.ambient_n)
 
 
 def parse_word(text: str, n: int) -> HeckeWord:

@@ -7,10 +7,12 @@ matrices satisfy the defining relations.
 
 ``weight_B`` evaluates the product formula in integers (one gcd per weight,
 not one per factor) and ``weight_table`` is the one cached source of
-weights: a read-only table of every shape of one size, built once per
-(n, r1, r2, point) and kept in a bounded cache.  ``markov_trace_B`` and
-``weight_D`` read that table.  ``weight_B_schur_form`` is the independent
-oracle for ``weight_B`` and shares no code with it.
+weights: a read-only map from every shape of one size to its weight, built
+once per (n, r1, r2, point) and kept in a bounded cache.  ``markov_trace_B``
+and ``weight_D`` read that map; the trace parameters (z, y) come from
+``markov_params``.  Type D lives at the one point ``q1_point(q)``, whatever
+the size.  ``weight_B_schur_form`` is the independent oracle for
+``weight_B`` and shares no code with it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from types import MappingProxyType
 
 from .combinatorics import double_partitions, n_stat, pad, trim
 from .reps import evaluate, typeB_rep
-from .scalars import ParameterPoint, Rat, guard_bound
+from .scalars import ParameterPoint, Rat
 from .schur import schur_principal
 
 
@@ -114,30 +116,16 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
     return z, y
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """The weights of every double partition of n at one point, read-only."""
-
-    n: int
-    r1: int
-    r2: int
-    point: ParameterPoint
-    entries: MappingProxyType
-    z: object
-    y: object
-
-
 # Bounded: a long-lived process meets unboundedly many points, and each
 # table holds every shape of one size.
 @lru_cache(maxsize=64)
-def weight_table(n: int, r1: int, r2: int, point: ParameterPoint) -> WeightTable:
-    """The one source of weights: computed once per (n, r1, r2, point) and
-    kept in a bounded cache."""
-    entries = {shape: weight_B(shape, r1, r2, point)
-               for shape in double_partitions(n)}
-    z, y = markov_params(r1, r2, point)
-    return WeightTable(n=n, r1=r1, r2=r2, point=point,
-                       entries=MappingProxyType(entries), z=z, y=y)
+def weight_table(n: int, r1: int, r2: int,
+                 point: ParameterPoint) -> MappingProxyType:
+    """The one source of weights: the read-only map shape -> weight over the
+    double partitions of n, computed once per (n, r1, r2, point) and kept in
+    a bounded cache."""
+    return MappingProxyType({shape: weight_B(shape, r1, r2, point)
+                             for shape in double_partitions(n)})
 
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
@@ -145,23 +133,24 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
     the weights' numerators times the integer traces over one common
     denominator, and one Rat at the end."""
     values = [(w, evaluate(typeB_rep(shape, point), element))
-              for shape, w in weight_table(n, r1, r2, point).entries.items()
+              for shape, w in weight_table(n, r1, r2, point).items()
               if w != 0]
     den = math.lcm(*(w.denominator * d for w, (_, d) in values))
     return Rat(sum(w.numerator * (den // (w.denominator * d)) * num.trace()
                    for w, (num, d) in values), den)
 
 
-def plain_point(q, guard: int = 64) -> ParameterPoint:
-    """Point with the given q and an irrelevant (always admissible) Q > 0,
-    for computations that never touch Q."""
-    return ParameterPoint(Rat(q), Rat(2), guard)
+def plain_point(q) -> ParameterPoint:
+    """Point with the given q and an irrelevant Q = 2, for computations that
+    never touch Q.  A Q > 0 is never -q^s, so no guard is needed."""
+    return ParameterPoint(Rat(q), Rat(2), 0)
 
 
-def q1_point(q, n: int, r1: int, r2: int) -> ParameterPoint:
+def q1_point(q) -> ParameterPoint:
     """The exact Q = 1 specialization used for type D; admissible for any
-    q > 0 since 1 is never -q^s."""
-    return ParameterPoint(Rat(q), Rat(1), guard_bound(n, r1, r2))
+    q > 0 since 1 is never -q^s, so it needs no guard and serves every size
+    and row bound."""
+    return ParameterPoint(Rat(q), Rat(1), 0)
 
 
 # -- type D ------------------------------------------------------------------
@@ -172,7 +161,6 @@ class TypeDWeight:
     merged class {(alpha, beta), (beta, alpha)}, for alpha == beta one of the
     two split components (alpha, alpha)_1, (alpha, alpha)_2."""
 
-    shape: tuple
     split_index: int | None
     weight: object
 
@@ -182,16 +170,14 @@ def weight_D(shape, r1: int, r2: int, q) -> list:
     partition, at the forced specialization Q = 1."""
     alpha, beta = trim(shape[0]), trim(shape[1])
     n = sum(alpha) + sum(beta)
-    entries = weight_table(n, r1, r2, q1_point(q, n, r1, r2)).entries
+    weights = weight_table(n, r1, r2, q1_point(q))
     if alpha == beta:
-        w = entries[(alpha, alpha)]
-        return [TypeDWeight((alpha, alpha), 1, w),
-                TypeDWeight((alpha, alpha), 2, w)]
-    w = entries[(alpha, beta)] + entries[(beta, alpha)]
-    return [TypeDWeight((alpha, beta), None, w)]
+        w = weights[(alpha, alpha)]
+        return [TypeDWeight(1, w), TypeDWeight(2, w)]
+    return [TypeDWeight(None, weights[(alpha, beta)] + weights[(beta, alpha)])]
 
 
 def markov_trace_D(element, n: int, r1: int, r2: int, q):
     """Markov trace of a type-D element (letters u and g): the two-parameter
     trace at Q = 1."""
-    return markov_trace_B(element, n, r1, r2, q1_point(q, n, r1, r2))
+    return markov_trace_B(element, n, r1, r2, q1_point(q))

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -211,6 +212,29 @@ def test_verify_all_suites_listed(capsys):
     names = [c["name"] for c in doc["checks"]]
     assert len(names) == len(set(names))
     assert len(names) >= 15
+
+
+def test_every_check_runs_in_verify(capsys, monkeypatch):
+    """verify --suite all reaches every public check of the catalogue."""
+    checks = [name for name, fn in vars(homcheck).items()
+              if inspect.isfunction(fn) and fn.__module__ == homcheck.__name__
+              and not name.startswith("_") and name != "identity"]
+    called = set()
+
+    def recording(name, fn):
+        def check(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return check
+
+    for name in checks:
+        monkeypatch.setattr(homcheck, name,
+                            recording(name, getattr(homcheck, name)))
+    code, _, _ = run(capsys, ["verify", "--suite", "all", "--n", "2",
+                              "--points", "1"])
+    assert code == 0
+    assert len(checks) == 20
+    assert sorted(set(checks) - called) == []
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
