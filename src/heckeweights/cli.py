@@ -24,7 +24,7 @@ from .reps import U_LETTER, g_letter, parse_word, random_word, \
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
 from .traces import markov_params, markov_trace_B, plain_point, q1_point, \
-    weight_B, weight_D, weight_table
+    weight_D, weight_table
 
 
 def _rat_str(x):
@@ -55,9 +55,9 @@ def cmd_weights(args) -> int:
         z, _ = markov_params(r1, r2, point)
         y = None
         Q_out = None
+        weights = weight_table(n, r1 + r2, 0, point)
         for mu in partitions(n):
-            rows.append((partition_str(mu),
-                         weight_B((mu, ()), r1 + r2, 0, point),
+            rows.append((partition_str(mu), weights[mu, ()],
                          dimension((mu, ()))))
     elif args.type == "B":
         if args.Q is None:
@@ -69,6 +69,10 @@ def cmd_weights(args) -> int:
         for shape, weight in weight_table(n, r1, r2, point).items():
             rows.append((shape_str(shape), weight, dimension(shape)))
     else:  # type D
+        if n < 1:
+            # the one shape []|[] would split into two halves of dimension 0
+            print("error: type D needs --n >= 1", file=sys.stderr)
+            return 2
         point = _or_exit(q1_point, q)
         z, y = markov_params(r1, r2, point)
         Q_out = point.Q

@@ -19,6 +19,7 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, prod
 
 Partition = tuple
@@ -153,6 +154,8 @@ def hook_lengths(alpha) -> list:
             for i, part in enumerate(alpha) for j in range(part)]
 
 
+# Bounded; an int value, so no caller can alter a cached one.
+@lru_cache(maxsize=1024)
 def dimension(shape) -> int:
     """Dimension of the irreducible module, the number of standard tableaux:
     (n choose |alpha|) f^alpha f^beta, which by the hook length formula is

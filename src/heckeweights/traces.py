@@ -5,14 +5,14 @@ never by inductive rewriting: the weight formula is the object under test
 and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
-``weight_B`` evaluates the product formula in integers (one gcd per weight,
-not one per factor) and ``weight_table`` is the one cached source of
-weights: a read-only map from every shape of one size to its weight, built
-once per (n, r1, r2, point) and kept in a bounded cache.  ``markov_trace_B``
-and ``weight_D`` read that map; the trace parameters (z, y) come from
-``markov_params``.  Type D lives at the one point ``q1_point(q)``, whatever
-the size.  ``weight_B_schur_form`` is the independent oracle for
-``weight_B`` and shares no code with it.
+``weight_table`` is the one weight evaluator: it evaluates the product
+formula in integers for every shape of one size at once, computing the
+shape-free factors once per table and building one Rat per weight, and
+keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
+``markov_trace_B`` and ``weight_D`` read that map; the trace parameters
+(z, y) come from ``markov_params``.  Type D lives at the one point
+``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
+independent oracle for the table and shares no code with it.
 """
 
 from __future__ import annotations
@@ -32,59 +32,11 @@ def weight_B(shape, r1: int, r2: int, point: ParameterPoint):
     """Weight of the double partition (alpha, beta) for the two-parameter
     Markov trace with row bounds r1, r2; zero beyond the row bounds.
 
-    The product formula is evaluated in integers.  With q = a/b and
-    Q = c/d, a factor 1 - q^k is (b^k - a^k) / b^k, and a cross factor
-    Q q^x + q^y is q^min(x,y) (c a^u b^(s-u) + d a^v b^(s-v)) / (d b^s)
-    with u = x - min, v = y - min, s = |x - y|.  The integer parts multiply
-    into one numerator and one denominator, the powers of a and b add up in
-    two exponents (the d of each cross factor cancels against its partner),
-    and one Rat is built at the end: a single gcd.
+    A read of ``weight_table(|shape|, r1, r2, point)`` at the trimmed
+    shape; the table is the one weight evaluator.
     """
     alpha, beta = trim(shape[0]), trim(shape[1])
-    if len(alpha) > r1 or len(beta) > r2:
-        return Rat(0)
-    a, b = point.q.numerator, point.q.denominator
-    c, d = point.Q.numerator, point.Q.denominator
-    r = r1 + r2
-    n = sum(alpha) + sum(beta)
-    lam, mu = pad(alpha, r1), pad(beta, r2)
-    top = n + r + 1
-    pa, pb = [1] * top, [1] * top
-    for k in range(1, top):
-        pa[k], pb[k] = pa[k - 1] * a, pb[k - 1] * b
-
-    def cross(x, y):
-        """(c q^x + d q^y) / q^min(x,y) times b^|x-y|, and min, max."""
-        low, high = min(x, y), max(x, y)
-        return (c * pa[x - low] * pb[high - x]
-                + d * pa[y - low] * pb[high - y]), low, high
-
-    # q^(n(alpha) + n(beta)) * ((1 - q) / (1 - q^r))^n
-    ea = n_stat(alpha) + n_stat(beta)
-    eb = -ea + (r - 1) * n
-    num = (b - a) ** n
-    den = (pb[r] - pa[r]) ** n
-    for parts in (lam, mu):
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                k = parts[i] - parts[j] + j - i
-                num *= pb[k] - pa[k]
-                den *= pb[j - i] - pa[j - i]
-                eb -= parts[i] - parts[j]
-    for i in range(1, r1 + 1):
-        for j in range(1, r2 + 1):
-            t, low, high = cross(lam[i - 1] - i, mu[j - 1] - j)
-            num *= t
-            ea += low
-            eb -= high
-            t, low, high = cross(-i, -j)
-            den *= t
-            ea -= low
-            eb += high
-    # ea is the order of the weight at q = 0 and eb minus its degree in q;
-    # neither depends on Q (Q != -1), and for Q > 0 the weight lies in
-    # (0, 1] for every q > 0, so both are nonnegative.
-    return Rat(num * a ** ea * b ** eb, den)
+    return weight_table(sum(alpha) + sum(beta), r1, r2, point)[alpha, beta]
 
 
 def weight_B_schur_form(shape, r1: int, r2: int, point: ParameterPoint):
@@ -121,11 +73,72 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
 @lru_cache(maxsize=64)
 def weight_table(n: int, r1: int, r2: int,
                  point: ParameterPoint) -> MappingProxyType:
-    """The one source of weights: the read-only map shape -> weight over the
+    """The one weight evaluator: the read-only map shape -> weight over the
     double partitions of n, computed once per (n, r1, r2, point) and kept in
-    a bounded cache."""
-    return MappingProxyType({shape: weight_B(shape, r1, r2, point)
-                             for shape in double_partitions(n)})
+    a bounded cache.
+
+    The product formula is evaluated in integers.  With q = a/b and
+    Q = c/d, a factor 1 - q^k is (b^k - a^k) / b^k, and a cross factor
+    Q q^x + q^y is q^min(x,y) (c a^u b^(s-u) + d a^v b^(s-v)) / (d b^s)
+    with u = x - min, v = y - min, s = |x - y|; the d of each cross factor
+    cancels against its partner.  The powers of a and b, the common
+    denominator and the shape-free parts of the exponents of a and b are
+    computed once per table, each cross factor once per (x, y); a shape
+    multiplies its numerator factors and builds one Rat: a single gcd.
+    """
+    a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
+    r = r1 + r2
+    pa = [a ** k for k in range(n + r + 1)]
+    pb = [b ** k for k in range(n + r + 1)]
+    diff = [y - x for x, y in zip(pa, pb)]  # b^k - a^k
+    crosses = {}
+
+    def cross(x, y):
+        """(c q^x + d q^y) / q^min(x,y) times b^|x-y|, and min, max."""
+        low, high = min(x, y), max(x, y)
+        crosses[x, y] = (c * pa[x - low] * pb[high - x]
+                         + d * pa[y - low] * pb[high - y]), low, high
+        return crosses[x, y]
+
+    # Shape-free: ((1 - q) / (1 - q^r))^n, the denominators of the row-pair
+    # factors and the cross factors at (-i, -j), with their powers of a, b
+    top, den = (b - a) ** n, diff[r] ** n
+    ea0, eb0 = 0, (r - 1) * n
+    den *= math.prod(diff[k] ** (m - k) for m in (r1, r2) for k in range(1, m))
+    for i in range(1, r1 + 1):
+        for j in range(1, r2 + 1):
+            t, low, high = cross(-i, -j)
+            den *= t
+            ea0 -= low
+            eb0 += high
+    weights = {}
+    for alpha, beta in double_partitions(n):
+        if len(alpha) > r1 or len(beta) > r2:
+            weights[alpha, beta] = Rat(0)
+            continue
+        lam, mu = pad(alpha, r1), pad(beta, r2)
+        # q^(n(alpha) + n(beta)) and the numerators of the other factors
+        e = n_stat(alpha) + n_stat(beta)
+        ea, eb = ea0 + e, eb0 - e
+        num = top
+        for parts in (lam, mu):
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    num *= diff[parts[i] - parts[j] + j - i]
+                    eb -= parts[i] - parts[j]
+        for i in range(1, r1 + 1):
+            for j in range(1, r2 + 1):
+                key = lam[i - 1] - i, mu[j - 1] - j
+                t, low, high = crosses.get(key) or cross(*key)
+                num *= t
+                ea += low
+                eb -= high
+        # ea is the order of the weight at q = 0 and eb minus its degree in
+        # q; neither depends on Q (Q != -1), and for Q > 0 the weight lies
+        # in (0, 1] for every q > 0, so both are nonnegative.
+        weights[alpha, beta] = Rat(num * a ** ea * b ** eb, den)
+    return MappingProxyType(weights)
 
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):

@@ -180,6 +180,7 @@ def test_usage_errors(capsys):
             ["weights", "--type", "D", "--n", "2", "--q", "2",
              "--r1", "0", "--r2", "0"],
             ["weights", "--type", "D", "--n", "2", "--q", "2", "--r1", "-3"],
+            ["weights", "--type", "D", "--n", "0", "--q", "2"],
             ["trace", "--word", "t", "--n", "1", "--r1", "-1", "--q", "2",
              "--Q", "5"],
             ["verify", "--suite", "markov", "--n", "0"],

@@ -1,9 +1,13 @@
 """Generated argvs over the CLI grammar: every one returns 0 or 1, or exits 2
-with ``error:`` on stderr, none ends in an exception, and a value that
-follows its option after a space is read as that option's value."""
+with ``error:`` on stderr, none ends in an exception, a value that follows
+its option after a space is read as that option's value, and every weight
+table printed is normalized (Eq. (9))."""
 
 import contextlib
+import csv
 import io
+import json
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -37,6 +41,17 @@ WEIGHTS = options(type=st.sampled_from(["A", "B", "D", "X"]), n=SIZES,
                   r1=ROW_BOUNDS, r2=ROW_BOUNDS, q=RATIONALS,
                   Q=st.one_of(st.none(), RATIONALS),
                   format=st.sampled_from(["json", "csv"]))
+# Mostly admissible weights argvs, so that many of them print a table: row
+# bounds down to 0, n = 0 and negative Q included.
+TABLES = options(type=st.sampled_from(["A", "B", "D"]), n=st.integers(0, 4),
+                 r1=st.one_of(st.none(), st.integers(0, 3)),
+                 r2=st.one_of(st.none(), st.integers(0, 3)),
+                 q=st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 9),
+                             st.integers(1, 9)),
+                 Q=st.builds(lambda p, q: f"{p}/{q}",
+                             st.integers(-9, 9).filter(bool),
+                             st.integers(1, 9)),
+                 format=st.sampled_from(["json", "csv"]))
 TRACE = options(word=st.lists(TOKENS, max_size=4).map(" ".join), n=SIZES,
                 r1=ROW_BOUNDS, r2=ROW_BOUNDS, q=RATIONALS,
                 Q=st.one_of(st.none(), RATIONALS))
@@ -45,6 +60,7 @@ VERIFY = options(suite=st.sampled_from(list(cli.SUITES) + ["all", "none"]),
                  points=st.integers(-1, 1))
 ARGVS = st.one_of(
     WEIGHTS.map(lambda a: ["weights"] + a),
+    TABLES.map(lambda a: ["weights"] + a),
     TRACE.map(lambda a: ["trace"] + a),
     VERIFY.map(lambda a: ["verify"] + a),
     st.lists(st.sampled_from(["weights", "trace", "verify", "--n", "2", "-x"]),
@@ -65,6 +81,18 @@ def test_every_argv_exits_cleanly(argv):
     if values_follow_options(argv):
         # argparse must not take a value such as -1/2 for an option
         assert "expected one argument" not in err.getvalue(), argv
+    if code == 0 and argv[0] == "weights":
+        assert normalization(out.getvalue()) == 1, argv
+
+
+def normalization(text):
+    """Sum of weight times dimension over the rows of a printed table, in
+    JSON or CSV."""
+    if text.startswith("{"):
+        rows = json.loads(text)["weights"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    return sum(Fraction(row["weight"]) * int(row["dimension"]) for row in rows)
 
 
 def values_follow_options(argv):

@@ -51,7 +51,7 @@ def test_normalization(points):
             assert report.passed, report.failure
 
 
-# 3-digit points, two with negative Q, guarded for n <= 6 and r1 + r2 <= 6
+# 3-digit points, two with negative Q, guarded for n <= 6 and r1 + r2 <= 14
 THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229), 14),
                ParameterPoint(Rat(911, 127), Rat(389, 754), 14),
                ParameterPoint(Rat(100, 999), Rat(-998, 7), 14)]
@@ -64,6 +64,17 @@ def test_two_forms_agree(points):
         report = weight_two_forms(r1, r2, THREE_DIGIT, range(7))
         assert report.passed, report.failure
         assert report.cases == 3 * 139  # 139 shapes of sizes 0..6
+    # the row bounds of the weights-sweep tables: (n + 1, n + 1) for types
+    # B and D, (2n + 2, 0) for type A
+    for n in range(3, 7):
+        for r1, r2 in ((n + 1, n + 1), (2 * n + 2, 0)):
+            report = weight_two_forms(r1, r2, THREE_DIGIT, [n])
+            assert report.passed, report.failure
+            assert report.cases == 3 * {3: 10, 4: 20, 5: 36, 6: 65}[n]
+    # weight_B reads the table at the trimmed shape
+    p = THREE_DIGIT[0]
+    assert weight_B(((2, 0), (1,)), 2, 2, p) \
+        == weight_table(3, 2, 2, p)[(2,), (1,)] != 0
 
 
 def test_branching(points):
