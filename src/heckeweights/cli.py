@@ -113,6 +113,9 @@ def cmd_weights(args) -> int:
 
 def cmd_trace(args) -> int:
     n, r1, r2 = args.n, args.r1, args.r2
+    if n < 1:
+        print("error: trace needs --n >= 1", file=sys.stderr)
+        return 2
     if args.Q is None:
         print("error: --Q is required for trace evaluation", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
   canonical form has no trailing zeros;
 * ``partitions(n)`` lists partitions in reverse lexicographic order;
 * ``double_partitions(n)`` lists pairs (alpha, beta) with |alpha| descending,
-  each component in ``partitions`` order;
+  each component in ``partitions`` order; both are tuples, cached per n;
 * a tableau stores the map entry -> box, where a box is ``(component, row,
   column)`` with 1-based row/column and component 0 (first) or 1 (second);
 * the canonical order on tableaux of one shape is lexicographic on the
@@ -40,27 +40,26 @@ def pad(parts, length: int) -> Partition:
     return parts + (0,) * (length - len(parts))
 
 
-def partitions(n: int, max_part: int | None = None) -> list:
+# Bounded; tuples of tuples, so no caller can alter a cached list.
+@lru_cache(maxsize=64)
+def partitions(n: int) -> tuple:
     """All partitions of n in reverse lexicographic order."""
+    return tuple(_partitions(n, n))
+
+
+def _partitions(n: int, max_part: int):
     if n == 0:
-        return [()]
-    if max_part is None or max_part > n:
-        max_part = n
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            out.append((first,) + rest)
-    return out
+        yield ()
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-def double_partitions(n: int) -> list:
+@lru_cache(maxsize=64)
+def double_partitions(n: int) -> tuple:
     """All ordered pairs (alpha, beta) with |alpha| + |beta| = n."""
-    out = []
-    for a in range(n, -1, -1):
-        for alpha in partitions(a):
-            for beta in partitions(n - a):
-                out.append((alpha, beta))
-    return out
+    return tuple((alpha, beta) for a in range(n, -1, -1)
+                 for alpha in partitions(a) for beta in partitions(n - a))
 
 
 def n_stat(alpha) -> int:

@@ -23,11 +23,14 @@ generators' entries as ``Rat`` and converts each matrix once.
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
 the type-D front end, ("u", 0).  ``Representation.letter_matrix`` defines
 what each letter means; ``evaluate`` multiplies a word's letter matrices in
-integers, numerators by ``dot`` and denominators as ints, and ``character``
-makes the one division.  ``expand_word`` rewrites the same letters over
-{t, g} independently, as a reference for tests; its result is a
-``HeckeElement``, a map from words to coefficients with no arithmetic of its
-own, which ``evaluate`` takes as the weighted sum of its words.
+integers, numerators by ``@`` and denominators as ints, and ``character``
+makes the one division.  ``evaluate`` also takes a stack of k
+representations of one dimension d (see ``traces.trace_table``), whose
+letters are (k, d, d) arrays over one denominator.  ``expand_word``
+rewrites the same letters over {t, g} independently, as a reference for
+tests; its result is a ``HeckeElement``, a map from words to coefficients
+with no arithmetic of its own, which ``evaluate`` takes as the weighted sum
+of its words.
 """
 
 from __future__ import annotations
@@ -251,11 +254,12 @@ def _reduced(num, den):
 
 
 def _product(factors):
-    """Product of (num, den) matrices: numerators by dot, denominators as
-    ints, nothing reduced."""
+    """Product of (num, den) matrices: numerators by ``@``, so a stack of
+    matrices multiplies matrix by matrix; denominators as ints, nothing
+    reduced."""
     (num, den), *rest = factors
     for m, d in rest:
-        num = num.dot(m)
+        num = num @ m
         den *= d
     return num, den
 
@@ -385,15 +389,18 @@ def full_twist_scalar(nu, q):
     return q ** (f * (f - 1) - cross)
 
 
-def evaluate(rep: Representation, element):
-    """Matrix of a word or linear combination in the representation, as a
-    pair (num, den) of an integer array and a positive integer.
+def evaluate(rep, element):
+    """Matrix of a word or linear combination in a representation, or in a
+    stack of k representations (see ``traces.trace_table``) whose letters
+    are (k, d, d) arrays over one denominator, as a pair (num, den) of an
+    integer array and a positive integer.
 
     A word is the product of its letter matrices: the numerators multiplied
-    by ``dot``, the denominators as ints, nothing reduced; the empty word is
-    (identity, 1).  An element is the coefficient-weighted sum over its words,
-    put over one common denominator.  A one-letter word returns the
-    representation's own letter numerator, which is read-only.
+    by ``@``, the denominators as ints, nothing reduced; the empty word is
+    (identity, 1), whose (d, d) array broadcasts against a stack.  An
+    element is the coefficient-weighted sum over its words, put over one
+    common denominator.  A one-letter word returns the letter's own
+    numerator, which is read-only.
     """
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "

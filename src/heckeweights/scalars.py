@@ -7,9 +7,10 @@ fractions in lowest terms with positive denominator and both are exact.
 
 A representation's matrix is a pair (num, den): a numpy array with
 ``dtype=object`` holding Python integers, and one positive integer
-denominator, so products are exact integer ``dot``s and a trace needs one
-division.  The representations build each generator with ``Rat`` entries
-and convert it once; ``to_rat`` is the one way back to ``Rat`` entries.
+denominator, so products are exact integer matrix products and a trace
+needs one division.  The representations build each generator with ``Rat``
+entries and convert it once; ``to_rat`` is the one way back to ``Rat``
+entries.
 """
 
 from __future__ import annotations

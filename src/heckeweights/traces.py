@@ -9,20 +9,27 @@ matrices satisfy the defining relations.
 formula in integers for every shape of one size at once, computing the
 shape-free factors once per table and building one Rat per weight, and
 keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
-``markov_trace_B`` and ``weight_D`` read that map; the trace parameters
-(z, y) come from ``markov_params``.  Type D lives at the one point
-``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
-independent oracle for the table and shares no code with it.
+``weight_D`` and ``trace_table`` read that map; the trace parameters
+(z, y) come from ``markov_params``.
+
+``trace_table`` groups the nonzero weights by the dimension of their shapes,
+with a stack of the matching representations per group; ``markov_trace_B``
+is one table lookup, one ``evaluate`` and one integer dot per group, and one
+Rat.  Type D lives at the one point ``q1_point(q)``, whatever the size.
+``weight_B_schur_form`` is the independent oracle for the table and shares
+no code with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import double_partitions, n_stat, pad, trim
+import numpy as np
+
+from .combinatorics import dimension, double_partitions, n_stat, pad, trim
 from .reps import evaluate, typeB_rep
 from .scalars import ParameterPoint, Rat
 from .schur import schur_principal
@@ -141,16 +148,68 @@ def weight_table(n: int, r1: int, r2: int,
     return MappingProxyType(weights)
 
 
+@dataclass
+class _Stack:
+    """The k representations of one dimension d in a trace table: a letter
+    is a read-only (k, d, d) integer array over one denominator, stacked
+    from the representations' own letter matrices on its first use; a stack
+    of one is a view of its representation's matrix."""
+
+    shapes: tuple
+    size: int
+    dimension: int
+    point: ParameterPoint
+    _letters: dict = field(default_factory=dict, repr=False)
+
+    def letter_matrix(self, letter):
+        if letter not in self._letters:
+            ms = [typeB_rep(shape, self.point).letter_matrix(letter)
+                  for shape in self.shapes]
+            if len(ms) == 1:
+                num, den = ms[0][0][np.newaxis], ms[0][1]
+            else:
+                den = math.lcm(*(d for _, d in ms))
+                num = np.stack([m if d == den else m * (den // d)
+                                for m, d in ms])
+                num.flags.writeable = False
+            self._letters[letter] = num, den
+        return self._letters[letter]
+
+
+# Bounded like weight_table; a table's stacks hold only the letters used.
+@lru_cache(maxsize=64)
+def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
+    """The Markov trace at (n, r1, r2, point) as data: the nonzero weights'
+    numerators over one common denominator, grouped by the dimension of
+    their shapes.  Returns ``(groups, den)`` with ``groups`` a tuple of
+    pairs (read-only integer array of numerators, stack of the matching
+    representations)."""
+    weights = {shape: w for shape, w in weight_table(n, r1, r2, point).items()
+               if w != 0}
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    by_dimension = {}
+    for shape in weights:
+        by_dimension.setdefault(dimension(shape), []).append(shape)
+    groups = []
+    for d, shapes in by_dimension.items():
+        nums = np.array([weights[s].numerator * (den // weights[s].denominator)
+                         for s in shapes], dtype=object)
+        nums.flags.writeable = False
+        groups.append((nums, _Stack(tuple(shapes), n, d, point)))
+    return tuple(groups), den
+
+
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
-    """Weighted character sum over all double partitions of n, in integers:
-    the weights' numerators times the integer traces over one common
-    denominator, and one Rat at the end."""
-    values = [(w, evaluate(typeB_rep(shape, point), element))
-              for shape, w in weight_table(n, r1, r2, point).items()
-              if w != 0]
-    den = math.lcm(*(w.denominator * d for w, (_, d) in values))
-    return Rat(sum(w.numerator * (den // (w.denominator * d)) * num.trace()
-                   for w, (num, d) in values), den)
+    """Weighted character sum over all double partitions of n, one dimension
+    at a time: per group of ``trace_table`` one evaluation of the element on
+    the stack, its integer traces dotted with the weights' numerators, then
+    one Rat over the common denominator."""
+    groups, den = trace_table(n, r1, r2, point)
+    values = [(nums, evaluate(stack, element)) for nums, stack in groups]
+    common = math.lcm(*(d for _, (_, d) in values))
+    # the empty word's (d, d) identity broadcasts its trace d over the group
+    return Rat(sum((nums * num.trace(axis1=-2, axis2=-1)).sum() * (common // d)
+                   for nums, (num, d) in values), den * common)
 
 
 def plain_point(q) -> ParameterPoint:

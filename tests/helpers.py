@@ -1,14 +1,14 @@
 """Helpers that only the tests use: scalar and matrix shorthands, removable
-corners, the coset representatives of the size-(n-1) algebra, and the
-type-A Markov trace."""
+corners, the coset representatives of the size-(n-1) algebra, the type-A
+Markov trace and a shape-by-shape type-B Markov trace."""
 
 import numpy as np
 
-from heckeweights.combinatorics import partitions, trim
+from heckeweights.combinatorics import double_partitions, partitions, trim
 from heckeweights.reps import character, g_letter, tprime_letter, typeA_rep, \
-    word
+    typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
-from heckeweights.traces import plain_point, weight_B
+from heckeweights.traces import plain_point, weight_B, weight_B_schur_form
 
 
 def rat(num, den=1):
@@ -65,4 +65,17 @@ def typeA_markov_trace(element, n: int, r: int, q):
             continue
         total += weight_B((mu, ()), r, 0, point) \
             * character(typeA_rep(mu, point), element)
+    return total
+
+
+def markov_trace_by_shape(element, n: int, r1: int, r2: int, point):
+    """The Markov trace as the paper writes it, one shape at a time: the Rat
+    sum of weight times character over the double partitions of n.  The
+    weights are the Schur form, so nothing is shared with
+    ``traces.trace_table`` or ``weight_table``."""
+    total = Rat(0)
+    for shape in double_partitions(n):
+        w = weight_B_schur_form(shape, r1, r2, point)
+        if w != 0:
+            total += w * character(typeB_rep(shape, point), element)
     return total

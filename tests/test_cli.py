@@ -10,6 +10,8 @@ from pathlib import Path
 from heckeweights import cli, homcheck
 from heckeweights.scalars import admissible_point
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -137,6 +139,16 @@ def test_trace_value(capsys):
     assert out.strip() == "8/3"
 
 
+def test_trace_reference_values(capsys):
+    """Every trace the benchmark's trace-hot workload checks, replayed
+    in-process: the recorded value is exact, so a wrong trace fails here
+    and not only in a benchmark run."""
+    doc = json.loads((ROOT / "perfbench" / "trace_reference.json").read_text())
+    for argv, value in doc["values"]:
+        assert run(capsys, argv) == (0, value + "\n", ""), argv
+    assert len(doc["values"]) == 776
+
+
 def test_trace_empty_word(capsys):
     code, out, _ = run(capsys, ["trace", "--word", "", "--n", "3",
                                 "--q", "2", "--Q", "5"])
@@ -183,12 +195,16 @@ def test_usage_errors(capsys):
             ["weights", "--type", "D", "--n", "0", "--q", "2"],
             ["trace", "--word", "t", "--n", "1", "--r1", "-1", "--q", "2",
              "--Q", "5"],
+            ["trace", "--word", "t", "--n", "0", "--q", "2", "--Q", "5"],
             ["verify", "--suite", "markov", "--n", "0"],
             ["verify", "--suite", "hom", "--n", "0"],
             ["verify", "--suite", "relations", "--points", "0"],
             ["verify", "--suite", "relations", "--points", "-1"]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    assert cli.main(["trace", "--word", "", "--n", "0", "--q", "2",
+                     "--Q", "5"]) == 2
+    assert capsys.readouterr().err == "error: trace needs --n >= 1\n"
 
 
 def test_verify_passes(capsys):

@@ -33,14 +33,14 @@ def test_trim_pad():
 
 
 def test_partitions_order():
-    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert partitions(0) == [()]
+    assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert partitions(0) == ((),)
     assert len(partitions(8)) == 22
 
 
 def test_double_partitions():
-    assert double_partitions(2) == [
-        ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((), (2,)), ((), (1, 1))]
+    assert double_partitions(2) == (
+        ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((), (2,)), ((), (1, 1)))
     assert [len(double_partitions(n)) for n in range(5)] == [1, 2, 5, 10, 20]
 
 

@@ -6,13 +6,15 @@ from heckeweights.combinatorics import dimension, double_partitions, \
     partitions
 from heckeweights.homcheck import weight_branching, weight_normalization, \
     weight_two_forms
-from heckeweights.reps import T_LETTER, U_LETTER, expand_word, g_letter, \
-    ginv_letter, random_word, tprime_letter, word
+from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
+    expand_word, g_letter, ginv_letter, random_word, tprime_letter, \
+    typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
-    markov_trace_D, plain_point, q1_point, weight_B, weight_D, weight_table
-from helpers import typeA_markov_trace
+    markov_trace_D, plain_point, q1_point, trace_table, weight_B, weight_D, \
+    weight_table
+from helpers import markov_trace_by_shape, typeA_markov_trace
 
 
 def test_worked_example(point):
@@ -101,6 +103,95 @@ def test_weight_table_is_read_only(point):
     with pytest.raises(TypeError):
         table[((2,), ())] = Rat(0)
     assert weight_table(2, 3, 3, point) is table
+
+
+def _oracle_words(n, rng):
+    """The empty word, a word with every letter kind that exists at size n,
+    two random words, and two elements: a weighted sum of words with an
+    empty-word term, and the expansion of the every-kind word."""
+    kinds = [T_LETTER, tprime_letter(n - 1)]
+    if n >= 2:
+        kinds += [g_letter(1), ginv_letter(n - 1), U_LETTER]
+    every = word(kinds, n)
+    w1, w2 = random_word(n, rng, max_len=5), random_word(n, rng, max_len=5)
+    mixed = HeckeElement({w1: Rat(3, 2), w2: Rat(-2), word((), n): Rat(1, 7)},
+                         n)
+    return [word((), n), every, w1, w2, mixed,
+            expand_word(every, THREE_DIGIT[0])]
+
+
+def test_markov_trace_matches_shape_by_shape():
+    """The trace by table and stacks equals the weighted character sum
+    taken one shape at a time, with row bounds that zero some weights and
+    empty some dimension groups, at points with Q < 0."""
+    rng = random.Random(23)
+    cases = 0
+    for n in range(1, 5):
+        words = _oracle_words(n, rng)
+        for r1, r2 in ((n + 1, n + 1), (0, 3), (3, 0), (1, 1)):
+            for p in THREE_DIGIT:
+                for w in words:
+                    value = markov_trace_B(w, n, r1, r2, p)
+                    assert value == markov_trace_by_shape(w, n, r1, r2, p), \
+                        (w, n, r1, r2, str(p))
+                    cases += 1
+                assert markov_trace_B(words[0], n, r1, r2, p) == 1
+    for r1, r2 in ((6, 6), (3, 0)):
+        for p in THREE_DIGIT:
+            for w in (word((U_LETTER, g_letter(4), tprime_letter(3)), 5),
+                      random_word(5, rng, max_len=5)):
+                assert markov_trace_B(w, 5, r1, r2, p) \
+                    == markov_trace_by_shape(w, 5, r1, r2, p), (w, str(p))
+                cases += 1
+    for n in range(2, 5):
+        words = [word((), n), word((U_LETTER, g_letter(1), U_LETTER), n),
+                 word((g_letter(n - 1), U_LETTER, ginv_letter(1)), n)]
+        for p in THREE_DIGIT:
+            p1 = q1_point(p.q)
+            for w in words:
+                assert markov_trace_D(w, n, n + 1, n + 1, p.q) \
+                    == markov_trace_by_shape(w, n, n + 1, n + 1, p1), (w, p.q)
+                cases += 1
+    assert cases == 4 * 4 * 3 * 6 + 2 * 3 * 2 + 3 * 3 * 3
+
+
+def test_trace_table_groups_by_dimension(point):
+    def sizes(r1, r2):
+        groups, _ = trace_table(3, r1, r2, point)
+        return sorted((s.dimension, len(s.shapes)) for _, s in groups)
+
+    assert sizes(4, 4) == [(1, 4), (2, 2), (3, 4)]
+    # at (1, 1) only shapes with one row in each component have weight
+    assert sizes(1, 1) == [(1, 2), (3, 2)]
+
+
+def test_trace_table_cache_is_bounded():
+    maxsize = trace_table.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 5):
+        trace_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5), 4))
+    assert trace_table.cache_info().currsize <= maxsize
+
+
+def test_trace_table_is_read_only(point):
+    for n, r1, r2 in ((3, 4, 4), (2, 3, 3)):
+        groups, _ = trace_table(n, r1, r2, point)
+        for nums, stack in groups:
+            with pytest.raises(ValueError):
+                nums[0] = 7
+            for letter in (T_LETTER, g_letter(1), ginv_letter(1),
+                           tprime_letter(1), U_LETTER):
+                num, _ = stack.letter_matrix(letter)
+                with pytest.raises(ValueError):
+                    num[0, 0, 0] = 7
+                num, _ = evaluate(stack, word((letter,), n))
+                with pytest.raises(ValueError):
+                    num[0, 0, 0] = 7
+    # a stack of one is a view of its representation's own matrix
+    (stack,) = [s for _, s in trace_table(2, 3, 3, point)[0]
+                if len(s.shapes) == 1]
+    rep = typeB_rep(stack.shapes[0], point)
+    assert stack.letter_matrix(g_letter(1))[0].base is rep.g_matrices[0][0]
 
 
 def test_trace_of_identity_and_t(points):
