@@ -284,7 +284,7 @@ def rho_eigenvalue_report(m: int, r1: int, qs):
         for shape, expected in ((((1,), ()), -(q ** (r1 + m))),
                                 (((), (1,)), Rat(-1))):
             rep = skew_rep(shape, m, r1, q)
-            t = to_rat(*rep.t_matrix)
+            t = to_rat(*rep.letter_matrix(T_LETTER))
             yield ({t[i, i] for i in range(rep.dimension)},
                    {expected},
                    lambda: f"t-spectrum on {shape_str(shape)} at q = {q}")

@@ -21,16 +21,15 @@ denominator of the entries, standing for num / den.  ``_build`` computes the
 generators' entries as ``Rat`` and converts each matrix once.
 
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
-the type-D front end, ("u", 0).  ``Representation.letter_matrix`` defines
+the type-D front end, ("u", 0).  A ``Representation`` is the one store of
+letter matrices, of one module or of a stack of modules of one dimension
+(see ``traces.trace_table``), and ``Representation.letter_matrix`` defines
 what each letter means; ``evaluate`` multiplies a word's letter matrices in
 integers, numerators by ``@`` and denominators as ints, and ``character``
-makes the one division.  ``evaluate`` also takes a stack of k
-representations of one dimension d (see ``traces.trace_table``), whose
-letters are (k, d, d) arrays over one denominator.  ``expand_word``
-rewrites the same letters over {t, g} independently, as a reference for
-tests; its result is a ``HeckeElement``, a map from words to coefficients
-with no arithmetic of its own, which ``evaluate`` takes as the weighted sum
-of its words.
+makes the one division.  ``expand_word`` rewrites the same letters over
+{t, g} independently, as a reference for tests; its result is a
+``HeckeElement``, a map from words to coefficients with no arithmetic of its
+own, which ``evaluate`` takes as the weighted sum of its words.
 """
 
 from __future__ import annotations
@@ -75,6 +74,8 @@ class HeckeWord:
         if n < 1:
             raise ValueError("ambient_n must be >= 1")
         for kind, i in self.letters:
+            if kind in ("t", "u") and i != 0:
+                raise ValueError(f"{kind} takes index 0 (got {i})")
             if kind == "t":
                 continue
             if kind == "u":
@@ -183,68 +184,71 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 @dataclass
 class Representation:
-    """Shape-indexed family of generator matrices, each a pair (num, den)
-    of a read-only integer array and its least common denominator."""
+    """The letter store of one module, or of a stack of the k modules of
+    ``shapes`` that share one dimension d (see ``traces.trace_table``).
 
-    label: object
+    ``letters`` maps a letter to its matrix (num, den): a read-only integer
+    array, (d, d) for one module and (k, d, d) for a stack, and its least
+    common denominator.  A module's store starts with its generators g_i
+    and, for types B and skew, t; a stack's starts empty.
+    """
+
     dimension: int
-    basis: list
-    t_matrix: object
-    g_matrices: list
+    size: int
     point: ParameterPoint
-    _letter_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        for m in self.g_matrices + [self.t_matrix]:
-            if m is not None:
-                m[0].flags.writeable = False
-
-    @property
-    def size(self) -> int:
-        return len(self.g_matrices) + 1
+    letters: dict = field(default_factory=dict, repr=False)
+    shapes: tuple = ()
 
     def letter_matrix(self, letter):
-        """Matrix (num, den) of one letter: g_i and t are the generators;
-        G_i, t'_i and u = t g_1 t are built from them once, reduced to their
-        least common denominator and cached."""
+        """Matrix (num, den) of one letter, built on its first use and
+        cached read-only.  A stack's generator stacks the modules' own
+        generators over their least common denominator (a stack of one is a
+        view); G_i, t'_i and u = t g_1 t are derived from this store's own
+        generators.  Each is reduced to its least common denominator."""
+        if letter in self.letters:
+            return self.letters[letter]
         kind, i = letter
-        if kind == "g":
-            return self.g_matrices[i - 1]
-        if kind == "t":
-            if self.t_matrix is None:
-                raise ValueError("representation has no t generator")
-            return self.t_matrix
-        if letter in self._letter_cache:
-            return self._letter_cache[letter]
-        q = self.point.q
-        if kind == "ginv":
-            m = _combination([(1 / q, self.g_matrices[i - 1]),
+        n, q = self.size, self.point.q
+        if self.shapes and (letter == T_LETTER or (kind == "g" and 0 < i < n)):
+            ms = [typeB_rep(shape, self.point).letter_matrix(letter)
+                  for shape in self.shapes]
+            den = math.lcm(*(d for _, d in ms))
+            m = (ms[0][0][np.newaxis], den) if len(ms) == 1 else \
+                (np.stack([num if d == den else num * (den // d)
+                           for num, d in ms]), den)
+        elif letter == T_LETTER:
+            raise ValueError("representation has no t generator")
+        elif kind == "ginv" and 0 < i < n:
+            m = _combination([(1 / q, self.letter_matrix(g_letter(i))),
                               (1 / q - 1, (identity(self.dimension), 1))])
-        elif kind == "tprime":
+        elif kind == "tprime" and 0 <= i < n:
             # t'_0 = t and t'_i = g_i t'_{i-1} G_i
             m = self.letter_matrix(T_LETTER) if i == 0 else _product([
                 self.letter_matrix(g_letter(i)),
                 self.letter_matrix(tprime_letter(i - 1)),
                 self.letter_matrix(ginv_letter(i))])
-        elif kind == "u":
+        elif letter == U_LETTER and n >= 2:
             t = self.letter_matrix(T_LETTER)
             m = _product([t, self.letter_matrix(g_letter(1)), t])
         else:
-            raise ValueError(f"unknown letter kind {kind!r}")
+            raise ValueError(f"no letter {letter!r} in a representation of "
+                             f"size {n}")
         m = _reduced(*m)
         m[0].flags.writeable = False
-        self._letter_cache[letter] = m
+        self.letters[letter] = m
         return m
 
 
 # -- matrices over one denominator -------------------------------------------
 
 def _integer_form(m):
-    """The Rat matrix m as (num, den), den the least common denominator of
-    its entries."""
+    """The Rat matrix m as (num, den), num read-only and den the least
+    common denominator of its entries."""
     den = math.lcm(*(e.denominator for e in m.flat))
-    return np.array([[e.numerator * (den // e.denominator) for e in row]
-                     for row in m], dtype=object), den
+    num = np.array([[e.numerator * (den // e.denominator) for e in row]
+                    for row in m], dtype=object)
+    num.flags.writeable = False
+    return num, den
 
 
 def _reduced(num, den):
@@ -300,22 +304,20 @@ def _seminormal_g(basis, index, i: int, axial, q):
     return m
 
 
-def _build(label, shape, point, axial, t_eigenvalue):
+def _build(shape, point, axial, t_eigenvalue):
     basis = standard_tableaux(shape)
     index = {t.boxes: s for s, t in enumerate(basis)}
     d = len(basis)
     n = sum(shape[0]) + sum(shape[1])
-    g_matrices = [_integer_form(_seminormal_g(basis, index, i, axial, point.q))
-                  for i in range(1, n)]
-    t_matrix = None
+    letters = {g_letter(i): _integer_form(_seminormal_g(basis, index, i, axial,
+                                                        point.q))
+               for i in range(1, n)}
     if t_eigenvalue is not None:
         t = zeros(d, d)
         for s, tableau in enumerate(basis):
             t[s, s] = t_eigenvalue(tableau)
-        t_matrix = _integer_form(t)
-    return Representation(label=label, dimension=d, basis=basis,
-                          t_matrix=t_matrix, g_matrices=g_matrices,
-                          point=point)
+        letters[T_LETTER] = _integer_form(t)
+    return Representation(d, n, point, letters)
 
 
 # Bounded: a long-lived process meets unboundedly many points.  128 holds
@@ -331,7 +333,7 @@ def typeA_rep(mu, point: ParameterPoint) -> Representation:
     tableaux of the partition mu."""
     mu = trim(mu)
     shape = (mu, ())
-    return _build(mu, shape, point,
+    return _build(shape, point,
                   lambda t, i: axial_parameter(t, i, point), None)
 
 
@@ -345,7 +347,7 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
     def t_eig(t: DoubleTableau):
         return Q if t.boxes[0][0] == 0 else Rat(-1)
 
-    return _build(shape, shape, point,
+    return _build(shape, point,
                   lambda t, i: axial_parameter(t, i, point), t_eig)
 
 
@@ -374,7 +376,7 @@ def skew_rep(shape, m: int, r1: int, q) -> Representation:
         nu = beta_shape if t.boxes[0][0] == 0 else gamma
         return -full_twist_scalar(nu, q) / alpha_gamma
 
-    return _build((shape, m, r1), shape, point, axial, t_eig)
+    return _build(shape, point, axial, t_eig)
 
 
 def full_twist_scalar(nu, q):
@@ -390,16 +392,14 @@ def full_twist_scalar(nu, q):
 
 
 def evaluate(rep, element):
-    """Matrix of a word or linear combination in a representation, or in a
-    stack of k representations (see ``traces.trace_table``) whose letters
-    are (k, d, d) arrays over one denominator, as a pair (num, den) of an
-    integer array and a positive integer.
+    """Matrix of a word or linear combination in a representation, as a
+    pair (num, den) of an integer array and a positive integer.
 
     A word is the product of its letter matrices: the numerators multiplied
     by ``@``, the denominators as ints, nothing reduced; the empty word is
-    (identity, 1), whose (d, d) array broadcasts against a stack.  An
-    element is the coefficient-weighted sum over its words, put over one
-    common denominator.  A one-letter word returns the letter's own
+    (identity, 1), whose (d, d) array broadcasts against a stack's (k, d, d)
+    letters.  An element is the coefficient-weighted sum over its words, put
+    over one common denominator.  A one-letter word returns the letter's own
     numerator, which is read-only.
     """
     if element.ambient_n > rep.size:
@@ -427,7 +427,7 @@ def relation_residuals(rep: Representation) -> list:
     (num, den).  A residual is zero exactly when its integer numerator is
     zero, so the generator matrices are a valid representation iff every
     numerator is zero."""
-    G = rep.g_matrices
+    G = [rep.letter_matrix(g_letter(i)) for i in range(1, rep.size)]
     q = rep.point.q
     I = identity(rep.dimension), 1
 
@@ -443,8 +443,8 @@ def relation_residuals(rep: Representation) -> list:
             res.append(difference([G[i], G[j]], [G[j], G[i]]))
     for g in G:
         res.append(_combination([(1, _product([g, g])), (1 - q, g), (-q, I)]))
-    if rep.t_matrix is not None:
-        t = rep.t_matrix
+    if T_LETTER in rep.letters:
+        t = rep.letter_matrix(T_LETTER)
         Q = rep.point.Q
         res.append(_combination([(1, _product([t, t])), (1 - Q, t), (-Q, I)]))
         if G:

@@ -15,6 +15,7 @@ entries.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -64,9 +65,16 @@ class ParameterPoint:
             raise ValueError("guard_bound must be nonnegative")
         if Q > 0:
             return  # -q^s < 0 for every s, since q > 0
-        for s in range(-self.guard_bound, self.guard_bound + 1):
-            if Q == -(q**s):
-                raise ValueError(f"Q = -q^{s} is excluded")
+        # With q = a/b and -Q = c/d in lowest terms, -Q = q^s exactly when
+        # (c, d) is (a^s, b^s) or, for s < 0, (b^-s, a^-s); either way
+        # max(c, d) = max(a, b)^|s|.  The logarithm only proposes |s|, the
+        # integer comparison decides, and max(a, b) >= 2 since q != 1.
+        r = -Q
+        a, b, c, d = q.numerator, q.denominator, r.numerator, r.denominator
+        k = round(math.log(max(c, d)) / math.log(max(a, b)))
+        if k <= self.guard_bound and (c, d) in ((a**k, b**k), (b**k, a**k)):
+            s = k if (c, d) == (a**k, b**k) else -k
+            raise ValueError(f"Q = -q^{s} is excluded")
 
     def __str__(self):
         return f"q = {self.q}, Q = {self.Q}"

@@ -13,24 +13,24 @@ keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
 (z, y) come from ``markov_params``.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
-with a stack of the matching representations per group; ``markov_trace_B``
-is one table lookup, one ``evaluate`` and one integer dot per group, and one
-Rat.  Type D lives at the one point ``q1_point(q)``, whatever the size.
-``weight_B_schur_form`` is the independent oracle for the table and shares
-no code with it.
+each group a ``Representation`` that stacks the modules of its shapes;
+``markov_trace_B`` is one table lookup, one ``evaluate`` and one integer dot
+per group, and one Rat.  Type D lives at the one point ``q1_point(q)``,
+whatever the size.  ``weight_B_schur_form`` is the independent oracle for
+the table and shares no code with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .combinatorics import dimension, double_partitions, n_stat, pad, trim
-from .reps import evaluate, typeB_rep
+from .reps import Representation, evaluate
 from .scalars import ParameterPoint, Rat
 from .schur import schur_principal
 
@@ -148,42 +148,14 @@ def weight_table(n: int, r1: int, r2: int,
     return MappingProxyType(weights)
 
 
-@dataclass
-class _Stack:
-    """The k representations of one dimension d in a trace table: a letter
-    is a read-only (k, d, d) integer array over one denominator, stacked
-    from the representations' own letter matrices on its first use; a stack
-    of one is a view of its representation's matrix."""
-
-    shapes: tuple
-    size: int
-    dimension: int
-    point: ParameterPoint
-    _letters: dict = field(default_factory=dict, repr=False)
-
-    def letter_matrix(self, letter):
-        if letter not in self._letters:
-            ms = [typeB_rep(shape, self.point).letter_matrix(letter)
-                  for shape in self.shapes]
-            if len(ms) == 1:
-                num, den = ms[0][0][np.newaxis], ms[0][1]
-            else:
-                den = math.lcm(*(d for _, d in ms))
-                num = np.stack([m if d == den else m * (den // d)
-                                for m, d in ms])
-                num.flags.writeable = False
-            self._letters[letter] = num, den
-        return self._letters[letter]
-
-
 # Bounded like weight_table; a table's stacks hold only the letters used.
 @lru_cache(maxsize=64)
 def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
     """The Markov trace at (n, r1, r2, point) as data: the nonzero weights'
     numerators over one common denominator, grouped by the dimension of
     their shapes.  Returns ``(groups, den)`` with ``groups`` a tuple of
-    pairs (read-only integer array of numerators, stack of the matching
-    representations)."""
+    pairs (read-only integer array of numerators, ``Representation`` stack
+    of the matching shapes)."""
     weights = {shape: w for shape, w in weight_table(n, r1, r2, point).items()
                if w != 0}
     den = math.lcm(*(w.denominator for w in weights.values()))
@@ -195,7 +167,8 @@ def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
         nums = np.array([weights[s].numerator * (den // weights[s].denominator)
                          for s in shapes], dtype=object)
         nums.flags.writeable = False
-        groups.append((nums, _Stack(tuple(shapes), n, d, point)))
+        groups.append((nums, Representation(d, n, point,
+                                            shapes=tuple(shapes))))
     return tuple(groups), den
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -10,7 +12,7 @@ from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
     relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix, specialized_point, to_rat
-from heckeweights.traces import plain_point
+from heckeweights.traces import plain_point, trace_table
 from helpers import coset_representatives, mat_eq
 
 
@@ -22,6 +24,9 @@ def test_word_validation():
         word((tprime_letter(3),), 3)
     with pytest.raises(ValueError):
         word((("x", 1),), 3)
+    for letter in (("t", 1), ("u", 2)):
+        with pytest.raises(ValueError, match="takes index 0"):
+            word((letter,), 3)
     word((U_LETTER,), 2)
     with pytest.raises(ValueError, match="u = t g1 t needs n >= 2"):
         word((U_LETTER,), 1)
@@ -58,12 +63,11 @@ def test_skew_relations():
 
 def test_relation_residuals_catch_corruption(point):
     rep = typeB_rep(((1,), (1,)), point)
-    num, den = rep.g_matrices[0]
+    num, den = rep.letter_matrix(g_letter(1))
     g = num.copy()
     g[0, 0] = g[0, 0] + den
-    broken = type(rep)(label=rep.label, dimension=rep.dimension,
-                       basis=rep.basis, t_matrix=rep.t_matrix,
-                       g_matrices=[(g, den)], point=rep.point)
+    broken = dataclasses.replace(rep, letters={**rep.letters,
+                                               g_letter(1): (g, den)})
     assert not all(is_zero_matrix(m) for m, _ in relation_residuals(broken))
 
 
@@ -72,9 +76,9 @@ def test_worked_example_matrices(point):
     # and determinant -q = -2
     rep = typeB_rep(((1,), (1,)), point)
     assert rep.dimension == 2
-    t = to_rat(*rep.t_matrix)
+    t = to_rat(*rep.letter_matrix(T_LETTER))
     assert t[0, 0] == 5 and t[1, 1] == -1 and t[0, 1] == 0 and t[1, 0] == 0
-    g = to_rat(*rep.g_matrices[0])
+    g = to_rat(*rep.letter_matrix(g_letter(1)))
     assert g[0, 0] + g[1, 1] == 1
     assert g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == -2
 
@@ -135,7 +139,7 @@ def test_tprime_zero_is_t(points):
     p = points[0]
     rep = typeB_rep(((1,), (1,)), p)
     assert mat_eq(to_rat(*rep.letter_matrix(tprime_letter(0))),
-                  to_rat(*rep.t_matrix))
+                  to_rat(*rep.letter_matrix(T_LETTER)))
 
 
 def test_u_letter_is_t_g1_t(points):
@@ -149,7 +153,8 @@ def test_u_letter_is_t_g1_t(points):
             assert mat_eq(to_rat(*evaluate(rep, word((U_LETTER,), 2))), tg1t)
             e = HeckeElement({word((U_LETTER, g_letter(1)), 2): Rat(3)}, 2)
             assert mat_eq(to_rat(*evaluate(rep, e)),
-                          tg1t.dot(to_rat(*rep.g_matrices[0])) * 3)
+                          tg1t.dot(to_rat(*rep.letter_matrix(g_letter(1))))
+                          * 3)
 
 
 def test_coset_representatives_shape():
@@ -211,9 +216,12 @@ def test_skew_matches_generic_matrices():
             for shape in double_partitions(n):
                 a = skew_rep(shape, m, r1, q)
                 b = typeB_rep(shape, p)
-                assert mat_eq(to_rat(*a.t_matrix), to_rat(*b.t_matrix))
-                for ga, gb in zip(a.g_matrices, b.g_matrices):
-                    assert mat_eq(to_rat(*ga), to_rat(*gb))
+                assert a.size == b.size == n
+                assert a.dimension == b.dimension
+                for letter in [T_LETTER] + [g_letter(i) for i in range(1, n)]:
+                    assert mat_eq(to_rat(*a.letter_matrix(letter)),
+                                  to_rat(*b.letter_matrix(letter))), \
+                        (q, shape, letter)
 
 
 def test_skew_rep_validation():
@@ -262,7 +270,30 @@ def test_cached_matrices_read_only(points):
         num, _ = evaluate(rep, word((letter,), 2))
         with pytest.raises(ValueError):
             num[0, 0] = 7
-    assert evaluate(rep, word((g_letter(1),), 2))[0] is rep.g_matrices[0][0]
+    assert evaluate(rep, word((g_letter(1),), 2))[0] \
+        is rep.letter_matrix(g_letter(1))[0]
+
+
+def test_letters_out_of_range(point):
+    # every letter a store cannot build is a ValueError naming the letter,
+    # in one module and in a stack of several, and nothing is cached for it;
+    # type A keeps its own message for t
+    n = 3
+    groups, _ = trace_table(n, 4, 4, point)
+    stack = max((s for _, s in groups), key=lambda s: len(s.shapes))
+    assert len(stack.shapes) > 1
+    for store in (typeB_rep(((2,), (1,)), point), stack):
+        for letter in (("g", 0), ("g", -1), ("g", n), ("ginv", 0),
+                       ("ginv", -1), ("ginv", n), ("tprime", -1),
+                       ("tprime", n), ("t", 1), ("u", 1), ("x", 1)):
+            with pytest.raises(ValueError, match=re.escape(repr(letter))):
+                store.letter_matrix(letter)
+            assert letter not in store.letters
+    with pytest.raises(ValueError, match=re.escape(repr(U_LETTER))):
+        typeB_rep(((1,), ()), point).letter_matrix(U_LETTER)
+    for letter in (T_LETTER, tprime_letter(0), U_LETTER):
+        with pytest.raises(ValueError, match="has no t generator"):
+            typeA_rep((2, 1), point).letter_matrix(letter)
 
 
 def test_evaluate_size_check(points):
@@ -279,11 +310,11 @@ def fraction_letter(rep, letter):
     kind, i = letter
     q = rep.point.q
     if kind == "g":
-        return to_rat(*rep.g_matrices[i - 1])
+        return to_rat(*rep.letter_matrix(letter))
     if kind == "ginv":
         return fraction_letter(rep, g_letter(i)) * (1 / q) \
             + identity(rep.dimension) * (1 / q - 1)
-    t = to_rat(*rep.t_matrix)
+    t = to_rat(*rep.letter_matrix(T_LETTER))
     if kind == "u":
         return t.dot(fraction_letter(rep, g_letter(1))).dot(t)
     m = t  # t = t'_0
@@ -324,7 +355,7 @@ def test_integer_product_matches_fraction_product():
                         letters = letters[:k] + (U_LETTER,) + letters[k:]
                     w = word(letters, n)
                     assert mat_eq(to_rat(*evaluate(rep, w)),
-                                  fraction_product(rep, w)), (rep.label, p, str(w))
+                                  fraction_product(rep, w)), (p, str(w))
                     cases += 1
     assert cases == 3 * 6 * (37 + 1 + 2 + 3 + 5)
 

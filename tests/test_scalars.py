@@ -45,6 +45,41 @@ def test_point_guard():
     ParameterPoint(q, -(q**-5), 4)
 
 
+def brute_force_exponent(q, Q, guard):
+    """The s with Q = -q^s and |s| <= guard, or None, by trying every s:
+    the reference for ParameterPoint's one integer test."""
+    for s in range(-guard, guard + 1):
+        if Q == -(q**s):
+            return s
+    return None
+
+
+def test_point_guard_matches_brute_force():
+    # q > 1 and q < 1, integer q and q = 1/b, q next to 1 on both sides; Q
+    # at -q^s for |s| up to guard + 2 (so at the guard and one past it), at
+    # near misses that share a numerator or a denominator with -q^s, and
+    # at -1
+    guard = 6
+    qs = [Rat(3, 2), Rat(17, 23), Rat(2), Rat(5), Rat(1, 3), Rat(1, 7),
+          Rat(1001, 1000), Rat(1000, 1001)]
+    for q in qs:
+        excluded = set()
+        a, b = q.numerator, q.denominator
+        Qs = [Rat(-1), Rat(-31, 7), -(q + 1)]
+        for s in range(guard + 3):
+            Qs += [-(q**s), -(q**-s), -Rat(a**s, b**(s + 1)),
+                   -Rat(a**(s + 1), b**s), -(q**s) - Rat(1, 10**9)]
+        for Q in Qs:
+            s = brute_force_exponent(q, Q, guard)
+            if s is None:
+                ParameterPoint(q, Q, guard)
+            else:
+                with pytest.raises(ValueError, match=rf"Q = -q\^{s} is "):
+                    ParameterPoint(q, Q, guard)
+                excluded.add(s)
+        assert excluded == set(range(-guard, guard + 1)), q
+
+
 def test_admissible_point_deterministic():
     p1 = admissible_point(3, 4, 4, 17)
     p2 = admissible_point(3, 4, 4, 17)

@@ -7,14 +7,14 @@ from heckeweights.combinatorics import dimension, double_partitions, \
 from heckeweights.homcheck import weight_branching, weight_normalization, \
     weight_two_forms
 from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
-    expand_word, g_letter, ginv_letter, random_word, tprime_letter, \
-    typeB_rep, word
-from heckeweights.scalars import ParameterPoint, Rat
+    expand_word, g_letter, ginv_letter, parse_word, random_word, \
+    tprime_letter, typeB_rep, word
+from heckeweights.scalars import ParameterPoint, Rat, to_rat
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
     markov_trace_D, plain_point, q1_point, trace_table, weight_B, weight_D, \
     weight_table
-from helpers import markov_trace_by_shape, typeA_markov_trace
+from helpers import markov_trace_by_shape, mat_eq, typeA_markov_trace
 
 
 def test_worked_example(point):
@@ -191,7 +191,54 @@ def test_trace_table_is_read_only(point):
     (stack,) = [s for _, s in trace_table(2, 3, 3, point)[0]
                 if len(s.shapes) == 1]
     rep = typeB_rep(stack.shapes[0], point)
-    assert stack.letter_matrix(g_letter(1))[0].base is rep.g_matrices[0][0]
+    assert stack.letter_matrix(g_letter(1))[0].base \
+        is rep.letter_matrix(g_letter(1))[0]
+
+
+def derived_letters(n):
+    """The letters a store derives from its generators at size n."""
+    return [ginv_letter(i) for i in range(1, n)] \
+        + [tprime_letter(i) for i in range(n)] + [U_LETTER] * (n >= 2)
+
+
+def test_stacked_derived_letters_match_each_shape():
+    # a stack derives G_i, t'_i and u on its (k, d, d) arrays; slice by
+    # slice they equal each shape's own letter, in groups of one shape and
+    # of several
+    group_sizes = set()
+    for p in THREE_DIGIT:
+        for n in range(1, 5):
+            for _, stack in trace_table(n, n + 1, n + 1, p)[0]:
+                k, d = len(stack.shapes), stack.dimension
+                group_sizes.add(min(k, 2))
+                for letter in derived_letters(n):
+                    num, den = stack.letter_matrix(letter)
+                    assert num.shape == (k, d, d)
+                    for s, shape in enumerate(stack.shapes):
+                        own = typeB_rep(shape, p).letter_matrix(letter)
+                        assert mat_eq(to_rat(num[s], den), to_rat(*own)), \
+                            (p, shape, letter)
+    assert group_sizes == {1, 2}
+
+
+def test_trace_derives_letters_on_the_stacks_only():
+    # after a trace with G, t' and u letters at a point no other test uses,
+    # every stack holds the word's derived letters and every module of the
+    # table still holds only its generators
+    p = ParameterPoint(Rat(419, 283), Rat(-271, 613), 8)
+    n = 3
+    w = parse_word("G1 t'2 u g2 t", n)
+    markov_trace_B(w, n, 4, 4, p)
+    derived = {ginv_letter(1), ginv_letter(2), tprime_letter(1),
+               tprime_letter(2), U_LETTER}
+    generators = {T_LETTER, g_letter(1), g_letter(2)}
+    shapes = 0
+    for _, stack in trace_table(n, 4, 4, p)[0]:
+        assert derived <= stack.letters.keys()
+        for shape in stack.shapes:
+            assert typeB_rep(shape, p).letters.keys() == generators, shape
+            shapes += 1
+    assert shapes == len(double_partitions(n))
 
 
 def test_trace_of_identity_and_t(points):
