@@ -7,14 +7,13 @@ failure, 2 usage or parameter error.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import random
-import re
 import sys
+from types import SimpleNamespace
 
 from . import homcheck
 from .combinatorics import dimension, double_partitions, partition_str, \
@@ -31,13 +30,27 @@ def _rat_str(x):
     return None if x is None else str(x)
 
 
+def _error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _or_exit(make, *args):
     """make(*args); a ValueError is reported as a parameter error (exit 2)."""
     try:
         return make(*args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_error(exc)) from None
+
+
+def _row_bounds(args):
+    """n, r1, r2, each row bound n + 1 unless given."""
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    r1, r2 = (args.n + 1 if r is None else r for r in (args.r1, args.r2))
+    if min(r1, r2) < 0 or r1 + r2 < 1:
+        raise ValueError("--r1 and --r2 must be nonnegative with r1 + r2 >= 1")
+    return args.n, r1, r2
 
 
 def _point_or_exit(q, Q, n, r1, r2):
@@ -47,7 +60,7 @@ def _point_or_exit(q, Q, n, r1, r2):
 # -- weights -----------------------------------------------------------------
 
 def cmd_weights(args) -> int:
-    n, r1, r2 = args.n, args.r1, args.r2
+    n, r1, r2 = _or_exit(_row_bounds, args)
     q = args.q
     rows = []
     if args.type == "A":
@@ -61,8 +74,7 @@ def cmd_weights(args) -> int:
                          dimension((mu, ()))))
     elif args.type == "B":
         if args.Q is None:
-            print("error: --Q is required for type B", file=sys.stderr)
-            return 2
+            return _error("--Q is required for type B")
         point = _point_or_exit(q, args.Q, n, r1, r2)
         z, y = markov_params(r1, r2, point)
         Q_out = point.Q
@@ -71,8 +83,7 @@ def cmd_weights(args) -> int:
     else:  # type D
         if n < 1:
             # the one shape []|[] would split into two halves of dimension 0
-            print("error: type D needs --n >= 1", file=sys.stderr)
-            return 2
+            return _error("type D needs --n >= 1")
         point = _or_exit(q1_point, q)
         z, y = markov_params(r1, r2, point)
         Q_out = point.Q
@@ -112,13 +123,9 @@ def cmd_weights(args) -> int:
 # -- trace -------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    n, r1, r2 = args.n, args.r1, args.r2
+    n, r1, r2 = _or_exit(_row_bounds, args)
     if n < 1:
-        print("error: trace needs --n >= 1", file=sys.stderr)
-        return 2
-    if args.Q is None:
-        print("error: --Q is required for trace evaluation", file=sys.stderr)
-        return 2
+        return _error("trace needs --n >= 1")
     point = _point_or_exit(args.q, args.Q, n, r1, r2)
     w = _or_exit(parse_word, args.word, n)
     value = markov_trace_B(w, n, r1, r2, point)
@@ -284,9 +291,7 @@ SUITES = {
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.n < 1 or args.points < 1:
-        print("error: verify needs --n >= 1 and --points >= 1",
-              file=sys.stderr)
-        return 2
+        return _error("verify needs --n >= 1 and --points >= 1")
     reports = [report for name in names
                for report in SUITES[name](args.n, args.seed, args.points)]
     doc = {
@@ -302,83 +307,75 @@ def cmd_verify(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heckeweights",
-        description="Exact Markov-trace weights and representations for "
-                    "Hecke algebras of types A, B and D.")
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = {
+    # command: (function, {option: (converter or choices, default)}); an
+    # option given no default is required
+    "weights": (cmd_weights, {
+        "type": (("A", "B", "D"),), "n": (int,), "r1": (int, None),
+        "r2": (int, None), "q": (parse_rational,),
+        "Q": (parse_rational, None), "format": (("json", "csv"), "json")}),
+    "trace": (cmd_trace, {
+        "word": (str,), "n": (int,), "r1": (int, None), "r2": (int, None),
+        "q": (parse_rational,), "Q": (parse_rational,)}),
+    "verify": (cmd_verify, {
+        "suite": ((*SUITES, "all"),), "n": (int, 3), "seed": (int, 0),
+        "points": (int, 5)}),
+}
 
-    def rational(text):
+
+def cmd_help(_args) -> int:
+    """Print one usage line per command, optional options in brackets."""
+    for command, (_, spec) in COMMANDS.items():
+        print("usage: heckeweights", command, *(
+            ("[--{} {}]" if default else "--{} {}").format(
+                name, "|".join(kind) if isinstance(kind, tuple)
+                else f"<{name}>")
+            for name, (kind, *default) in spec.items()))
+    return 0
+
+
+def parse_args(argv):
+    """(function, options) of ``command (--option value | --option=value)*``:
+    the token after an option is its value whatever it looks like, as in
+    "--Q -3/2".  A fault in argv raises ValueError naming it."""
+    if len(argv) <= 2 and argv[-1:] in (["-h"], ["--help"]) \
+            and set(argv[:-1]) <= set(COMMANDS):
+        return cmd_help, None
+    command, *tokens = argv or [None]
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command, one of {', '.join(COMMANDS)} "
+                         f"(heckeweights -h prints usage)")
+    func, spec = COMMANDS[command]
+    values = {name: default[0]
+              for name, (_, *default) in spec.items() if default}
+    tokens = iter(tokens)
+    for token in tokens:
+        option, joined, text = token.partition("=")
+        name = option[2:]
+        if option[:2] != "--" or name not in spec:
+            raise ValueError(f"{command} has no option {option!r}")
+        if not joined and (text := next(tokens, None)) is None:
+            raise ValueError(f"{option} needs a value")
+        kind = spec[name][0]
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"{option} takes {'|'.join(kind)}, not {text!r}")
         try:
-            return parse_rational(text)
+            values[name] = text if isinstance(kind, tuple) else kind(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    w = sub.add_parser("weights", help="print a weight table")
-    w.add_argument("--type", choices=["A", "B", "D"], required=True)
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--r1", type=int, default=None)
-    w.add_argument("--r2", type=int, default=None)
-    w.add_argument("--q", type=rational, required=True)
-    w.add_argument("--Q", type=rational, default=None)
-    w.add_argument("--format", choices=["json", "csv"], default="json")
-    w.set_defaults(func=cmd_weights)
-
-    t = sub.add_parser("trace", help="evaluate the Markov trace of a word")
-    t.add_argument("--word", required=True)
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--r1", type=int, default=None)
-    t.add_argument("--r2", type=int, default=None)
-    t.add_argument("--q", type=rational, required=True)
-    t.add_argument("--Q", type=rational, default=None)
-    t.set_defaults(func=cmd_trace)
-
-    v = sub.add_parser("verify", help="run exact verification suites")
-    v.add_argument("--suite", choices=list(SUITES) + ["all"], required=True)
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--points", type=int, default=5)
-    v.set_defaults(func=cmd_verify)
-    return parser
-
-
-PARSER = build_parser()
-
-
-def _attach_negative_values(argv):
-    """argv with "--Q -3/2" written "--Q=-3/2": argparse reads a token that
-    starts with "-" as an option unless it is a plain number such as -3."""
-    argv = list(argv)
-    for k in range(len(argv) - 1, 0, -1):
-        if (argv[k][:1] == "-" and argv[k][1:2] not in ("", "-")
-                and re.fullmatch("--[^=]+", argv[k - 1])):
-            argv[k - 1:k + 1] = [argv[k - 1] + "=" + argv[k]]
-    return argv
+            raise ValueError(f"{option} {text!r}: {exc}") from None
+    missing = [f"--{name}" for name in spec if name not in values]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    return func, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(
-            _attach_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "n", None) is not None and args.n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
-    if hasattr(args, "r1"):
-        if args.r1 is None:
-            args.r1 = args.n + 1
-        if args.r2 is None:
-            args.r2 = args.n + 1
-        if min(args.r1, args.r2) < 0 or args.r1 + args.r2 < 1:
-            print("error: --r1 and --r2 must be nonnegative with "
-                  "r1 + r2 >= 1", file=sys.stderr)
-            return 2
-    try:
-        return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        func, args = _or_exit(parse_args,
+                              list(sys.argv[1:] if argv is None else argv))
+        return func(args)
+    except SystemExit as exc:  # raised by _or_exit
+        return exc.code
 
 
 def entrypoint():  # pragma: no cover

@@ -11,9 +11,9 @@ Three families of representations share one seminormal construction:
   inside the big diagram (an independent code path from typeB_rep).
 
 The off-diagonal pair of each 2x2 swap block is (1, P(x)) with
-P(x) = (q - x)(1 - q x) / (1 - x)^2, the unique square-root-free choice with
-trace q - 1 and determinant -q; characters are unaffected by this
-similarity normalization.
+P(x) = (q - x)(1 - q x) / (1 - x)^2.  Only the pair's product is fixed by
+trace q - 1 and determinant -q; this is one square-root-free choice among
+others, and characters are unaffected by the similarity normalization.
 
 Every matrix of a representation is a pair (num, den): a read-only numpy
 object array of integers and one positive integer, the least common

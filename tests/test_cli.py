@@ -199,12 +199,28 @@ def test_usage_errors(capsys):
             ["verify", "--suite", "markov", "--n", "0"],
             ["verify", "--suite", "hom", "--n", "0"],
             ["verify", "--suite", "relations", "--points", "0"],
-            ["verify", "--suite", "relations", "--points", "-1"]):
+            ["verify", "--suite", "relations", "--points", "-1"],
+            [],
+            ["weights", "--type"],
+            ["trace", "--wo", "t", "--n", "1", "--q", "2", "--Q", "5"],
+            ["trace", "--word", "t", "--n", "1", "--q", "2"]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     assert cli.main(["trace", "--word", "", "--n", "0", "--q", "2",
                      "--Q", "5"]) == 2
     assert capsys.readouterr().err == "error: trace needs --n >= 1\n"
+
+
+def test_help_lists_the_grammar(capsys):
+    for argv in (["-h"], ["--help"], ["weights", "-h"], ["verify", "--help"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(cli.COMMANDS)
+        for line, (command, (_, spec)) in zip(lines, cli.COMMANDS.items()):
+            assert f" {command} " in line, line
+            for name in spec:
+                assert f"--{name} " in line, (line, name)
 
 
 def test_verify_passes(capsys):

@@ -1,7 +1,8 @@
 """Generated argvs over the CLI grammar: every one returns 0 or 1, or exits 2
-with ``error:`` on stderr, none ends in an exception, a value that follows
-its option after a space is read as that option's value, and every weight
-table printed is normalized (Eq. (9))."""
+with ``error:`` on stderr, none ends in an exception, a command followed by
+pairs of its own options and values never reports an unknown option or a
+missing value (whatever the value looks like, -1/2 included), and every
+weight table printed is normalized (Eq. (9))."""
 
 import contextlib
 import csv
@@ -58,13 +59,29 @@ TRACE = options(word=st.lists(TOKENS, max_size=4).map(" ".join), n=SIZES,
 VERIFY = options(suite=st.sampled_from(list(cli.SUITES) + ["all", "none"]),
                  n=st.integers(-1, 2), seed=st.integers(0, 3),
                  points=st.integers(-1, 1))
-ARGVS = st.one_of(
+COMMAND_ARGVS = st.one_of(
     WEIGHTS.map(lambda a: ["weights"] + a),
     TABLES.map(lambda a: ["weights"] + a),
     TRACE.map(lambda a: ["trace"] + a),
     VERIFY.map(lambda a: ["verify"] + a),
-    st.lists(st.sampled_from(["weights", "trace", "verify", "--n", "2", "-x"]),
-             max_size=3),
+)
+# Each command argv starts with a long option (--type, --word, --suite) and
+# its value.
+ARGVS = st.one_of(
+    COMMAND_ARGVS,
+    # --option=value
+    COMMAND_ARGVS.map(lambda a: a[:1] + [f"{opt}={value}" for opt, value
+                                         in zip(a[1::2], a[2::2])]),
+    # a trailing option with no value
+    COMMAND_ARGVS.map(lambda a: a + a[-2:-1]),
+    # a repeated option
+    COMMAND_ARGVS.map(lambda a: a + a[1:3]),
+    # an abbreviation such as --wo for --word
+    COMMAND_ARGVS.map(lambda a: a[:1] + [a[1][:4]] + a[2:]),
+    st.tuples(COMMAND_ARGVS, st.sampled_from(["-h", "--help"])).map(
+        lambda t: t[0] + [t[1]]),
+    st.lists(st.sampled_from(["weights", "trace", "verify", "--n", "2", "-x",
+                              "-h", "--help"]), max_size=3),
 )
 
 
@@ -79,9 +96,10 @@ def test_every_argv_exits_cleanly(argv):
     if code == 2:
         assert "error:" in err.getvalue(), argv
     if values_follow_options(argv):
-        # argparse must not take a value such as -1/2 for an option
-        assert "expected one argument" not in err.getvalue(), argv
-    if code == 0 and argv[0] == "weights":
+        # the token after an option is its value, even one such as -1/2
+        assert "has no option" not in err.getvalue(), argv
+        assert "needs a value" not in err.getvalue(), argv
+    if code == 0 and argv[0] == "weights" and not {"-h", "--help"} & set(argv):
         assert normalization(out.getvalue()) == 1, argv
 
 
@@ -96,8 +114,8 @@ def normalization(text):
 
 
 def values_follow_options(argv):
-    """Whether argv is a command and then pairs of an option and a value
-    that is not itself an option."""
-    return (len(argv) % 2 == 1 and argv[0] in ("weights", "trace", "verify")
-            and all(opt.startswith("--") for opt in argv[1::2])
-            and not any(value.startswith("--") for value in argv[2::2]))
+    """Whether argv is a command and then pairs of one of that command's
+    options in ``cli.COMMANDS`` and a value."""
+    return (len(argv) % 2 == 1 and argv[0] in cli.COMMANDS
+            and all(opt[2:] in cli.COMMANDS[argv[0]][1]
+                    and opt.startswith("--") for opt in argv[1::2]))
