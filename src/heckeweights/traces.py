@@ -6,9 +6,9 @@ and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
 ``weight_table`` is the one weight evaluator: it evaluates the product
-formula in integers for every shape of one size at once, computing the
-shape-free factors once per table and building one Rat per weight, and
-keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
+formula in integers for every shape of one size at once, multiplying only
+the factors that touch a nonempty row (the others cancel), and keeps the
+read-only map shape -> weight in a bounded cache.  ``weight_B``,
 ``weight_D`` and ``trace_table`` read that map; the trace parameters
 (z, y) come from ``markov_params``.
 
@@ -88,10 +88,13 @@ def weight_table(n: int, r1: int, r2: int,
     Q = c/d, a factor 1 - q^k is (b^k - a^k) / b^k, and a cross factor
     Q q^x + q^y is q^min(x,y) (c a^u b^(s-u) + d a^v b^(s-v)) / (d b^s)
     with u = x - min, v = y - min, s = |x - y|; the d of each cross factor
-    cancels against its partner.  The powers of a and b, the common
-    denominator and the shape-free parts of the exponents of a and b are
-    computed once per table, each cross factor once per (x, y); a shape
-    multiplies its numerator factors and builds one Rat: a single gcd.
+    cancels against its partner, and so does a factor between two empty
+    rows.  The shapes with l1 rows in alpha and l2 in beta share a frame:
+    the denominator of the factors that touch one of those rows, with its
+    exponents of a and b.  The powers of a and b are computed once per
+    table, each cross factor once per (x, y) and each frame once per
+    (l1, l2), from a frame with one row fewer; a shape multiplies its
+    frame's numerator factors and builds one Rat: a single gcd.
     """
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
@@ -108,34 +111,47 @@ def weight_table(n: int, r1: int, r2: int,
                          + d * pa[y - low] * pb[high - y]), low, high
         return crosses[x, y]
 
-    # Shape-free: ((1 - q) / (1 - q^r))^n, the denominators of the row-pair
-    # factors and the cross factors at (-i, -j), with their powers of a, b
-    top, den = (b - a) ** n, diff[r] ** n
-    ea0, eb0 = 0, (r - 1) * n
-    den *= math.prod(diff[k] ** (m - k) for m in (r1, r2) for k in range(1, m))
-    for i in range(1, r1 + 1):
-        for j in range(1, r2 + 1):
-            t, low, high = cross(-i, -j)
-            den *= t
-            ea0 -= low
-            eb0 += high
+    # frames[l1, l2] is frames[l1, l2 - 1] or frames[l1 - 1, 0] times a row
+    frames = {}
+    for l1 in range(min(n, r1) + 1):
+        for l2 in range(min(n - l1, r2) + 1):
+            if l2:
+                den, ea, eb = frames[l1, l2 - 1]
+                den *= math.prod(diff[1:r2 - l2 + 1])
+                keys = [(-i, -l2) for i in range(l1 + 1, r1 + 1)]
+            elif l1:
+                den, ea, eb = frames[l1 - 1, 0]
+                den *= math.prod(diff[1:r1 - l1 + 1])
+                keys = [(-l1, -j) for j in range(1, r2 + 1)]
+            else:  # ((1 - q) / (1 - q^r))^n, with its b^(r-1) per box
+                den, ea, eb, keys = diff[r] ** n, 0, (r - 1) * n, ()
+            for key in keys:
+                t, low, high = crosses.get(key) or cross(*key)
+                den *= t
+                ea -= low
+                eb += high
+            frames[l1, l2] = den, ea, eb
+
+    top = (b - a) ** n
     weights = {}
     for alpha, beta in double_partitions(n):
-        if len(alpha) > r1 or len(beta) > r2:
+        l1, l2 = len(alpha), len(beta)
+        if l1 > r1 or l2 > r2:
             weights[alpha, beta] = Rat(0)
             continue
         lam, mu = pad(alpha, r1), pad(beta, r2)
-        # q^(n(alpha) + n(beta)) and the numerators of the other factors
+        den, ea, eb = frames[l1, l2]
+        # q^(n(alpha) + n(beta)) and the numerators of the frame's factors
         e = n_stat(alpha) + n_stat(beta)
-        ea, eb = ea0 + e, eb0 - e
+        ea, eb = ea + e, eb - e
         num = top
-        for parts in (lam, mu):
-            for i in range(len(parts)):
+        for parts, l in ((lam, l1), (mu, l2)):
+            for i in range(l):
                 for j in range(i + 1, len(parts)):
                     num *= diff[parts[i] - parts[j] + j - i]
                     eb -= parts[i] - parts[j]
         for i in range(1, r1 + 1):
-            for j in range(1, r2 + 1):
+            for j in range(1, r2 + 1 if i <= l1 else l2 + 1):
                 key = lam[i - 1] - i, mu[j - 1] - j
                 t, low, high = crosses.get(key) or cross(*key)
                 num *= t

@@ -79,6 +79,19 @@ def test_two_forms_agree(points):
         == weight_table(3, 2, 2, p)[(2,), (1,)] != 0
 
 
+def test_weight_table_every_frame():
+    # every (l1, l2) frame of weight_table, including the full ones
+    # (l = r), one empty row bound and shapes beyond the row bounds
+    cases = 0
+    for r1 in range(4):
+        for r2 in range(4):
+            if r1 + r2:
+                report = weight_two_forms(r1, r2, THREE_DIGIT, range(6))
+                assert report.passed, report.failure
+                cases += report.cases
+    assert cases == 15 * 3 * 74  # 74 shapes of sizes 0..5
+
+
 def test_branching(points):
     report = weight_branching(5, 5, points, range(0, 4))
     assert report.passed, report.failure
