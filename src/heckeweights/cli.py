@@ -16,8 +16,7 @@ import sys
 from types import SimpleNamespace
 
 from . import homcheck
-from .combinatorics import dimension, double_partitions, partition_str, \
-    partitions, shape_str
+from .combinatorics import dimension, partition_str, partitions, shape_str
 from .reps import U_LETTER, g_letter, parse_word, random_word, \
     tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
@@ -87,14 +86,9 @@ def cmd_weights(args) -> int:
         point = _or_exit(q1_point, q)
         z, y = markov_params(r1, r2, point)
         Q_out = point.Q
-        seen = set()
-        for shape in double_partitions(n):
-            alpha, beta = shape
-            if (beta, alpha) in seen:
-                continue
-            seen.add(shape)
+        for shape, entries in weight_D(n, r1, r2, point).items():
             dim = dimension(shape)
-            for entry in weight_D(shape, r1, r2, q):
+            for entry in entries:
                 if entry.split_index is None:
                     rows.append((shape_str(shape), entry.weight, dim))
                 else:

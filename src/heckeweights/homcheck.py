@@ -365,6 +365,7 @@ def typeD_inclusion_weights(n, r1, r2, qs):
     weight(alpha, alpha)."""
     for q in qs:
         point1 = q1_point(q)
+        components = weight_D(n, r1, r2, point1)
         for shape in double_partitions(n):
             alpha, beta = shape
             if alpha == beta:
@@ -372,7 +373,8 @@ def typeD_inclusion_weights(n, r1, r2, qs):
             else:
                 want = [weight_B(shape, r1, r2, point1)
                         + weight_B((beta, alpha), r1, r2, point1)]
-            yield ([e.weight for e in weight_D(shape, r1, r2, q)], want,
+            got = components.get(shape) or components[beta, alpha]
+            yield ([e.weight for e in got], want,
                    lambda: f"type-D weights of {shape_str(shape)} at q = {q}")
 
 

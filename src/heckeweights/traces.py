@@ -6,9 +6,9 @@ and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
 ``weight_table`` is the one weight evaluator: it evaluates the product
-formula in integers for every shape of one size at once, multiplying only
-the factors that touch a nonempty row (the others cancel), and keeps the
-read-only map shape -> weight in a bounded cache.  ``weight_B``,
+formula in integers for every shape of one size at once, with the factors
+between a nonempty row and the empty rows telescoped to one factor per box,
+and keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
 ``weight_D`` and ``trace_table`` read that map; the trace parameters
 (z, y) come from ``markov_params``.
 
@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinatorics import dimension, double_partitions, n_stat, pad, trim
+from .combinatorics import dimension, double_partitions, pad, trim
 from .reps import Representation, evaluate
 from .scalars import ParameterPoint, Rat
 from .schur import schur_principal
@@ -84,83 +84,78 @@ def weight_table(n: int, r1: int, r2: int,
     double partitions of n, computed once per (n, r1, r2, point) and kept in
     a bounded cache.
 
-    The product formula is evaluated in integers.  With q = a/b and
-    Q = c/d, a factor 1 - q^k is (b^k - a^k) / b^k, and a cross factor
-    Q q^x + q^y is q^min(x,y) (c a^u b^(s-u) + d a^v b^(s-v)) / (d b^s)
-    with u = x - min, v = y - min, s = |x - y|; the d of each cross factor
-    cancels against its partner, and so does a factor between two empty
-    rows.  The shapes with l1 rows in alpha and l2 in beta share a frame:
-    the denominator of the factors that touch one of those rows, with its
-    exponents of a and b.  The powers of a and b are computed once per
-    table, each cross factor once per (x, y) and each frame once per
-    (l1, l2), from a frame with one row fewer; a shape multiplies its
-    frame's numerator factors and builds one Rat: a single gcd.
+    The product formula runs over every pair of rows up to the row bounds,
+    times ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).  Take
+    rows from 1, C(x) = 1 + Q q^x, and a component with parts lam, l
+    nonempty rows and row bound rho (r1 for alpha, r2 for beta).  The
+    factors between its row i <= l and the empty rows telescope to one
+    factor per box k of the row: (1 - q^(rho-i+k)) / (1 - q^(l-i+k)), and
+    C(r2-i+k) / C(l2-i+k) for a row of alpha or C(i-r1-k) / C(i-l1-k) for a
+    row of beta.  Pairs of nonempty rows keep their factors
+    (1 - q^(lam_i-lam_j+j-i)) / (1 - q^(j-i)) and
+    C(alpha_i-beta_j+j-i) / C(j-i); pairs of empty rows have none.
+
+    Everything is evaluated in integers.  With q = a/b and Q = c/d, 1 - q^k
+    is (b^k - a^k) / b^k, and C(x) is (d b^x + c a^x) / (d b^x) for x >= 0
+    and (d a^-x + c b^-x) / (d a^-x) for x < 0; the d's cancel in each ratio.
+    The powers of a and b and each C(x) are computed once per table; a shape
+    multiplies its factors, counts the signed exponents of a and b apart,
+    and builds one Rat: a single gcd.
     """
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
     r = r1 + r2
-    pa = [a ** k for k in range(n + r + 1)]
-    pb = [b ** k for k in range(n + r + 1)]
+    m = n + r
+    pa = [a ** k for k in range(m + 1)]
+    pb = [b ** k for k in range(m + 1)]
     diff = [y - x for x, y in zip(pa, pb)]  # b^k - a^k
-    crosses = {}
+    # cross[x] = (t, ea, eb) with C(x) = t a^ea b^eb / d, for -m <= x <= m
+    cross = {x: (d * pb[x] + c * pa[x], 0, -x) for x in range(m + 1)}
+    cross.update((-x, (d * pa[x] + c * pb[x], -x, 0)) for x in range(1, m + 1))
 
-    def cross(x, y):
-        """(c q^x + d q^y) / q^min(x,y) times b^|x-y|, and min, max."""
-        low, high = min(x, y), max(x, y)
-        crosses[x, y] = (c * pa[x - low] * pb[high - x]
-                         + d * pa[y - low] * pb[high - y]), low, high
-        return crosses[x, y]
-
-    # frames[l1, l2] is frames[l1, l2 - 1] or frames[l1 - 1, 0] times a row
-    frames = {}
-    for l1 in range(min(n, r1) + 1):
-        for l2 in range(min(n - l1, r2) + 1):
-            if l2:
-                den, ea, eb = frames[l1, l2 - 1]
-                den *= math.prod(diff[1:r2 - l2 + 1])
-                keys = [(-i, -l2) for i in range(l1 + 1, r1 + 1)]
-            elif l1:
-                den, ea, eb = frames[l1 - 1, 0]
-                den *= math.prod(diff[1:r1 - l1 + 1])
-                keys = [(-l1, -j) for j in range(1, r2 + 1)]
-            else:  # ((1 - q) / (1 - q^r))^n, with its b^(r-1) per box
-                den, ea, eb, keys = diff[r] ** n, 0, (r - 1) * n, ()
-            for key in keys:
-                t, low, high = crosses.get(key) or cross(*key)
-                den *= t
-                ea -= low
-                eb += high
-            frames[l1, l2] = den, ea, eb
-
-    top = (b - a) ** n
+    top, bottom = (b - a) ** n, diff[r] ** n
     weights = {}
     for alpha, beta in double_partitions(n):
         l1, l2 = len(alpha), len(beta)
         if l1 > r1 or l2 > r2:
             weights[alpha, beta] = Rat(0)
             continue
-        lam, mu = pad(alpha, r1), pad(beta, r2)
-        den, ea, eb = frames[l1, l2]
-        # q^(n(alpha) + n(beta)) and the numerators of the frame's factors
-        e = n_stat(alpha) + n_stat(beta)
-        ea, eb = ea + e, eb - e
-        num = top
-        for parts, l in ((lam, l1), (mu, l2)):
-            for i in range(l):
-                for j in range(i + 1, len(parts)):
-                    num *= diff[parts[i] - parts[j] + j - i]
-                    eb -= parts[i] - parts[j]
-        for i in range(1, r1 + 1):
-            for j in range(1, r2 + 1 if i <= l1 else l2 + 1):
-                key = lam[i - 1] - i, mu[j - 1] - j
-                t, low, high = crosses.get(key) or cross(*key)
-                num *= t
-                ea += low
-                eb -= high
-        # ea is the order of the weight at q = 0 and eb minus its degree in
-        # q; neither depends on Q (Q != -1), and for Q > 0 the weight lies
-        # in (0, 1] for every q > 0, so both are nonnegative.
-        weights[alpha, beta] = Rat(num * a ** ea * b ** eb, den)
+        # ((1 - q) / (1 - q^r))^n and, row by row, q^(n(alpha) + n(beta))
+        # and q^(r1 |beta|)
+        num, den = top, bottom
+        ea, eb = 0, (r - 1) * n
+        # the nonempty rows of one component and their pairs
+        for parts, l, rho, shift in ((alpha, l1, r1, 0), (beta, l2, r2, r1)):
+            for i, p in enumerate(parts, 1):
+                for k in range(1, p + 1):
+                    num *= diff[rho - i + k]
+                    den *= diff[l - i + k]
+                e = (i - 1 + shift) * p
+                ea += e
+                eb += p * (l - rho) - e
+                for j in range(i + 1, l + 1):
+                    num *= diff[p - parts[j - 1] + j - i]
+                    den *= diff[j - i]
+                    eb += parts[j - 1] - p
+        # cross factors: ratios C(x) / C(y), one per (x, y)
+        ratios = [(r2 - i + k, l2 - i + k)
+                  for i, p in enumerate(alpha, 1) for k in range(1, p + 1)]
+        ratios += [(j - r1 - k, j - l1 - k)
+                   for j, p in enumerate(beta, 1) for k in range(1, p + 1)]
+        ratios += [(p - s + j - i, j - i)
+                   for i, p in enumerate(alpha, 1)
+                   for j, s in enumerate(beta, 1)]
+        for x, y in ratios:
+            t, ex_a, ex_b = cross[x]
+            num *= t
+            ea += ex_a
+            eb += ex_b
+            t, ex_a, ex_b = cross[y]
+            den *= t
+            ea -= ex_a
+            eb -= ex_b
+        weights[alpha, beta] = Rat(num * a ** max(ea, 0) * b ** max(eb, 0),
+                                   den * a ** max(-ea, 0) * b ** max(-eb, 0))
     return MappingProxyType(weights)
 
 
@@ -226,16 +221,24 @@ class TypeDWeight:
     weight: object
 
 
-def weight_D(shape, r1: int, r2: int, q) -> list:
-    """Labeled weights of the type-D components attached to a double
-    partition, at the forced specialization Q = 1."""
-    alpha, beta = trim(shape[0]), trim(shape[1])
-    n = sum(alpha) + sum(beta)
-    weights = weight_table(n, r1, r2, q1_point(q))
-    if alpha == beta:
-        w = weights[(alpha, alpha)]
-        return [TypeDWeight(1, w), TypeDWeight(2, w)]
-    return [TypeDWeight(None, weights[(alpha, beta)] + weights[(beta, alpha)])]
+def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> dict:
+    """Labeled weights of the type-D components of size n at a Q = 1 point,
+    from one read of ``weight_table``: a map from the first shape of each
+    class {(alpha, beta), (beta, alpha)}, in table order, to its components'
+    weights."""
+    if point.Q != 1:
+        raise ValueError(f"type-D weights live at Q = 1, not Q = {point.Q}")
+    weights = weight_table(n, r1, r2, point)
+    components = {}
+    for (alpha, beta), w in weights.items():
+        if (beta, alpha) in components:
+            continue
+        if alpha == beta:
+            components[alpha, beta] = [TypeDWeight(1, w), TypeDWeight(2, w)]
+        else:
+            components[alpha, beta] = [
+                TypeDWeight(None, w + weights[beta, alpha])]
+    return components
 
 
 def markov_trace_D(element, n: int, r1: int, r2: int, q):

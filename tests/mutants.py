@@ -1,7 +1,7 @@
 """The mutation catalogue: each mutant must make its test node fail.
 
     python3 tests/mutants.py                     # every mutant
-    python3 tests/mutants.py weight-table-frame-zero guard-policy-bound
+    python3 tests/mutants.py weight-table-row-range guard-policy-bound
 
 ``mutants.json`` lists mutants as data: an ``id``, a ``file`` under
 ``src/``, an exact ``old`` text that occurs once in that file, the ``new``

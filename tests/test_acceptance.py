@@ -20,7 +20,7 @@ from heckeweights.homcheck import character_match_report, markov_property, \
 from heckeweights.reps import U_LETTER, evaluate, full_twist_scalar, \
     g_letter, random_word, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity, to_rat
-from heckeweights.traces import markov_params, weight_B, weight_D
+from heckeweights.traces import markov_params, q1_point, weight_B, weight_D
 from helpers import mat_eq, typeA_markov_trace
 
 
@@ -177,14 +177,11 @@ def test_criterion_11_type_d():
                 r1 = r2 = n + 1
                 reports.append(typeD_inclusion_weights(n, r1, r2, [q]))
                 total = Rat(0)
-                seen = set()
-                for alpha, beta in double_partitions(n):
-                    if (beta, alpha) not in seen:
-                        seen.add((alpha, beta))
-                        d = dimension((alpha, beta))
-                        for e in weight_D((alpha, beta), r1, r2, q):
-                            total += e.weight * (d if e.split_index is None
-                                                 else d // 2)
+                for shape, entries in weight_D(n, r1, r2, q1_point(q)).items():
+                    d = dimension(shape)
+                    for e in entries:
+                        total += e.weight * (d if e.split_index is None
+                                             else d // 2)
                 assert total == 1, (q, n)
             # Markov property and u-relations as exact trace identities
             n, r1, r2 = 3, 4, 4

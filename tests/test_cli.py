@@ -8,7 +8,9 @@ import sys
 from pathlib import Path
 
 from heckeweights import cli, homcheck
-from heckeweights.scalars import admissible_point
+from heckeweights.combinatorics import dimension, double_partitions, shape_str
+from heckeweights.scalars import Rat, admissible_point
+from heckeweights.traces import q1_point, weight_D
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +77,35 @@ def test_weights_typeD(capsys):
     shapes = [w["shape"] for w in doc["weights"]]
     # one merged row per unordered pair, two rows for the symmetric shape
     assert shapes == ["[2]|[]", "[1,1]|[]", "[1]|[1]_1", "[1]|[1]_2"]
+
+
+def test_weights_typeD_rows_are_weight_D(capsys):
+    # each unordered pair is one row at its first shape in double_partitions
+    # order; a symmetric shape is two rows _1, _2 of half its dimension
+    q = Rat(347, 512)
+    for n in range(1, 7):
+        code, out, _ = run(capsys, ["weights", "--type", "D", "--n", str(n),
+                                    "--q", str(q)])
+        assert code == 0
+        components = weight_D(n, n + 1, n + 1, q1_point(q))
+        want, seen = [], set()
+        for alpha, beta in double_partitions(n):
+            if (beta, alpha) in seen:
+                continue
+            seen.add((alpha, beta))
+            label, d = shape_str((alpha, beta)), dimension((alpha, beta))
+            entries = components[alpha, beta]
+            if alpha == beta:
+                assert [e.split_index for e in entries] == [1, 2]
+                want += [{"shape": f"{label}_{e.split_index}",
+                          "weight": str(e.weight), "dimension": d // 2}
+                         for e in entries]
+            else:
+                assert [e.split_index for e in entries] == [None]
+                want.append({"shape": label, "weight": str(entries[0].weight),
+                             "dimension": d})
+        assert len(components) == len(seen)
+        assert json.loads(out)["weights"] == want
 
 
 def test_weights_requires_Q_for_type_B(capsys):

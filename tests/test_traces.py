@@ -80,8 +80,9 @@ def test_two_forms_agree(points):
 
 
 def test_weight_table_every_frame():
-    # every (l1, l2) frame of weight_table, including the full ones
-    # (l = r), one empty row bound and shapes beyond the row bounds
+    # every pair (l1, l2) of nonempty row counts under every pair of row
+    # bounds up to 3, including full components (l = r), one empty row
+    # bound and shapes beyond the row bounds
     cases = 0
     for r1 in range(4):
         for r2 in range(4):
@@ -90,6 +91,20 @@ def test_weight_table_every_frame():
                 assert report.passed, report.failure
                 cases += report.cases
     assert cases == 15 * 3 * 74  # 74 shapes of sizes 0..5
+
+
+def test_weight_table_swap_symmetry():
+    # at Q = 1 with r1 = r2, swapping alpha and beta keeps every weight: the
+    # cross factors C(x) of beta's rows, x < 0, mirror those of alpha's
+    for q in (Rat(2), Rat(347, 512), Rat(5, 3)):
+        p = q1_point(q)
+        for n in range(7):
+            for r in range(n + 2):
+                table = weight_table(n, r, r, p)
+                assert all(w == table[beta, alpha]
+                           for (alpha, beta), w in table.items()), (q, n, r)
+    table = weight_table(1, 1, 2, q1_point(Rat(2)))
+    assert table[(1,), ()] != table[(), (1,)]
 
 
 def test_branching(points):
@@ -315,16 +330,20 @@ def test_typeA_trace(points):
 # -- type D -------------------------------------------------------------------
 
 def test_weight_D_structure():
-    q = Rat(2)
-    entries = weight_D(((1,), (1,)), 3, 3, q)
+    point1 = q1_point(Rat(2))
+    entries = weight_D(2, 3, 3, point1)[(1,), (1,)]
     assert len(entries) == 2
     assert entries[0].split_index == 1 and entries[1].split_index == 2
     assert entries[0].weight == entries[1].weight
-    merged = weight_D(((2,), ()), 3, 3, q)
-    assert len(merged) == 1 and merged[0].split_index is None
-    point1 = q1_point(q)
-    assert merged[0].weight == weight_B(((2,), ()), 3, 3, point1) \
-        + weight_B(((), (2,)), 3, 3, point1)
+    # r1 != r2 too, where the two shapes of a merged class weigh differently
+    for r1, r2 in ((3, 3), (3, 2)):
+        merged = weight_D(2, r1, r2, point1)[(2,), ()]
+        assert len(merged) == 1 and merged[0].split_index is None
+        assert merged[0].weight == weight_B(((2,), ()), r1, r2, point1) \
+            + weight_B(((), (2,)), r1, r2, point1)
+    assert ((), (2,)) not in weight_D(2, 3, 3, point1)
+    with pytest.raises(ValueError, match="Q = 1"):
+        weight_D(2, 3, 3, plain_point(Rat(2)))
 
 
 def test_u_quadratic_trace_identity():
