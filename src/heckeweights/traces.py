@@ -137,7 +137,7 @@ def weight_table(n: int, r1: int, r2: int,
                     num *= diff[p - parts[j - 1] + j - i]
                     den *= diff[j - i]
                     eb += parts[j - 1] - p
-        # cross factors: ratios C(x) / C(y), one per (x, y)
+        # the cross ratios C(x) / C(y)
         ratios = [(r2 - i + k, l2 - i + k)
                   for i, p in enumerate(alpha, 1) for k in range(1, p + 1)]
         ratios += [(j - r1 - k, j - l1 - k)
