@@ -21,8 +21,8 @@ from .reps import U_LETTER, g_letter, parse_word, random_word, \
     tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
-from .traces import markov_params, markov_trace_B, plain_point, q1_point, \
-    weight_D, weight_table
+from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
+    weight_table
 
 
 def _rat_str(x):
@@ -63,7 +63,7 @@ def cmd_weights(args) -> int:
     q = args.q
     rows = []
     if args.type == "A":
-        point = _or_exit(plain_point, q)
+        point = _or_exit(q1_point, q)
         z, _ = markov_params(r1, r2, point)
         y = None
         Q_out = None
@@ -225,7 +225,8 @@ def suite_hom(n, seed, points):
 def suite_typeD(n, seed, points):
     qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
     rng = random.Random(seed)
-    r = n + 1
+    # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
+    r1, r2 = n + 1, n + 2
     hs, relations = [], []
     for q in qs:
         hs.append((q, [_random_d_word(max(n - 1, 1), rng) for _ in range(5)]))
@@ -235,11 +236,11 @@ def suite_typeD(n, seed, points):
                               for _ in range(3)]))
     hs = hs if n >= 2 else []
     return [
-        homcheck.typeD_inclusion_weights(n, r, r, qs,
+        homcheck.typeD_inclusion_weights(n, r1, r2, qs,
                                          name=f"typeD-inclusion-weights-n{n}"),
-        homcheck.typeD_markov_property(n, r, r, hs,
+        homcheck.typeD_markov_property(n, r1, r2, hs,
                                        name=f"typeD-markov-property-n{n}"),
-        homcheck.typeD_relations(n, r, r, relations),
+        homcheck.typeD_relations(n, r1, r2, relations),
     ]
 
 

@@ -1,11 +1,11 @@
 """Seminormal matrix representations and word evaluation.
 
-Three families of representations share one seminormal construction:
+Two families of representations share one seminormal construction:
 
-* ``typeA_rep``   -- irreducible modules of the one-parameter algebra with
-  generators g_1..g_{n-1}, indexed by partitions;
 * ``typeB_rep``   -- irreducible modules of the two-parameter algebra with
-  the extra generator t, indexed by double partitions;
+  generators t, g_1..g_{n-1}, indexed by double partitions; type A is the
+  beta-empty case, the g_i acting on ``typeB_rep((mu, ()), p)`` as on the
+  module of mu and t as Q (``typeA_rep`` is that alias);
 * ``skew_rep``    -- the same modules realized on skew fillings of a glued
   diagram at the specialization Q = -q^(r1+m), built from absolute contents
   inside the big diagram (an independent code path from typeB_rep).
@@ -189,8 +189,8 @@ class Representation:
 
     ``letters`` maps a letter to its matrix (num, den): a read-only integer
     array, (d, d) for one module and (k, d, d) for a stack, and its least
-    common denominator.  A module's store starts with its generators g_i
-    and, for types B and skew, t; a stack's starts empty.
+    common denominator.  A module's store starts with its generators t and
+    g_i; a stack's starts empty.
     """
 
     dimension: int
@@ -216,8 +216,6 @@ class Representation:
             m = (ms[0][0][np.newaxis], den) if len(ms) == 1 else \
                 (np.stack([num if d == den else num * (den // d)
                            for num, d in ms]), den)
-        elif letter == T_LETTER:
-            raise ValueError("representation has no t generator")
         elif kind == "ginv" and 0 < i < n:
             m = _combination([(1 / q, self.letter_matrix(g_letter(i))),
                               (1 / q - 1, (identity(self.dimension), 1))])
@@ -312,11 +310,10 @@ def _build(shape, point, axial, t_eigenvalue):
     letters = {g_letter(i): _integer_form(_seminormal_g(basis, index, i, axial,
                                                         point.q))
                for i in range(1, n)}
-    if t_eigenvalue is not None:
-        t = zeros(d, d)
-        for s, tableau in enumerate(basis):
-            t[s, s] = t_eigenvalue(tableau)
-        letters[T_LETTER] = _integer_form(t)
+    t = zeros(d, d)
+    for s, tableau in enumerate(basis):
+        t[s, s] = t_eigenvalue(tableau)
+    letters[T_LETTER] = _integer_form(t)
     return Representation(d, n, point, letters)
 
 
@@ -325,16 +322,6 @@ def _build(shape, point, axial, t_eigenvalue):
 # a Markov-property check uses together, and the 20 shapes of two points at
 # n = 3 that a stream of trace queries reuses.
 REP_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=REP_CACHE_SIZE)
-def typeA_rep(mu, point: ParameterPoint) -> Representation:
-    """Seminormal representation of the one-parameter algebra on standard
-    tableaux of the partition mu."""
-    mu = trim(mu)
-    shape = (mu, ())
-    return _build(shape, point,
-                  lambda t, i: axial_parameter(t, i, point), None)
 
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
@@ -349,6 +336,13 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
 
     return _build(shape, point,
                   lambda t, i: axial_parameter(t, i, point), t_eig)
+
+
+@lru_cache(maxsize=REP_CACHE_SIZE)
+def typeA_rep(mu, point: ParameterPoint) -> Representation:
+    """The module of the partition mu, ``typeB_rep((mu, ()), point)``; its
+    own cache only keeps its calls and hit ratio visible to the tracer."""
+    return typeB_rep((mu, ()), point)
 
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
@@ -443,15 +437,14 @@ def relation_residuals(rep: Representation) -> list:
             res.append(difference([G[i], G[j]], [G[j], G[i]]))
     for g in G:
         res.append(_combination([(1, _product([g, g])), (1 - q, g), (-q, I)]))
-    if T_LETTER in rep.letters:
-        t = rep.letter_matrix(T_LETTER)
-        Q = rep.point.Q
-        res.append(_combination([(1, _product([t, t])), (1 - Q, t), (-Q, I)]))
-        if G:
-            g1 = G[0]
-            res.append(difference([t, g1, t, g1], [g1, t, g1, t]))
-        for g in G[1:]:
-            res.append(difference([t, g], [g, t]))
+    t = rep.letter_matrix(T_LETTER)
+    Q = rep.point.Q
+    res.append(_combination([(1, _product([t, t])), (1 - Q, t), (-Q, I)]))
+    if G:
+        g1 = G[0]
+        res.append(difference([t, g1, t, g1], [g1, t, g1, t]))
+    for g in G[1:]:
+        res.append(difference([t, g], [g, t]))
     return res
 
 

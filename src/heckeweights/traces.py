@@ -15,9 +15,9 @@ and keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``Representation`` that stacks the modules of its shapes;
 ``markov_trace_B`` is one table lookup, one ``evaluate`` and one integer dot
-per group, and one Rat.  Type D lives at the one point ``q1_point(q)``,
-whatever the size.  ``weight_B_schur_form`` is the independent oracle for
-the table and shares no code with it.
+per group, and one Rat.  Types A and D live at the one point
+``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
+independent oracle for the table and shares no code with it.
 """
 
 from __future__ import annotations
@@ -196,16 +196,11 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
                    for nums, (num, d) in values), den * common)
 
 
-def plain_point(q) -> ParameterPoint:
-    """Point with the given q and an irrelevant Q = 2, for computations that
-    never touch Q.  A Q > 0 is never -q^s, so no guard is needed."""
-    return ParameterPoint(Rat(q), Rat(2), 0)
-
-
 def q1_point(q) -> ParameterPoint:
-    """The exact Q = 1 specialization used for type D; admissible for any
-    q > 0 since 1 is never -q^s, so it needs no guard and serves every size
-    and row bound."""
+    """The exact Q = 1 point of types D and A (at r2 = 0 every cross ratio
+    is C(x) / C(x), so a type-A weight does not depend on Q); admissible for
+    any q > 0 since 1 is never -q^s, so it needs no guard and serves every
+    size and row bound."""
     return ParameterPoint(Rat(q), Rat(1), 0)
 
 

@@ -8,7 +8,7 @@ from heckeweights.combinatorics import double_partitions, partitions, trim
 from heckeweights.reps import character, g_letter, tprime_letter, typeA_rep, \
     typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
-from heckeweights.traces import plain_point, weight_B, weight_B_schur_form
+from heckeweights.traces import q1_point, weight_B, weight_B_schur_form
 
 
 def rat(num, den=1):
@@ -58,7 +58,7 @@ def typeA_markov_trace(element, n: int, r: int, q):
     """Weighted character sum over partitions of n with at most r rows.
     The weight of mu is weight_B((mu, ()), r, 0): with no second row bound it
     is the normalized Schur value of mu in r variables."""
-    point = plain_point(q)
+    point = q1_point(q)
     total = Rat(0)
     for mu in partitions(n):
         if len(mu) > r:

@@ -174,7 +174,8 @@ def test_criterion_11_type_d():
         u, g1, g2 = (U_LETTER,), (g_letter(1),), (g_letter(2),)
         for q in (Rat(2), Rat(1, 2), Rat(5, 3)):
             for n in (1, 2, 3):
-                r1 = r2 = n + 1
+                # r1 != r2 tells a merged weight from twice one shape's
+                r1, r2 = n + 1, n + 2
                 reports.append(typeD_inclusion_weights(n, r1, r2, [q]))
                 total = Rat(0)
                 for shape, entries in weight_D(n, r1, r2, q1_point(q)).items():

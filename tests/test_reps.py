@@ -12,7 +12,7 @@ from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
     relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix, specialized_point, to_rat
-from heckeweights.traces import plain_point, trace_table
+from heckeweights.traces import q1_point, trace_table
 from helpers import coset_representatives, mat_eq
 
 
@@ -56,7 +56,7 @@ def test_typeB_relations(points):
 
 
 def test_skew_relations():
-    pts = [plain_point(q) for q in (Rat(2), Rat(1, 2), Rat(3, 2))]
+    pts = [q1_point(q) for q in (Rat(2), Rat(1, 2), Rat(3, 2))]
     report = relations_report("skew", pts, range(1, 3))
     assert report.passed, report.failure
 
@@ -276,8 +276,7 @@ def test_cached_matrices_read_only(points):
 
 def test_letters_out_of_range(point):
     # every letter a store cannot build is a ValueError naming the letter,
-    # in one module and in a stack of several, and nothing is cached for it;
-    # type A keeps its own message for t
+    # in one module and in a stack of several, and nothing is cached for it
     n = 3
     groups, _ = trace_table(n, 4, 4, point)
     stack = max((s for _, s in groups), key=lambda s: len(s.shapes))
@@ -291,9 +290,25 @@ def test_letters_out_of_range(point):
             assert letter not in store.letters
     with pytest.raises(ValueError, match=re.escape(repr(U_LETTER))):
         typeB_rep(((1,), ()), point).letter_matrix(U_LETTER)
-    for letter in (T_LETTER, tprime_letter(0), U_LETTER):
-        with pytest.raises(ValueError, match="has no t generator"):
-            typeA_rep((2, 1), point).letter_matrix(letter)
+
+
+def test_typeA_rep_is_the_beta_empty_typeB_rep(points):
+    # type A is type B with beta empty: the same generators g_i, and t acts
+    # as the scalar Q
+    cases = 0
+    for p in points[:2]:
+        for n in range(1, 5):
+            for mu in partitions(n):
+                rep, module = typeA_rep(mu, p), typeB_rep((mu, ()), p)
+                assert (rep.dimension, rep.size, rep.point) \
+                    == (module.dimension, module.size, module.point)
+                for letter in [T_LETTER] + [g_letter(i) for i in range(1, n)]:
+                    assert mat_eq(to_rat(*rep.letter_matrix(letter)),
+                                  to_rat(*module.letter_matrix(letter)))
+                assert mat_eq(to_rat(*rep.letter_matrix(T_LETTER)),
+                              identity(rep.dimension) * p.Q), (mu, p)
+                cases += 1
+    assert cases == 2 * (1 + 2 + 3 + 5)
 
 
 def test_evaluate_size_check(points):
@@ -372,7 +387,7 @@ def test_rep_caches_are_bounded():
     # maxsize entries
     for k in range(REP_CACHE_SIZE + 5):
         q = Rat(k + 2, k + 3)
-        p = plain_point(q)
+        p = q1_point(q)
         typeA_rep((1,), p)
         typeB_rep(((1,), ()), p)
         skew_rep(((1,), ()), 2, 2, q)

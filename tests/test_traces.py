@@ -9,11 +9,10 @@ from heckeweights.homcheck import weight_branching, weight_normalization, \
 from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
     expand_word, g_letter, ginv_letter, parse_word, random_word, \
     tprime_letter, typeB_rep, word
-from heckeweights.scalars import ParameterPoint, Rat, to_rat
+from heckeweights.scalars import ParameterPoint, Rat, guard_bound, to_rat
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
-    markov_trace_D, plain_point, q1_point, trace_table, weight_B, weight_D, \
-    weight_table
+    markov_trace_D, q1_point, trace_table, weight_B, weight_D, weight_table
 from helpers import markov_trace_by_shape, mat_eq, typeA_markov_trace
 
 
@@ -320,7 +319,7 @@ def test_typeA_trace(points):
             z = q**r * (1 - q) / (1 - q**r)
             for _ in range(6):
                 h = random_word(n - 1, rng, use_t=False)
-                p0 = plain_point(q)
+                p0 = q1_point(q)
                 base = typeA_markov_trace(expand_word(h, p0), n - 1, r, q)
                 hg = word(h.letters + (g_letter(n - 1),), n)
                 assert typeA_markov_trace(expand_word(hg, p0), n, r, q) \
@@ -343,7 +342,7 @@ def test_weight_D_structure():
             + weight_B(((), (2,)), r1, r2, point1)
     assert ((), (2,)) not in weight_D(2, 3, 3, point1)
     with pytest.raises(ValueError, match="Q = 1"):
-        weight_D(2, 3, 3, plain_point(Rat(2)))
+        weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2), 0))
 
 
 def test_u_quadratic_trace_identity():
@@ -378,15 +377,26 @@ def test_markov_trace_D_matches_B_at_Q1():
 
 def test_typeA_weight_is_normalized_schur_value():
     # the type-A weight of mu in r rows is weight_B((mu, ()), r, 0); the
-    # normalized Schur value stays its independent reference
-    cases = 0
+    # normalized Schur value stays its independent reference.  With r2 = 0
+    # every cross ratio is C(x) / C(x), so the table does not depend on Q,
+    # which lets type A read it at Q = 1: up to n = 6 it is the same at
+    # Q = 2 and at a negative Q
+    cases = tables = 0
     for q in (Rat(347, 512), Rat(911, 127), Rat(128, 311), Rat(2),
               Rat(1, 3)):
-        p = plain_point(q)
+        p = q1_point(q)
         for n in range(8):
-            for mu in partitions(n):
-                for r in range(1, 9):
+            for r in range(1, 9):
+                for mu in partitions(n):
                     assert weight_B((mu, ()), r, 0, p) \
                         == schur_normalized(mu, r, q), (mu, r, q)
                     cases += 1
+                if n > 6:
+                    continue
+                for Q in (Rat(2), Rat(-613, 229)):
+                    other = ParameterPoint(q, Q, guard_bound(n, r, 0))
+                    assert weight_table(n, r, 0, other) \
+                        == weight_table(n, r, 0, p), (n, r, other)
+                    tables += 1
     assert cases == 5 * 8 * 45
+    assert tables == 5 * 7 * 8 * 2
