@@ -16,17 +16,13 @@ import sys
 from types import SimpleNamespace
 
 from . import homcheck
-from .combinatorics import dimension, partition_str, partitions, shape_str
+from .combinatorics import dimension, partition_str, shape_str
 from .reps import U_LETTER, g_letter, parse_word, random_word, \
     tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
 from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
     weight_table
-
-
-def _rat_str(x):
-    return None if x is None else str(x)
 
 
 def _error(message):
@@ -60,40 +56,27 @@ def _point_or_exit(q, Q, n, r1, r2):
 
 def cmd_weights(args) -> int:
     n, r1, r2 = _or_exit(_row_bounds, args)
-    q = args.q
-    rows = []
-    if args.type == "A":
-        point = _or_exit(q1_point, q)
-        z, _ = markov_params(r1, r2, point)
-        y = None
-        Q_out = None
-        weights = weight_table(n, r1 + r2, 0, point)
-        for mu in partitions(n):
-            rows.append((partition_str(mu), weights[mu, ()],
-                         dimension((mu, ()))))
-    elif args.type == "B":
+    kind, q = args.type, args.q
+    if kind == "B":
         if args.Q is None:
             return _error("--Q is required for type B")
         point = _point_or_exit(q, args.Q, n, r1, r2)
-        z, y = markov_params(r1, r2, point)
-        Q_out = point.Q
-        for shape, weight in weight_table(n, r1, r2, point).items():
-            rows.append((shape_str(shape), weight, dimension(shape)))
-    else:  # type D
-        if n < 1:
-            # the one shape []|[] would split into two halves of dimension 0
-            return _error("type D needs --n >= 1")
+    elif kind == "D" and n < 1:
+        # the one shape []|[] would split into two halves of dimension 0
+        return _error("type D needs --n >= 1")
+    else:
         point = _or_exit(q1_point, q)
-        z, y = markov_params(r1, r2, point)
-        Q_out = point.Q
-        for shape, entries in weight_D(n, r1, r2, point).items():
-            dim = dimension(shape)
-            for entry in entries:
-                if entry.split_index is None:
-                    rows.append((shape_str(shape), entry.weight, dim))
-                else:
-                    rows.append((f"{shape_str(shape)}_{entry.split_index}",
-                                 entry.weight, dim // 2))
+    z, y = markov_params(r1, r2, point)
+    if kind == "A":
+        rows = [(partition_str(alpha), w, dimension((alpha, beta)))
+                for (alpha, beta), w in
+                weight_table(n, r1 + r2, 0, point).items() if not beta]
+    elif kind == "B":
+        rows = [(shape_str(shape), w, dimension(shape))
+                for shape, w in weight_table(n, r1, r2, point).items()]
+    else:
+        rows = [(shape_str(shape) + (f"_{split}" if split else ""), w, d)
+                for shape, split, w, d in weight_D(n, r1, r2, point)]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -104,9 +87,9 @@ def cmd_weights(args) -> int:
     else:
         doc = {
             "params": {"n": n, "r1": r1, "r2": r2, "q": str(q),
-                       "Q": _rat_str(Q_out)},
-            "z": _rat_str(z),
-            "y": _rat_str(y),
+                       "Q": None if kind == "A" else str(point.Q)},
+            "z": str(z),
+            "y": None if kind == "A" else str(y),
             "weights": [{"shape": shape, "weight": str(weight),
                          "dimension": dim} for shape, weight, dim in rows],
         }
@@ -227,20 +210,21 @@ def suite_typeD(n, seed, points):
     rng = random.Random(seed)
     # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
     r1, r2 = n + 1, n + 2
-    hs, relations = [], []
+    hs, pairs = [], []
     for q in qs:
         hs.append((q, [_random_d_word(max(n - 1, 1), rng) for _ in range(5)]))
-        relations.append((q, [(_random_d_word(n, rng, max_len=2), lhs, rhs,
-                               _random_d_word(n, rng, max_len=2))
-                              for lhs, rhs in _type_d_relations(n)
-                              for _ in range(3)]))
+        pairs.append((q, [(_random_d_word(n, rng, max_len=2),
+                           _random_d_word(n, rng, max_len=2))
+                          for _ in range(3)]))
     hs = hs if n >= 2 else []
     return [
         homcheck.typeD_inclusion_weights(n, r1, r2, qs,
                                          name=f"typeD-inclusion-weights-n{n}"),
+        homcheck.typeD_normalization(n, r1, r2, qs,
+                                     name=f"typeD-normalization-n{n}"),
         homcheck.typeD_markov_property(n, r1, r2, hs,
                                        name=f"typeD-markov-property-n{n}"),
-        homcheck.typeD_relations(n, r1, r2, relations),
+        homcheck.typeD_relations(n, r1, r2, pairs),
     ]
 
 
@@ -254,23 +238,6 @@ def _random_d_word(n, rng, max_len=4):
         else:
             letters.append(U_LETTER)
     return word(letters, n)
-
-
-def _type_d_relations(n):
-    """Defining relations of the index-2 subalgebra as (lhs, rhs) letter
-    tuples; rhs None marks the quadratic relation of the letter lhs[0]."""
-    if n < 2:
-        return []
-    text = [f"g{i} g{i + 1} g{i} = g{i + 1} g{i} g{i + 1}"
-            for i in range(1, n - 1)]
-    text += [f"g{i} g{j} = g{j} g{i}" for i in range(1, n)
-             for j in range(i + 2, n)]
-    # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
-    text += ["u g1 = g1 u"] + [f"u g{i} = g{i} u" for i in range(3, n)]
-    text += ["u g2 u = g2 u g2"] if n >= 3 else []
-    pairs = [tuple(parse_word(side, n).letters for side in t.split("="))
-             for t in text]
-    return pairs + [(parse_word(x, n).letters, None) for x in ("g1 g1", "u u")]
 
 
 SUITES = {

@@ -117,7 +117,8 @@ class DoubleTableau:
 
 
 def standard_tableaux(shape) -> list:
-    """All standard tableaux of the double partition, canonically ordered."""
+    """All standard tableaux of the double partition, in increasing order of
+    their box sequences, which is the order the search tries (comp, row)."""
     alpha, beta = trim(shape[0]), trim(shape[1])
     n = sum(alpha) + sum(beta)
     target = (alpha, beta)
@@ -143,7 +144,6 @@ def standard_tableaux(shape) -> list:
                 rows[r - 1] -= 1
 
     grow(1, ([0] * len(alpha), [0] * len(beta)), [])
-    out.sort(key=lambda t: t.boxes)
     return out
 
 

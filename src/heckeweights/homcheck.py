@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, partitions, shape_str, trim
 from .reps import T_LETTER, character, full_twist_scalar, g_letter, \
-    random_word, relation_residuals, skew_rep, tprime_letter, typeA_rep, \
-    typeB_rep, word
+    parse_word, random_word, relation_residuals, skew_rep, tprime_letter, \
+    typeA_rep, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point, to_rat
 from .schur import rectangle_schur, schur_normalized, schur_principal
 from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
@@ -365,7 +365,7 @@ def typeD_inclusion_weights(n, r1, r2, qs):
     weight(alpha, alpha)."""
     for q in qs:
         point1 = q1_point(q)
-        components = weight_D(n, r1, r2, point1)
+        rows = weight_D(n, r1, r2, point1)
         for shape in double_partitions(n):
             alpha, beta = shape
             if alpha == beta:
@@ -373,9 +373,19 @@ def typeD_inclusion_weights(n, r1, r2, qs):
             else:
                 want = [weight_B(shape, r1, r2, point1)
                         + weight_B((beta, alpha), r1, r2, point1)]
-            got = components.get(shape) or components[beta, alpha]
-            yield ([e.weight for e in got], want,
+            got = [w for s, _, w, _ in rows if s in (shape, (beta, alpha))]
+            yield (got, want,
                    lambda: f"type-D weights of {shape_str(shape)} at q = {q}")
+
+
+@identity("Prop 6.1; Eq. (9)")
+def typeD_normalization(n, r1, r2, qs):
+    """The type-D weights times their dimensions sum to 1, a split half of
+    (alpha, alpha) having half the dimension of the shape."""
+    for q in qs:
+        yield (sum(w * d for _, _, w, d in weight_D(n, r1, r2, q1_point(q))),
+               1, lambda: f"sum of type-D weight * dimension over size {n} "
+                          f"at q = {q}, Q = 1")
 
 
 @identity("Section 6 (Geck)")
@@ -391,25 +401,43 @@ def typeD_markov_property(n, r1, r2, cases):
                    lambda: f"tr({h} g{n - 1}) = z tr({h}) at q = {q}, Q = 1")
 
 
+def _type_d_relations(n):
+    """The relations (D1)-(D5) of the index-2 subalgebra as (lhs, rhs) letter
+    tuples; rhs None marks the quadratic relation of the letter lhs[0]."""
+    if n < 2:
+        return []
+    text = [f"g{i} g{i + 1} g{i} = g{i + 1} g{i} g{i + 1}"
+            for i in range(1, n - 1)]
+    text += [f"g{i} g{j} = g{j} g{i}" for i in range(1, n)
+             for j in range(i + 2, n)]
+    # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
+    text += ["u g1 = g1 u"] + [f"u g{i} = g{i} u" for i in range(3, n)]
+    text += ["u g2 u = g2 u g2"] if n >= 3 else []
+    pairs = [tuple(parse_word(side, n).letters for side in t.split("="))
+             for t in text]
+    return pairs + [(parse_word(x, n).letters, None) for x in ("g1 g1", "u u")]
+
+
 @identity("Section 6 (D1)-(D5)")
 def typeD_relations(n, r1, r2, cases):
-    """Defining relations of the index-2 subalgebra as trace identities on
-    two-sided multiples: tr(a lhs b) = tr(a rhs b).  Cases are (q, relation
-    cases) pairs, a relation case being (a, lhs, rhs, b) with letter tuples
-    lhs and rhs; rhs None stands for the quadratic relation x^2 = (q-1)x + q
-    of the letter x with lhs = (x, x)."""
-    for q, relations in cases:
+    """Each relation of ``_type_d_relations`` as a trace identity on every
+    two-sided multiple, tr(a lhs b) = tr(a rhs b) or, for x^2 = (q-1)x + q,
+    tr(a x x b) = (q-1) tr(a x b) + q tr(a b); cases are (q, pairs (a, b))."""
+    relations = _type_d_relations(n)
+    for q, pairs in cases:
         def tr(*parts):
             return markov_trace_D(word(sum(parts, ()), n), n, r1, r2, q)
 
-        for a, lhs, rhs, b in relations:
+        for a, b in pairs:
             a, b = a.letters, b.letters
-            if rhs is None:
-                right = (q - 1) * tr(a, lhs[:1], b) + q * tr(a, b)
-            else:
-                right = tr(a, rhs, b)
-            yield (tr(a, lhs, b), right, lambda: (
-                f"relation {word(lhs, n)} = " + (
-                    str(word(rhs, n)) if rhs else
-                    f"(q-1) {word(lhs[:1], n)} + q")
-                + f" between {word(a, n)} and {word(b, n)} at q = {q}, Q = 1"))
+            for lhs, rhs in relations:
+                if rhs is None:
+                    right = (q - 1) * tr(a, lhs[:1], b) + q * tr(a, b)
+                else:
+                    right = tr(a, rhs, b)
+                yield (tr(a, lhs, b), right, lambda: (
+                    f"relation {word(lhs, n)} = " + (
+                        str(word(rhs, n)) if rhs else
+                        f"(q-1) {word(lhs[:1], n)} + q")
+                    + f" between {word(a, n)} and {word(b, n)} at q = {q}, "
+                      f"Q = 1"))

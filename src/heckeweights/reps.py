@@ -303,6 +303,8 @@ def _seminormal_g(basis, index, i: int, axial, q):
 
 
 def _build(shape, point, axial, t_eigenvalue):
+    if shape == ((), ()):
+        raise ValueError("no module of size 0: the double partition is empty")
     basis = standard_tableaux(shape)
     index = {t.boxes: s for s, t in enumerate(basis)}
     d = len(basis)
@@ -338,10 +340,10 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
                   lambda t, i: axial_parameter(t, i, point), t_eig)
 
 
-@lru_cache(maxsize=REP_CACHE_SIZE)
+# maxsize 0: no second cache, but the calls and cache_info() the tracer reads
+@lru_cache(maxsize=0)
 def typeA_rep(mu, point: ParameterPoint) -> Representation:
-    """The module of the partition mu, ``typeB_rep((mu, ()), point)``; its
-    own cache only keeps its calls and hit ratio visible to the tracer."""
+    """The module of the partition mu, ``typeB_rep((mu, ()), point)``."""
     return typeB_rep((mu, ()), point)
 
 

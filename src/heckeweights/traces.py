@@ -23,7 +23,6 @@ independent oracle for the table and shares no code with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -206,34 +205,26 @@ def q1_point(q) -> ParameterPoint:
 
 # -- type D ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypeDWeight:
-    """One simple component of the index-2 subalgebra: for alpha != beta the
-    merged class {(alpha, beta), (beta, alpha)}, for alpha == beta one of the
-    two split components (alpha, alpha)_1, (alpha, alpha)_2."""
-
-    split_index: int | None
-    weight: object
-
-
-def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> dict:
-    """Labeled weights of the type-D components of size n at a Q = 1 point,
-    from one read of ``weight_table``: a map from the first shape of each
-    class {(alpha, beta), (beta, alpha)}, in table order, to its components'
-    weights."""
+def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
+    """The type-D components of size n at a Q = 1 point, from one read of
+    ``weight_table``: rows (shape, split, weight, dimension) in table order.
+    A merged class {(alpha, beta), (beta, alpha)} is one row at its first
+    shape, with split None and the summed weight; the two halves of a split
+    shape (alpha, alpha) are rows with split 1 and 2, each of half the
+    dimension."""
     if point.Q != 1:
         raise ValueError(f"type-D weights live at Q = 1, not Q = {point.Q}")
     weights = weight_table(n, r1, r2, point)
-    components = {}
-    for (alpha, beta), w in weights.items():
-        if (beta, alpha) in components:
-            continue
+    rows, merged = [], set()
+    for shape, w in weights.items():
+        alpha, beta = shape
+        d = dimension(shape)
         if alpha == beta:
-            components[alpha, beta] = [TypeDWeight(1, w), TypeDWeight(2, w)]
-        else:
-            components[alpha, beta] = [
-                TypeDWeight(None, w + weights[beta, alpha])]
-    return components
+            rows += [(shape, k, w, d // 2) for k in (1, 2)]
+        elif (beta, alpha) not in merged:
+            merged.add(shape)
+            rows.append((shape, None, w + weights[beta, alpha], d))
+    return rows
 
 
 def markov_trace_D(element, n: int, r1: int, r2: int, q):

@@ -14,13 +14,13 @@ from heckeweights.combinatorics import dimension, double_partitions, \
 from heckeweights.homcheck import character_match_report, markov_property, \
     relations_report, rho_eigenvalue_report, skew_dimension_report, \
     tprime_powers, tprime_property, typeA_normalization, \
-    typeD_inclusion_weights, typeD_markov_property, typeD_relations, \
-    weight_branching, weight_normalization, weight_ratio_report, \
-    weight_two_forms
-from heckeweights.reps import U_LETTER, evaluate, full_twist_scalar, \
-    g_letter, random_word, typeA_rep, word
+    typeD_inclusion_weights, typeD_markov_property, typeD_normalization, \
+    typeD_relations, weight_branching, weight_normalization, \
+    weight_ratio_report, weight_two_forms
+from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
+    random_word, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity, to_rat
-from heckeweights.traces import markov_params, q1_point, weight_B, weight_D
+from heckeweights.traces import markov_params, weight_B
 from helpers import mat_eq, typeA_markov_trace
 
 
@@ -171,36 +171,29 @@ def test_criterion_11_type_d():
     def body():
         rng = random.Random(61)
         reports = []
-        u, g1, g2 = (U_LETTER,), (g_letter(1),), (g_letter(2),)
         for q in (Rat(2), Rat(1, 2), Rat(5, 3)):
             for n in (1, 2, 3):
                 # r1 != r2 tells a merged weight from twice one shape's
                 r1, r2 = n + 1, n + 2
-                reports.append(typeD_inclusion_weights(n, r1, r2, [q]))
-                total = Rat(0)
-                for shape, entries in weight_D(n, r1, r2, q1_point(q)).items():
-                    d = dimension(shape)
-                    for e in entries:
-                        total += e.weight * (d if e.split_index is None
-                                             else d // 2)
-                assert total == 1, (q, n)
-            # Markov property and u-relations as exact trace identities
+                reports += [typeD_inclusion_weights(n, r1, r2, [q]),
+                            typeD_normalization(n, r1, r2, [q])]
+            # Markov property and the relations (D1)-(D5) as exact trace
+            # identities
             n, r1, r2 = 3, 4, 4
-            hs, relations = [], []
+            hs, pairs = [], []
             for _ in range(5):
                 a = random_word(n, rng, use_t=False)
                 b = random_word(n, rng, use_t=False)
                 if all(i < n - 1 for _, i in a.letters):
                     hs.append(word(a.letters, n - 1))
-                relations += [(a, u + u, None, b),
-                              (a, u + g1, g1 + u, b),
-                              (a, u + g2 + u, g2 + u + g2, b)]
+                pairs.append((a, b))
             reports.append(typeD_markov_property(n, r1, r2, [(q, hs)]))
-            reports.append(typeD_relations(n, r1, r2, [(q, relations)]))
-        assert_reports(reports, 99)
+            reports.append(typeD_relations(n, r1, r2, [(q, pairs)]))
+        assert_reports(reports, 138)
     criterion(11, "index-2 subalgebra at Q = 1: merged/split weights sum the "
                   "linked generic weights, normalize to 1, and the trace "
-                  "satisfies the u-relations and Markov property", 120, body)
+                  "satisfies the relations (D1)-(D5) and the Markov "
+                  "property", 120, body)
 
 
 def test_criterion_12_type_a_trace():

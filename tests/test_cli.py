@@ -87,24 +87,23 @@ def test_weights_typeD_rows_are_weight_D(capsys):
         code, out, _ = run(capsys, ["weights", "--type", "D", "--n", str(n),
                                     "--q", str(q)])
         assert code == 0
-        components = weight_D(n, n + 1, n + 1, q1_point(q))
+        rows = weight_D(n, n + 1, n + 1, q1_point(q))
         want, seen = [], set()
         for alpha, beta in double_partitions(n):
             if (beta, alpha) in seen:
                 continue
             seen.add((alpha, beta))
             label, d = shape_str((alpha, beta)), dimension((alpha, beta))
-            entries = components[alpha, beta]
+            entries = [row for row in rows if row[0] == (alpha, beta)]
             if alpha == beta:
-                assert [e.split_index for e in entries] == [1, 2]
-                want += [{"shape": f"{label}_{e.split_index}",
-                          "weight": str(e.weight), "dimension": d // 2}
-                         for e in entries]
+                assert [split for _, split, _, _ in entries] == [1, 2]
+                want += [{"shape": f"{label}_{split}", "weight": str(w),
+                          "dimension": d // 2} for _, split, w, _ in entries]
             else:
-                assert [e.split_index for e in entries] == [None]
-                want.append({"shape": label, "weight": str(entries[0].weight),
+                assert [split for _, split, _, _ in entries] == [None]
+                want.append({"shape": label, "weight": str(entries[0][2]),
                              "dimension": d})
-        assert len(components) == len(seen)
+        assert len(rows) == len(want)
         assert json.loads(out)["weights"] == want
 
 
@@ -297,7 +296,7 @@ def test_every_check_runs_in_verify(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--suite", "all", "--n", "2",
                               "--points", "1"])
     assert code == 0
-    assert len(checks) == 20
+    assert len(checks) == 21
     assert sorted(set(checks) - called) == []
 
 

@@ -95,16 +95,18 @@ def test_dimension_counts_standard_tableaux():
 
 
 def test_tableaux_sorted_and_standard():
-    ts = standard_tableaux(((2, 1), (1,)))
-    assert ts == sorted(ts, key=lambda t: t.boxes)
-    for t in ts:
-        filled = set()
-        for comp, row, col in t.boxes:
-            if row > 1:
-                assert (comp, row - 1, col) in filled
-            if col > 1:
-                assert (comp, row, col - 1) in filled
-            filled.add((comp, row, col))
+    for n in range(7):
+        for shape in double_partitions(n):
+            ts = standard_tableaux(shape)
+            assert ts == sorted(ts, key=lambda t: t.boxes), shape
+            for t in ts:
+                filled = set()
+                for comp, row, col in t.boxes:
+                    if row > 1:
+                        assert (comp, row - 1, col) in filled
+                    if col > 1:
+                        assert (comp, row, col - 1) in filled
+                    filled.add((comp, row, col))
 
 
 def test_worked_double_tableau():

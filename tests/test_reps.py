@@ -227,6 +227,13 @@ def test_skew_matches_generic_matrices():
 def test_skew_rep_validation():
     with pytest.raises(ValueError):
         skew_rep(((1, 1), ()), 2, 2, Rat(2))
+    # no module of size 0, in any of the three constructions
+    point = q1_point(Rat(2))
+    for build in (lambda: typeB_rep(((), ()), point),
+                  lambda: typeA_rep((), point),
+                  lambda: skew_rep(((), ()), 2, 2, Rat(2))):
+        with pytest.raises(ValueError, match="size 0"):
+            build()
 
 
 def test_full_twist_scalar_values():
@@ -391,7 +398,9 @@ def test_rep_caches_are_bounded():
         typeA_rep((1,), p)
         typeB_rep(((1,), ()), p)
         skew_rep(((1,), ()), 2, 2, q)
-    for cached in (typeA_rep, typeB_rep, skew_rep):
+    for cached in (typeB_rep, skew_rep):
         info = cached.cache_info()
         assert info.maxsize == REP_CACHE_SIZE
         assert info.currsize <= info.maxsize
+    # the type-A alias holds no module of its own
+    assert typeA_rep.cache_info().currsize == 0

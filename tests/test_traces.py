@@ -330,17 +330,22 @@ def test_typeA_trace(points):
 
 def test_weight_D_structure():
     point1 = q1_point(Rat(2))
-    entries = weight_D(2, 3, 3, point1)[(1,), (1,)]
-    assert len(entries) == 2
-    assert entries[0].split_index == 1 and entries[1].split_index == 2
-    assert entries[0].weight == entries[1].weight
+    d = dimension(((1,), (1,)))
+    halves = [row for row in weight_D(2, 3, 3, point1)
+              if row[0] == ((1,), (1,))]
+    assert len(halves) == 2
+    assert [(split, dim) for _, split, _, dim in halves] \
+        == [(1, d // 2), (2, d // 2)]
+    assert halves[0][2] == halves[1][2]
     # r1 != r2 too, where the two shapes of a merged class weigh differently
     for r1, r2 in ((3, 3), (3, 2)):
-        merged = weight_D(2, r1, r2, point1)[(2,), ()]
-        assert len(merged) == 1 and merged[0].split_index is None
-        assert merged[0].weight == weight_B(((2,), ()), r1, r2, point1) \
+        merged = [row for row in weight_D(2, r1, r2, point1)
+                  if row[0] == ((2,), ())]
+        assert len(merged) == 1 and merged[0][1] is None
+        assert merged[0][3] == dimension(((2,), ()))
+        assert merged[0][2] == weight_B(((2,), ()), r1, r2, point1) \
             + weight_B(((), (2,)), r1, r2, point1)
-    assert ((), (2,)) not in weight_D(2, 3, 3, point1)
+    assert ((), (2,)) not in [row[0] for row in weight_D(2, 3, 3, point1)]
     with pytest.raises(ValueError, match="Q = 1"):
         weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2), 0))
 
