@@ -17,8 +17,7 @@ from types import SimpleNamespace
 
 from . import homcheck
 from .combinatorics import dimension, partition_str, shape_str
-from .reps import U_LETTER, g_letter, parse_word, random_word, \
-    tprime_letter, word
+from .reps import g_letter, parse_word, random_word, tprime_letter, word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
 from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
@@ -196,7 +195,7 @@ def suite_hom(n, seed, points):
     m = r1 = n + 1
     return [
         homcheck.rho_eigenvalue_report(m, r1, qs, name="rho-eigenvalues"),
-        homcheck.character_match_report(n, m, r1, qs, samples=20, seed=seed,
+        homcheck.character_match_report(n, m, r1, qs, seed=seed,
                                         name=f"character-match-n{n}"),
         homcheck.skew_dimension_report(n, m, r1, qs[0],
                                        name=f"skew-dimensions-n{n}"),
@@ -206,17 +205,13 @@ def suite_hom(n, seed, points):
 
 
 def suite_typeD(n, seed, points):
-    qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
+    pts = _points(n, n + 1, n + 1, seed, points)
+    qs = [p.q for p in pts]
     rng = random.Random(seed)
     # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
     r1, r2 = n + 1, n + 2
-    hs, pairs = [], []
-    for q in qs:
-        hs.append((q, [_random_d_word(max(n - 1, 1), rng) for _ in range(5)]))
-        pairs.append((q, [(_random_d_word(n, rng, max_len=2),
-                           _random_d_word(n, rng, max_len=2))
-                          for _ in range(3)]))
-    hs = hs if n >= 2 else []
+    hs = [(q, [random_word(max(n - 1, 1), rng, kind="D") for _ in range(5)])
+          for q in qs] if n >= 2 else []
     return [
         homcheck.typeD_inclusion_weights(n, r1, r2, qs,
                                          name=f"typeD-inclusion-weights-n{n}"),
@@ -224,20 +219,9 @@ def suite_typeD(n, seed, points):
                                      name=f"typeD-normalization-n{n}"),
         homcheck.typeD_markov_property(n, r1, r2, hs,
                                        name=f"typeD-markov-property-n{n}"),
-        homcheck.typeD_relations(n, r1, r2, pairs),
+        homcheck.relations_report("typeD", pts, range(1, n + 1),
+                                  name=f"relations-typeD-n{n}"),
     ]
-
-
-def _random_d_word(n, rng, max_len=4):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        if n < 2:
-            break
-        if rng.random() < 0.7:
-            letters.append(g_letter(rng.randint(1, n - 1)))
-        else:
-            letters.append(U_LETTER)
-    return word(letters, n)
 
 
 SUITES = {

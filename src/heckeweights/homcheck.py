@@ -7,7 +7,10 @@ both exact values as ``p/q``.  ``heckeweights verify --suite all`` runs
 every check here, and the acceptance gate in ``tests/test_acceptance.py``
 runs the same functions at larger sizes.  Most checks are written as
 generators of (lhs, rhs, describe) cases and turned into report-returning
-functions by ``identity``.
+functions by ``identity``.  ``relations_report`` checks ``reps.relations`` on
+whole modules: types A, B and skew against the type-B presentation, and
+(D1)-(D5) on type-B modules at Q = 1, which covers every two-sided multiple
+of a relation at once.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, partitions, shape_str, trim
 from .reps import T_LETTER, character, full_twist_scalar, g_letter, \
-    parse_word, random_word, relation_residuals, skew_rep, tprime_letter, \
-    typeA_rep, typeB_rep, word
+    random_word, relation_residuals, relation_str, relations, skew_rep, \
+    tprime_letter, typeA_rep, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point, to_rat
 from .schur import rectangle_schur, schur_normalized, schur_principal
 from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
@@ -74,29 +77,40 @@ def identity(paper_ref: str):
 # -- representations ---------------------------------------------------------
 
 _RELATION_FAMILIES = {
-    "typeA": ("Section 2 (H1)-(H3)", partitions,
+    # family: (paper reference, shapes of a size, relations' type, module);
+    # a type-A module is a type-B one, on which t acts as Q
+    "typeA": ("Section 2 (H1)-(H3)", partitions, "B",
               lambda mu, k, p: typeA_rep(mu, p)),
-    "typeB": ("Section 2 (H1)-(H6)", double_partitions,
+    "typeB": ("Section 2 (H1)-(H6)", double_partitions, "B",
               lambda shape, k, p: typeB_rep(shape, p)),
-    "skew": ("Lemma 3.2", double_partitions,
+    "skew": ("Lemma 3.2", double_partitions, "B",
              lambda shape, k, p: skew_rep(shape, k + 1, k + 1, p.q)),
+    # H(D_n) is the subalgebra of H(B_n) at Q = 1 generated by the g_i and
+    # u = t g_1 t, so every type-B module at Q = 1 is a module of it
+    "typeD": ("Section 6 (D1)-(D5)", double_partitions, "D",
+              lambda shape, k, p: typeB_rep(shape, q1_point(p.q))),
 }
 
 
 def relations_report(family: str, points, sizes, name=None) -> Report:
     """Every defining relation holds in every representation of the family
-    ("typeA", "typeB", or "skew" at m = r1 = size + 1) of the given sizes."""
-    paper_ref, shapes_of, rep_of = _RELATION_FAMILIES[family]
+    ("typeA", "typeB", "skew" at m = r1 = size + 1, or "typeD" at Q = 1)
+    of the given sizes; a size with no relation counts no module."""
+    paper_ref, shapes_of, kind, rep_of = _RELATION_FAMILIES[family]
     report = Report(name or f"relations-{family}", paper_ref)
     for p in points:
         for k in sizes:
+            rels = relations(k, kind)
+            if not rels:
+                continue
             for shape in shapes_of(k):
-                residuals = relation_residuals(rep_of(shape, k, p))
-                bad = next((i for i, (num, _) in enumerate(residuals)
+                rep = rep_of(shape, k, p)
+                bad = next((rel for rel, (num, _) in
+                            zip(rels, relation_residuals(rep, kind))
                             if not is_zero_matrix(num)), None)
                 report.check(bad is None, lambda: (
-                    f"{family} module {shape} at {p}: relation residual "
-                    f"{bad} is nonzero"))
+                    f"{family} module {shape} at {rep.point}: relation "
+                    f"{relation_str(bad)} fails"))
     return report
 
 
@@ -290,25 +304,27 @@ def rho_eigenvalue_report(m: int, r1: int, qs):
                    lambda: f"t-spectrum on {shape_str(shape)} at q = {q}")
 
 
-def _sample_words(n: int, samples: int, seed: int) -> list:
-    """Deterministic word sample: identity, t, each generator, then random
-    short words."""
+SAMPLED_WORDS = 20
+
+
+def _sample_words(n: int, seed: int) -> list:
+    """Deterministic sample of ``SAMPLED_WORDS`` words: identity, t, each
+    generator, then random short words."""
     rng = random.Random(seed)
     words = [word((), n), word((T_LETTER,), n)]
     words += [word((g_letter(i),), n) for i in range(1, n)]
-    while len(words) < samples:
+    while len(words) < SAMPLED_WORDS:
         words.append(random_word(n, rng))
-    return words[:samples]
+    return words[:SAMPLED_WORDS]
 
 
 @identity("Theorem 3.3")
-def character_match_report(n: int, m: int, r1: int, qs, samples: int = 20,
-                           seed: int = 0):
+def character_match_report(n: int, m: int, r1: int, qs, seed: int = 0):
     """Characters of skew and generic realizations agree shape by shape on
     sampled words, and the samples separate distinct shapes."""
     if not (m > n and r1 > n):
         raise ValueError(f"need m > n and r1 > n (got m={m}, r1={r1}, n={n})")
-    words = _sample_words(n, samples, seed)
+    words = _sample_words(n, seed)
     shapes = double_partitions(n)
     for q in map(Rat, qs):
         point = specialized_point(q, m, r1)
@@ -400,44 +416,3 @@ def typeD_markov_property(n, r1, r2, cases):
                    z * markov_trace_D(h, n - 1, r1, r2, q),
                    lambda: f"tr({h} g{n - 1}) = z tr({h}) at q = {q}, Q = 1")
 
-
-def _type_d_relations(n):
-    """The relations (D1)-(D5) of the index-2 subalgebra as (lhs, rhs) letter
-    tuples; rhs None marks the quadratic relation of the letter lhs[0]."""
-    if n < 2:
-        return []
-    text = [f"g{i} g{i + 1} g{i} = g{i + 1} g{i} g{i + 1}"
-            for i in range(1, n - 1)]
-    text += [f"g{i} g{j} = g{j} g{i}" for i in range(1, n)
-             for j in range(i + 2, n)]
-    # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
-    text += ["u g1 = g1 u"] + [f"u g{i} = g{i} u" for i in range(3, n)]
-    text += ["u g2 u = g2 u g2"] if n >= 3 else []
-    pairs = [tuple(parse_word(side, n).letters for side in t.split("="))
-             for t in text]
-    return pairs + [(parse_word(x, n).letters, None) for x in ("g1 g1", "u u")]
-
-
-@identity("Section 6 (D1)-(D5)")
-def typeD_relations(n, r1, r2, cases):
-    """Each relation of ``_type_d_relations`` as a trace identity on every
-    two-sided multiple, tr(a lhs b) = tr(a rhs b) or, for x^2 = (q-1)x + q,
-    tr(a x x b) = (q-1) tr(a x b) + q tr(a b); cases are (q, pairs (a, b))."""
-    relations = _type_d_relations(n)
-    for q, pairs in cases:
-        def tr(*parts):
-            return markov_trace_D(word(sum(parts, ()), n), n, r1, r2, q)
-
-        for a, b in pairs:
-            a, b = a.letters, b.letters
-            for lhs, rhs in relations:
-                if rhs is None:
-                    right = (q - 1) * tr(a, lhs[:1], b) + q * tr(a, b)
-                else:
-                    right = tr(a, rhs, b)
-                yield (tr(a, lhs, b), right, lambda: (
-                    f"relation {word(lhs, n)} = " + (
-                        str(word(rhs, n)) if rhs else
-                        f"(q-1) {word(lhs[:1], n)} + q")
-                    + f" between {word(a, n)} and {word(b, n)} at q = {q}, "
-                      f"Q = 1"))

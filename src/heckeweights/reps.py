@@ -30,6 +30,11 @@ makes the one division.  ``expand_word`` rewrites the same letters over
 {t, g} independently, as a reference for tests; its result is a
 ``HeckeElement``, a map from words to coefficients with no arithmetic of its
 own, which ``evaluate`` takes as the weighted sum of its words.
+
+Each type has one presentation here: ``relations(n, kind)`` lists the
+defining relations of type "A", "B" or "D", ``relation_residuals`` measures
+a module's letter matrices against them, and ``random_word`` draws words in
+the letters of the type.
 """
 
 from __future__ import annotations
@@ -93,10 +98,14 @@ class HeckeWord:
 
     def __str__(self):
         """The word in ``parse_word`` tokens."""
-        return " ".join(_TOKENS[kind].format(i) for kind, i in self.letters)
+        return _letters_str(self.letters)
 
 
 _TOKENS = {"t": "t", "u": "u", "g": "g{}", "ginv": "G{}", "tprime": "t'{}"}
+
+
+def _letters_str(letters) -> str:
+    return " ".join(_TOKENS[kind].format(i) for kind, i in letters)
 
 
 def word(letters, n: int) -> HeckeWord:
@@ -418,50 +427,85 @@ def character(rep: Representation, element):
     return Rat(num.trace(), den)
 
 
-def relation_residuals(rep: Representation) -> list:
-    """Left minus right of every defining relation that applies, as pairs
-    (num, den).  A residual is zero exactly when its integer numerator is
-    zero, so the generator matrices are a valid representation iff every
-    numerator is zero."""
-    G = [rep.letter_matrix(g_letter(i)) for i in range(1, rep.size)]
-    q = rep.point.q
-    I = identity(rep.dimension), 1
+# -- the presentations -------------------------------------------------------
 
-    def difference(left, right):
-        return _combination([(1, _product(left)), (-1, _product(right))])
+def relations(n: int, kind: str) -> tuple:
+    """The defining relations of the size-n algebra of type ``kind``: "A"
+    (the g_i), "B" (also t) or "D" (also u = t g_1 t, the index-2
+    subalgebra of type B at Q = 1).  A relation is a pair (lhs, rhs) of
+    letter tuples, or (x x, p) for x x = (p - 1) x + p, with p the name of
+    the parameter: "Q" for t, "q" for g_i and u."""
+    g = [g_letter(i) for i in range(1, n)]
+    rels = [((a, b, a), (b, a, b)) for a, b in zip(g, g[1:])]
+    rels += [((a, b), (b, a)) for i, a in enumerate(g) for b in g[i + 2:]]
+    rels += [((a, a), "q") for a in g]
+    if kind == "B":
+        t = T_LETTER
+        rels.append(((t, t), "Q"))
+        rels += [((t, a, t, a), (a, t, a, t)) for a in g[:1]]
+        rels += [((t, a), (a, t)) for a in g[1:]]
+    elif kind == "D" and g:
+        u = U_LETTER
+        rels.append(((u, u), "q"))
+        # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
+        rels += [((u, a), (a, u)) for a in g[:1] + g[2:]]
+        rels += [((u, a, u), (a, u, a)) for a in g[1:2]]
+    elif kind not in ("A", "D"):
+        raise ValueError(f"no algebra of type {kind!r}")
+    return tuple(rels)
+
+
+def relation_str(relation) -> str:
+    """The relation as text, as in ``u g1 = g1 u`` or ``g1 g1 = (q-1) g1 +
+    q``."""
+    lhs, rhs = relation
+    left = _letters_str(lhs)
+    if isinstance(rhs, str):
+        return f"{left} = ({rhs}-1) {_letters_str(lhs[:1])} + {rhs}"
+    return f"{left} = {_letters_str(rhs)}"
+
+
+def relation_residuals(rep: Representation, kind: str = "B") -> list:
+    """Left minus right of each of ``relations(rep.size, kind)``, in order,
+    as pairs (num, den).  A residual is zero exactly when its integer
+    numerator is zero, so the letter matrices satisfy the presentation iff
+    every numerator is zero."""
+    def product(letters):
+        return _product([rep.letter_matrix(x) for x in letters])
 
     res = []
-    for i in range(len(G) - 1):
-        res.append(difference([G[i], G[i + 1], G[i]],
-                              [G[i + 1], G[i], G[i + 1]]))
-    for i in range(len(G)):
-        for j in range(i + 2, len(G)):
-            res.append(difference([G[i], G[j]], [G[j], G[i]]))
-    for g in G:
-        res.append(_combination([(1, _product([g, g])), (1 - q, g), (-q, I)]))
-    t = rep.letter_matrix(T_LETTER)
-    Q = rep.point.Q
-    res.append(_combination([(1, _product([t, t])), (1 - Q, t), (-Q, I)]))
-    if G:
-        g1 = G[0]
-        res.append(difference([t, g1, t, g1], [g1, t, g1, t]))
-    for g in G[1:]:
-        res.append(difference([t, g], [g, t]))
+    for lhs, rhs in relations(rep.size, kind):
+        if isinstance(rhs, str):
+            p = getattr(rep.point, rhs)
+            right = [(1 - p, product(lhs[:1])),
+                     (-p, (identity(rep.dimension), 1))]
+        else:
+            right = [(-1, product(rhs))]
+        res.append(_combination([(1, product(lhs))] + right))
     return res
 
 
+_WORD_LETTERS = {"A": ("g", "ginv"), "B": ("g", "ginv", "t", "tprime"),
+                 "D": ("g", "ginv", "u")}
+
+
 def random_word(n: int, rng: random.Random, max_len: int = 4,
-                use_t: bool = True) -> HeckeWord:
-    """Random short word in the size-n algebra (deterministic given rng)."""
-    kinds = ["g", "ginv"] + (["t", "tprime"] if use_t else [])
+                kind: str = "B") -> HeckeWord:
+    """Random short word in the size-n algebra of type ``kind`` ("A", "B"
+    or "D"), deterministic given rng; letters the size cannot hold (g_i and
+    u at n = 1) are drawn and left out."""
     letters = []
     for _ in range(rng.randint(0, max_len)):
-        kind = rng.choice(kinds)
-        if kind == "t":
+        drawn = rng.choice(_WORD_LETTERS[kind])
+        if drawn == "t":
             letters.append(T_LETTER)
-        elif kind == "tprime":
+        elif drawn == "tprime":
             letters.append(tprime_letter(rng.randint(0, n - 1)))
-        elif n >= 2:
+        elif n < 2:
+            continue
+        elif drawn == "u":
+            letters.append(U_LETTER)
+        else:
             i = rng.randint(1, n - 1)
-            letters.append(g_letter(i) if kind == "g" else ginv_letter(i))
+            letters.append(g_letter(i) if drawn == "g" else ginv_letter(i))
     return word(letters, n)

@@ -15,12 +15,12 @@ from heckeweights.homcheck import character_match_report, markov_property, \
     relations_report, rho_eigenvalue_report, skew_dimension_report, \
     tprime_powers, tprime_property, typeA_normalization, \
     typeD_inclusion_weights, typeD_markov_property, typeD_normalization, \
-    typeD_relations, weight_branching, weight_normalization, \
-    weight_ratio_report, weight_two_forms
+    weight_branching, weight_normalization, weight_ratio_report, \
+    weight_two_forms
 from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
     random_word, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity, to_rat
-from heckeweights.traces import markov_params, weight_B
+from heckeweights.traces import markov_params, q1_point, weight_B
 from helpers import mat_eq, typeA_markov_trace
 
 
@@ -133,8 +133,7 @@ def test_criterion_07_schur_ratio_specialization():
 def test_criterion_08_skew_characters_match():
     def body():
         qs = (Rat(2), Rat(3, 2))
-        assert_reports([character_match_report(n, m, m, qs, samples=20,
-                                               seed=88)
+        assert_reports([character_match_report(n, m, m, qs, seed=88)
                         for n, m in ((1, 3), (2, 3), (3, 4))]
                        + [rho_eigenvalue_report(3, 3, qs)], 798)
     criterion(8, "skew realization and generic construction have identical "
@@ -170,30 +169,24 @@ def test_criterion_10_dimension_bookkeeping():
 def test_criterion_11_type_d():
     def body():
         rng = random.Random(61)
+        qs = (Rat(2), Rat(1, 2), Rat(5, 3))
         reports = []
-        for q in (Rat(2), Rat(1, 2), Rat(5, 3)):
+        for q in qs:
             for n in (1, 2, 3):
                 # r1 != r2 tells a merged weight from twice one shape's
                 r1, r2 = n + 1, n + 2
                 reports += [typeD_inclusion_weights(n, r1, r2, [q]),
                             typeD_normalization(n, r1, r2, [q])]
-            # Markov property and the relations (D1)-(D5) as exact trace
-            # identities
-            n, r1, r2 = 3, 4, 4
-            hs, pairs = [], []
-            for _ in range(5):
-                a = random_word(n, rng, use_t=False)
-                b = random_word(n, rng, use_t=False)
-                if all(i < n - 1 for _, i in a.letters):
-                    hs.append(word(a.letters, n - 1))
-                pairs.append((a, b))
-            reports.append(typeD_markov_property(n, r1, r2, [(q, hs)]))
-            reports.append(typeD_relations(n, r1, r2, [(q, pairs)]))
-        assert_reports(reports, 138)
+            # the Markov property on type-D words h, in g_1, G_1 and u
+            hs = [random_word(2, rng, kind="D") for _ in range(5)]
+            reports.append(typeD_markov_property(3, 4, 4, [(q, hs)]))
+        # (D1)-(D5) on every type-B module at Q = 1
+        reports.append(relations_report("typeD", map(q1_point, qs), (2, 3)))
+        assert_reports(reports, 120)
     criterion(11, "index-2 subalgebra at Q = 1: merged/split weights sum the "
-                  "linked generic weights, normalize to 1, and the trace "
-                  "satisfies the relations (D1)-(D5) and the Markov "
-                  "property", 120, body)
+                  "linked generic weights and normalize to 1, every module "
+                  "satisfies the relations (D1)-(D5), and the trace has the "
+                  "Markov property on words in g, G and u", 120, body)
 
 
 def test_criterion_12_type_a_trace():
@@ -207,7 +200,7 @@ def test_criterion_12_type_a_trace():
                 r = n + 1
                 z = q**r * (1 - q) / (1 - q**r)
                 for _ in range(10):
-                    h = random_word(n - 1, rng, use_t=False)
+                    h = random_word(n - 1, rng, kind="A")
                     base = typeA_markov_trace(h, n - 1, r, q)
                     hg = word(h.letters + (g_letter(n - 1),), n)
                     assert typeA_markov_trace(hg, n, r, q) == z * base, \

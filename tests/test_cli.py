@@ -296,7 +296,7 @@ def test_every_check_runs_in_verify(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--suite", "all", "--n", "2",
                               "--points", "1"])
     assert code == 0
-    assert len(checks) == 21
+    assert len(checks) == 20
     assert sorted(set(checks) - called) == []
 
 

@@ -22,7 +22,7 @@ def test_rho_eigenvalue_validation():
 @pytest.mark.parametrize("q", [Rat(2), Rat(3, 2)])
 def test_character_match(q):
     for n in (1, 2):
-        report = character_match_report(n, 3, 3, [q], samples=15, seed=4)
+        report = character_match_report(n, 3, 3, [q], seed=4)
         assert report.passed, report.failure
 
 

@@ -1,15 +1,18 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 
 import pytest
 
+from heckeweights import homcheck
 from heckeweights.combinatorics import double_partitions, partitions
 from heckeweights.homcheck import relations_report
 from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
     U_LETTER, character, evaluate, expand_word, \
     full_twist_scalar, g_letter, ginv_letter, parse_word, random_word, \
-    relation_residuals, skew_rep, tprime_letter, typeA_rep, typeB_rep, word
+    relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
+    typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix, specialized_point, to_rat
 from heckeweights.traces import q1_point, trace_table
@@ -61,14 +64,85 @@ def test_skew_relations():
     assert report.passed, report.failure
 
 
-def test_relation_residuals_catch_corruption(point):
-    rep = typeB_rep(((1,), (1,)), point)
-    num, den = rep.letter_matrix(g_letter(1))
+def test_typeD_relations(points):
+    # (D1)-(D5) hold on every type-B module at Q = 1, whatever Q the points
+    # carry; size 1 has no relation, so it counts no module
+    report = relations_report("typeD", points, range(1, 4))
+    assert report.passed, report.failure
+    assert report.cases == 3 * (5 + 10)
+    assert relations_report("typeD", points, [1]).cases == 0
+
+
+def _relation_family(relation):
+    lhs, rhs = relation
+    if isinstance(rhs, str):
+        return "quadratic"
+    return {2: "commutation", 3: "braid", 4: "t g1 t g1"}[len(lhs)]
+
+
+def test_relation_list():
+    # a dropped relation passes every module check, so the list is pinned:
+    # the count of each family for n = 1..6, and the whole list at n = 3
+    for n in range(1, 7):
+        far = max(n - 2, 0) * max(n - 3, 0) // 2
+        base = {"braid": max(n - 2, 0), "commutation": far,
+                "quadratic": n - 1}
+        extra = {
+            "A": {},
+            # t t, t g1 t g1 = g1 t g1 t, t g_i = g_i t for i >= 2
+            "B": {"quadratic": 1, "t g1 t g1": int(n >= 2),
+                  "commutation": max(n - 2, 0)},
+            # u u, u g1 = g1 u, u g_i = g_i u for i >= 3, u g2 u = g2 u g2
+            "D": {"quadratic": 1, "commutation": 1 + max(n - 3, 0),
+                  "braid": int(n >= 3)} if n >= 2 else {},
+        }
+        for kind, more in extra.items():
+            rels = relations(n, kind)
+            assert len(set(rels)) == len(rels), (n, kind)
+            for lhs, rhs in rels:  # each side is a word of size n
+                word(lhs, n)
+                if not isinstance(rhs, str):
+                    word(rhs, n)
+            want = Counter(base) + Counter(more)
+            assert Counter(map(_relation_family, rels)) == want, (n, kind)
+        assert sum(_relation_family(r) == "commutation"
+                   for r in relations(n, "B")) == (n - 1) * (n - 2) // 2
+    common = ["g1 g2 g1 = g2 g1 g2", "g1 g1 = (q-1) g1 + q",
+              "g2 g2 = (q-1) g2 + q"]
+    assert [relation_str(r) for r in relations(3, "A")] == common
+    assert [relation_str(r) for r in relations(3, "B")] == common + [
+        "t t = (Q-1) t + Q", "t g1 t g1 = g1 t g1 t", "t g2 = g2 t"]
+    assert [relation_str(r) for r in relations(3, "D")] == common + [
+        "u u = (q-1) u + q", "u g1 = g1 u", "u g2 u = g2 u g2"]
+    with pytest.raises(ValueError, match="no algebra of type 'C'"):
+        relations(3, "C")
+
+
+def test_relation_residuals_catch_corruption(point, monkeypatch):
+    # g1 with one entry shifted by 1 breaks its quadratic relation; u
+    # replaced by g2 keeps its quadratic relation but not u g1 = g1 u.  The
+    # residuals see each, and relations_report names the first relation that
+    # fails, the module and the point
+    real = homcheck.typeB_rep
+    rep_b = real(((1,), (1,)), point)
+    num, den = rep_b.letter_matrix(g_letter(1))
     g = num.copy()
     g[0, 0] = g[0, 0] + den
-    broken = dataclasses.replace(rep, letters={**rep.letters,
-                                               g_letter(1): (g, den)})
-    assert not all(is_zero_matrix(m) for m, _ in relation_residuals(broken))
+    rep_d = real(((2,), (1,)), q1_point(Rat(2)))
+    cases = [("typeB", rep_b, ((1,), (1,)), g_letter(1), (g, den),
+              "q = 2, Q = 5: relation g1 g1 = (q-1) g1 + q"),
+             ("typeD", rep_d, ((2,), (1,)), U_LETTER,
+              rep_d.letter_matrix(g_letter(2)),
+              "q = 2, Q = 1: relation u g1 = g1 u")]
+    for family, rep, shape, letter, matrix, failure in cases:
+        broken = dataclasses.replace(rep, letters={**rep.letters,
+                                                   letter: matrix})
+        assert not all(is_zero_matrix(m) for m, _ in
+                       relation_residuals(broken, family[-1]))
+        monkeypatch.setattr(homcheck, "typeB_rep", lambda s, p: broken
+                            if s == shape else real(s, p))
+        report = relations_report(family, [rep.point], [rep.size])
+        assert report.failure == f"{family} module {shape} at {failure} fails"
 
 
 def test_worked_example_matrices(point):
@@ -365,14 +439,14 @@ def test_integer_product_matches_fraction_product():
     cases = 0
     for p in pts:
         for n in range(1, 5):
-            reps = [(typeB_rep(shape, p), True)
+            reps = [(typeB_rep(shape, p), "B")
                     for shape in double_partitions(n)] \
-                + [(typeA_rep(mu, p), False) for mu in partitions(n)]
-            for rep, use_t in reps:
+                + [(typeA_rep(mu, p), "A") for mu in partitions(n)]
+            for rep, kind in reps:
                 for _ in range(6):
                     letters = random_word(n, rng, max_len=8,
-                                          use_t=use_t).letters
-                    if use_t and n >= 2:
+                                          kind=kind).letters
+                    if kind == "B" and n >= 2:
                         k = rng.randint(0, len(letters))
                         letters = letters[:k] + (U_LETTER,) + letters[k:]
                     w = word(letters, n)

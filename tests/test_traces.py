@@ -318,7 +318,7 @@ def test_typeA_trace(points):
             assert typeA_markov_trace(word((), n), n, r, q) == 1
             z = q**r * (1 - q) / (1 - q**r)
             for _ in range(6):
-                h = random_word(n - 1, rng, use_t=False)
+                h = random_word(n - 1, rng, kind="A")
                 p0 = q1_point(q)
                 base = typeA_markov_trace(expand_word(h, p0), n - 1, r, q)
                 hg = word(h.letters + (g_letter(n - 1),), n)
@@ -358,8 +358,8 @@ def test_u_quadratic_trace_identity():
     n, r1, r2 = 3, 4, 4
     uu = word((U_LETTER,), n)
     for _ in range(6):
-        a = random_word(n, rng, use_t=False)
-        b = random_word(n, rng, use_t=False)
+        a = random_word(n, rng, kind="D")
+        b = random_word(n, rng, kind="D")
         lhs = word(a.letters + uu.letters + uu.letters + b.letters, n)
         mid = word(a.letters + uu.letters + b.letters, n)
         one = word(a.letters + b.letters, n)
