@@ -7,8 +7,6 @@ failure, 2 usage or parameter error.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import random
@@ -65,7 +63,6 @@ def cmd_weights(args) -> int:
         return _error("type D needs --n >= 1")
     else:
         point = _or_exit(q1_point, q)
-    z, y = markov_params(r1, r2, point)
     if kind == "A":
         rows = [(partition_str(alpha), w, dimension((alpha, beta)))
                 for (alpha, beta), w in
@@ -76,23 +73,22 @@ def cmd_weights(args) -> int:
     else:
         rows = [(shape_str(shape) + (f"_{split}" if split else ""), w, d)
                 for shape, split, w, d in weight_D(n, r1, r2, point)]
+    # Written out, the bytes of csv.writer(lineterminator="\n") and of
+    # json.dumps(indent=2): no field needs JSON escaping, and a label needs
+    # CSV quoting exactly when it holds a comma.
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "weight", "dimension"])
-        for shape, weight, dim in rows:
-            writer.writerow([shape, str(weight), dim])
-        sys.stdout.write(buf.getvalue())
-    else:
-        doc = {
-            "params": {"n": n, "r1": r1, "r2": r2, "q": str(q),
-                       "Q": None if kind == "A" else str(point.Q)},
-            "z": str(z),
-            "y": None if kind == "A" else str(y),
-            "weights": [{"shape": shape, "weight": str(weight),
-                         "dimension": dim} for shape, weight, dim in rows],
-        }
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write("shape,weight,dimension\n" + "".join(
+            f'"{s}",{w!s},{d}\n' if "," in s else f"{s},{w!s},{d}\n"
+            for s, w, d in rows))
+        return 0
+    z, y = markov_params(r1, r2, point)
+    Q, y = ("null", "null") if kind == "A" else (f'"{point.Q!s}"', f'"{y!s}"')
+    weights = ",\n".join(
+        f'    {{\n      "shape": "{s}",\n      "weight": "{w!s}",\n'
+        f'      "dimension": {d}\n    }}' for s, w, d in rows)
+    print(f'{{\n  "params": {{\n    "n": {n},\n    "r1": {r1},\n'
+          f'    "r2": {r2},\n    "q": "{q!s}",\n    "Q": {Q}\n  }},\n'
+          f'  "z": "{z!s}",\n  "y": {y},\n  "weights": [\n{weights}\n  ]\n}}')
     return 0
 
 
@@ -210,7 +206,9 @@ def suite_typeD(n, seed, points):
     rng = random.Random(seed)
     # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
     r1, r2 = n + 1, n + 2
-    hs = [(q, [random_word(max(n - 1, 1), rng, kind="D") for _ in range(5)])
+    # each distinct h once: at n = 2 every drawn word is the empty one
+    hs = [(q, list(dict.fromkeys(random_word(n - 1, rng, kind="D")
+                                 for _ in range(5))))
           for q in qs] if n >= 2 else []
     return [
         homcheck.typeD_inclusion_weights(n, r1, r2, qs,

@@ -211,10 +211,13 @@ def mu_content(box, m: int, r1: int) -> int:
 
 # -- text output (CLI) -------------------------------------------------------
 
+# Bounded; a str value, so no caller can alter a cached one.
+@lru_cache(maxsize=1024)
 def partition_str(alpha) -> str:
     return "[" + ",".join(str(p) for p in trim(alpha)) + "]"
 
 
+@lru_cache(maxsize=1024)
 def shape_str(shape) -> str:
     return partition_str(shape[0]) + "|" + partition_str(shape[1])
 

@@ -1,6 +1,11 @@
 """Helpers that only the tests use: scalar and matrix shorthands, removable
 corners, the coset representatives of the size-(n-1) algebra, the type-A
-Markov trace and a shape-by-shape type-B Markov trace."""
+Markov trace, a shape-by-shape type-B Markov trace and the reprint of a
+printed weight table."""
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -79,3 +84,15 @@ def markov_trace_by_shape(element, n: int, r1: int, r2: int, point):
         if w != 0:
             total += w * character(typeB_rep(shape, point), element)
     return total
+
+
+def reprinted(table: str) -> str:
+    """A printed weight table as ``json.dumps(indent=2)`` (JSON) or
+    ``csv.writer`` with "\\n" line ends (CSV) print the data parsed from it:
+    the bytes the CLI promises."""
+    if table.startswith("{"):
+        return json.dumps(json.loads(table), indent=2) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(table)))
+    return out.getvalue()

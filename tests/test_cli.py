@@ -1,6 +1,7 @@
 import csv
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from heckeweights import cli, homcheck
 from heckeweights.combinatorics import dimension, double_partitions, shape_str
 from heckeweights.scalars import Rat, admissible_point
 from heckeweights.traces import q1_point, weight_D
+from helpers import reprinted
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,6 +107,45 @@ def test_weights_typeD_rows_are_weight_D(capsys):
                              "dimension": d})
         assert len(rows) == len(want)
         assert json.loads(out)["weights"] == want
+
+
+def test_weights_output_round_trips(capsys):
+    """Both formats print exactly the bytes json.dumps(indent=2) and
+    csv.writer print for the data they hold, and hold the same rows: types
+    A, B and D, n = 0..6, a negative Q, and row bounds that give zero
+    weights."""
+    zeros = 0
+    for kind, n, bounds in itertools.product(
+            "ABD", range(7), [(), (0, 3), (3, 0), (1, 5)]):
+        if kind == "D" and n == 0:
+            continue
+        argv = ["weights", "--type", kind, "--n", str(n), "--q", "347/512"]
+        argv += ["--Q", "-3/2"] if kind == "B" else []
+        for name, r in zip(("--r1", "--r2"), bounds):
+            argv += [name, str(r)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out == reprinted(out), argv
+        code, table, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, err) == (0, ""), argv
+        assert table == reprinted(table), argv
+        rows = [[w["shape"], w["weight"], str(w["dimension"])]
+                for w in json.loads(out)["weights"]]
+        assert list(csv.reader(io.StringIO(table))) \
+            == [["shape", "weight", "dimension"]] + rows, argv
+        zeros += sum(weight == "0" for _, weight, _ in rows)
+    assert zeros > 0
+
+
+def test_typeD_markov_property_counts_each_h_once(capsys):
+    """Every type-D word of size 1 is empty, so at n = 2 the Markov check
+    has one case per point."""
+    for points in (1, 3):
+        code, out, _ = run(capsys, ["verify", "--suite", "typeD", "--n", "2",
+                                    "--points", str(points)])
+        assert code == 0
+        cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
+        assert cases["typeD-markov-property-n2"] == points
 
 
 def test_weights_requires_Q_for_type_B(capsys):

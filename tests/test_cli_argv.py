@@ -2,7 +2,8 @@
 with ``error:`` on stderr, none ends in an exception, a command followed by
 pairs of its own options and values never reports an unknown option or a
 missing value (whatever the value looks like, -1/2 included), and every
-weight table printed is normalized (Eq. (9))."""
+weight table printed is normalized (Eq. (9)) and reprints byte for byte
+through the json or csv module."""
 
 import contextlib
 import csv
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heckeweights import cli
+from helpers import reprinted
 
 RATIONALS = st.one_of(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-3, 9)),
@@ -101,6 +103,7 @@ def test_every_argv_exits_cleanly(argv):
         assert "needs a value" not in err.getvalue(), argv
     if code == 0 and argv[0] == "weights" and not {"-h", "--help"} & set(argv):
         assert normalization(out.getvalue()) == 1, argv
+        assert reprinted(out.getvalue()) == out.getvalue(), argv
 
 
 def normalization(text):
