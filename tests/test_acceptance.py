@@ -11,14 +11,14 @@ import time
 
 from heckeweights.combinatorics import dimension, double_partitions, \
     partitions
-from heckeweights.homcheck import character_match_report, markov_property, \
-    relations_report, rho_eigenvalue_report, skew_dimension_report, \
-    tprime_powers, tprime_property, typeA_normalization, \
-    typeD_inclusion_weights, typeD_markov_property, typeD_normalization, \
-    weight_branching, weight_normalization, weight_ratio_report, \
-    weight_two_forms
+from heckeweights.homcheck import character_match_report, \
+    double_coset_reduction, markov_property, relations_report, \
+    rho_eigenvalue_report, skew_dimension_report, tprime_property, \
+    typeA_normalization, typeD_inclusion_weights, typeD_markov_property, \
+    typeD_normalization, weight_branching, weight_normalization, \
+    weight_ratio_report, weight_two_forms
 from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
-    random_word, typeA_rep, word
+    random_word, tprime_letter, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity, to_rat
 from heckeweights.traces import markov_params, q1_point, weight_B
 from helpers import mat_eq, typeA_markov_trace
@@ -82,8 +82,11 @@ def test_criterion_03_tprime_property_and_powers():
             cases = [(p, [random_word(n - 1, rng) for _ in range(10)])
                      for p in five_points(n, n + 1, n + 1)[:3]]
             reports.append(tprime_property(n, n + 1, n + 1, cases))
-        reports.append(tprime_powers(4, 5, 5, five_points(4, 5, 5)[:3],
-                                     range(1, 5)))
+        powers = [word(tuple(tprime_letter(j) for j in range(k)), 4)
+                  for k in range(1, 5)]
+        reports.append(double_coset_reduction(4, 5, 5,
+                                              five_points(4, 5, 5)[:3],
+                                              powers))
         assert_reports(reports, 102)
     criterion(3, "trace eats a trailing t'_{n-1} as a factor y; products "
                  "t'_0..t'_{k-1} trace to y^k", 120, body)

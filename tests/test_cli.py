@@ -4,12 +4,14 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from heckeweights import cli, homcheck
 from heckeweights.combinatorics import dimension, double_partitions, shape_str
+from heckeweights.reps import random_word
 from heckeweights.scalars import Rat, admissible_point
 from heckeweights.traces import q1_point, weight_D
 from helpers import reprinted
@@ -146,6 +148,22 @@ def test_typeD_markov_property_counts_each_h_once(capsys):
         assert code == 0
         cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
         assert cases["typeD-markov-property-n2"] == points
+
+
+def test_markov_suite_counts_each_h_once(capsys):
+    """The suite draws five words h per point from ``random.Random(seed)``;
+    the Markov and t' checks compare each distinct h once."""
+    n, seed, points = 2, 9, 2
+    rng = random.Random(seed)
+    distinct = sum(len({random_word(n - 1, rng) for _ in range(5)})
+                   for _ in range(points))
+    assert distinct < 5 * points  # the draw repeats a word
+    code, out, _ = run(capsys, ["verify", "--suite", "markov", "--n", str(n),
+                                "--seed", str(seed), "--points", str(points)])
+    assert code == 0
+    cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
+    assert cases["markov-property-n2"] == distinct
+    assert cases["tprime-property-n2"] == distinct
 
 
 def test_weights_requires_Q_for_type_B(capsys):
@@ -337,7 +355,7 @@ def test_every_check_runs_in_verify(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--suite", "all", "--n", "2",
                               "--points", "1"])
     assert code == 0
-    assert len(checks) == 20
+    assert len(checks) == 18
     assert sorted(set(checks) - called) == []
 
 
