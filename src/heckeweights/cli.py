@@ -181,12 +181,11 @@ def suite_schur(n, seed, points):
 
 
 def suite_hom(n, seed, points):
-    n = min(n, 3)
     qs = [p.q for p in _points(n, n + 1, n + 1, seed, min(points, 3))]
     m = r1 = n + 1
     return [
         homcheck.rho_eigenvalue_report(m, r1, qs, name="rho-eigenvalues"),
-        homcheck.character_match_report(n, m, r1, qs, seed=seed,
+        homcheck.character_match_report(n, m, r1, qs,
                                         name=f"character-match-n{n}"),
         homcheck.skew_dimension_report(n, m, r1, qs[0],
                                        name=f"skew-dimensions-n{n}"),

@@ -10,22 +10,26 @@ generators of (lhs, rhs, describe) cases and turned into report-returning
 functions by ``identity``.  ``relations_report`` checks ``reps.relations`` on
 whole modules: types A, B and skew against the type-B presentation, and
 (D1)-(D5) on type-B modules at Q = 1, which covers every two-sided multiple
-of a relation at once.  tr(ab) = tr(ba) has no check: a trace is taken of
-the exact product of letter matrices, and AB and BA have equal traces.
+of a relation at once.  ``character_match_report`` checks Theorem 3.3 on
+the generators: at Q = -q^(r1+m) the skew and generic modules have equal
+matrices of t and every g_i, so their characters agree on every element.
+tr(ab) = tr(ba) has no check: a trace is taken of the exact product of
+letter matrices, and AB and BA have equal traces.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, partitions, shape_str, trim
-from .reps import T_LETTER, character, full_twist_scalar, g_letter, \
-    random_word, relation_residuals, relation_str, relations, skew_rep, \
-    tprime_letter, typeA_rep, typeB_rep, word
-from .scalars import Rat, is_zero_matrix, specialized_point, to_rat
+from .reps import T_LETTER, full_twist_scalar, g_letter, relation_residuals, \
+    relation_str, relations, skew_rep, tprime_letter, typeA_rep, typeB_rep, \
+    word
+from .scalars import Rat, is_zero_matrix, specialized_point
 from .schur import rectangle_schur, schur_normalized, schur_principal
 from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
     weight_B, weight_B_schur_form, weight_D, weight_table
@@ -265,8 +269,9 @@ def typeA_normalization(qs, cases):
 
 @identity("Lemma 3.2")
 def rho_eigenvalue_report(m: int, r1: int, qs):
-    """For n = 1, t acts on the two skew modules exactly by -q^(r1+m) and
-    -1, which is the full-twist ratio."""
+    """The full twists of beta = [m+1, m^(r1-1)] and gamma = [m^r1, 1], the
+    two one-box extensions of the rectangle, act by scalars of ratio
+    q^(r1+m): t acts on the skew modules by -q^(r1+m) = Q and by -1."""
     if m < 2 or r1 < 2:
         raise ValueError("need m >= 2 and r1 >= 2")
     gamma = (m,) * r1 + (1,)
@@ -274,53 +279,40 @@ def rho_eigenvalue_report(m: int, r1: int, qs):
     for q in map(Rat, qs):
         yield (-full_twist_scalar(beta, q) / full_twist_scalar(gamma, q),
                -(q ** (r1 + m)), lambda: f"full-twist ratio at q = {q}")
-        for shape, expected in ((((1,), ()), -(q ** (r1 + m))),
-                                (((), (1,)), Rat(-1))):
-            rep = skew_rep(shape, m, r1, q)
-            t = to_rat(*rep.letter_matrix(T_LETTER))
-            yield ({t[i, i] for i in range(rep.dimension)},
-                   {expected},
-                   lambda: f"t-spectrum on {shape_str(shape)} at q = {q}")
 
 
-SAMPLED_WORDS = 20
+def _first_difference(a, b) -> str | None:
+    """None when the matrices (num, den) a and b are equal, else both
+    dimensions or the first entry at which they differ with both values."""
+    (na, da), (nb, db) = a, b
+    if na.shape != nb.shape:
+        return f"dimension {len(na)} != {len(nb)}"
+    differ = np.argwhere(na * db != nb * da)
+    if not len(differ):
+        return None
+    i, j = differ[0]
+    return f"entry ({i}, {j}): {Rat(na[i, j], da)} != {Rat(nb[i, j], db)}"
 
 
-def _sample_words(n: int, seed: int) -> list:
-    """Deterministic sample of ``SAMPLED_WORDS`` words: identity, t, each
-    generator, then random short words."""
-    rng = random.Random(seed)
-    words = [word((), n), word((T_LETTER,), n)]
-    words += [word((g_letter(i),), n) for i in range(1, n)]
-    while len(words) < SAMPLED_WORDS:
-        words.append(random_word(n, rng))
-    return words[:SAMPLED_WORDS]
-
-
-@identity("Theorem 3.3")
-def character_match_report(n: int, m: int, r1: int, qs, seed: int = 0):
-    """Characters of skew and generic realizations agree shape by shape on
-    sampled words, and the samples separate distinct shapes."""
-    words = _sample_words(n, seed)
-    shapes = double_partitions(n)
+def character_match_report(n: int, m: int, r1: int, qs,
+                           name="character-match-report") -> Report:
+    """At Q = -q^(r1+m) the skew realization of every shape of size n has
+    the generic module's matrices of t and of every g_i, entry for entry in
+    the same tableau basis.  Equal generators give equal matrices, so equal
+    characters, on every element of the algebra."""
+    report = Report(name, "Theorem 3.3")
+    letters = [T_LETTER] + [g_letter(i) for i in range(1, n)]
     for q in map(Rat, qs):
         point = specialized_point(q, m, r1)
-        vectors = {}
-        for shape in shapes:
-            skew = skew_rep(shape, m, r1, q)
-            generic = typeB_rep(shape, point)
-            vectors[shape] = []
-            for w in words:
-                vectors[shape].append(character(skew, w))
-                yield (vectors[shape][-1], character(generic, w),
-                       lambda: f"skew = generic character of {w} on "
-                               f"{shape_str(shape)} at {point}")
-        for i, s1 in enumerate(shapes):
-            for s2 in shapes[i + 1:]:
-                yield (len({tuple(vectors[s1]), tuple(vectors[s2])}), 2,
-                       lambda: f"distinct sampled characters of "
-                               f"{shape_str(s1)} and {shape_str(s2)} at "
-                               f"{point}")
+        for shape in double_partitions(n):
+            skew, generic = skew_rep(shape, m, r1, q), typeB_rep(shape, point)
+            for letter in letters:
+                diff = _first_difference(skew.letter_matrix(letter),
+                                         generic.letter_matrix(letter))
+                report.check(diff is None, lambda: (
+                    f"skew = generic {word((letter,), n)} on "
+                    f"{shape_str(shape)} at {point}: {diff}"))
+    return report
 
 
 @identity("Eq. (13)")

@@ -46,7 +46,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import combinatorics as comb
 from .combinatorics import DoubleTableau, apply_transposition, axial_parameter, \
     mu_content, standard_tableaux, trim
 from .scalars import ParameterPoint, Rat, identity, specialized_point, zeros
@@ -367,7 +366,6 @@ def skew_rep(shape, m: int, r1: int, q) -> Representation:
         raise ValueError(f"need m > n and r1 > n (got m={m}, r1={r1}, n={n})")
     point = specialized_point(q, m, r1)
     q = point.q
-    comb.embed_double(shape, m, r1)  # validates the rectangle constraint
 
     def axial(t, i):
         return q ** (mu_content(t.boxes[i], m, r1)

@@ -136,11 +136,13 @@ def test_criterion_07_schur_ratio_specialization():
 def test_criterion_08_skew_characters_match():
     def body():
         qs = (Rat(2), Rat(3, 2))
-        assert_reports([character_match_report(n, m, m, qs, seed=88)
-                        for n, m in ((1, 3), (2, 3), (3, 4))]
-                       + [rho_eigenvalue_report(3, 3, qs)], 798)
+        # one case per q, shape and generator t, g_1 ... g_{n-1}: 2 * (2 +
+        # 5 * 2 + 10 * 3 + 20 * 4), and one full-twist ratio per q
+        assert_reports([character_match_report(n, m, m, qs)
+                        for n, m in ((1, 3), (2, 3), (3, 4), (4, 5))]
+                       + [rho_eigenvalue_report(3, 3, qs)], 246)
     criterion(8, "skew realization and generic construction have identical "
-                 "characters; sampled words separate distinct shapes", 120, body)
+                 "generators, so identical characters", 120, body)
 
 
 def test_criterion_09_full_twist():

@@ -326,14 +326,22 @@ def test_verify_passes(capsys):
         assert check["failure"] is None
 
 
+def test_hom_suite_honours_n(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "hom", "--n", "4",
+                                "--points", "1"])
+    assert code == 0
+    cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
+    # one case per shape of size 4 and generator t, g1, g2, g3
+    assert cases["character-match-n4"] == len(double_partitions(4)) * 4
+
+
 def test_verify_all_suites_listed(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "all", "--n", "2",
                                 "--points", "1"])
     assert code == 0
     doc = json.loads(out)
     names = [c["name"] for c in doc["checks"]]
-    assert len(names) == len(set(names))
-    assert len(names) >= 15
+    assert len(names) == len(set(names)) == 21
 
 
 def test_every_check_runs_in_verify(capsys, monkeypatch):

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
+from heckeweights import homcheck
 from heckeweights.combinatorics import double_partitions
 from heckeweights.homcheck import character_match_report, \
     rho_eigenvalue_report, skew_dimension_report, weight_ratio_report
-from heckeweights.scalars import Rat
+from heckeweights.reps import g_letter
+from heckeweights.scalars import Rat, specialized_point
 
 
 @pytest.mark.parametrize("q", [Rat(2), Rat(1, 2), Rat(3, 2)])
@@ -22,8 +26,32 @@ def test_rho_eigenvalue_validation():
 @pytest.mark.parametrize("q", [Rat(2), Rat(3, 2)])
 def test_character_match(q):
     for n in (1, 2):
-        report = character_match_report(n, 3, 3, [q], seed=4)
+        report = character_match_report(n, 3, 3, [q])
         assert report.passed, report.failure
+        # one case per shape and generator t, g_1 ... g_{n-1}
+        assert report.cases == len(double_partitions(n)) * n
+
+
+def test_character_match_names_the_first_difference(monkeypatch):
+    q, shape, letter = Rat(2), ((1,), (1,)), g_letter(1)
+    real = homcheck.skew_rep
+    num, den = real(shape, 3, 3, q).letter_matrix(letter)
+    bent = num.copy()
+    bent[1, 0] += den
+
+    def skew_rep(s, m, r1, q):
+        rep = real(s, m, r1, q)
+        if s != shape:
+            return rep
+        return dataclasses.replace(rep, letters={**rep.letters,
+                                                 letter: (bent, den)})
+
+    monkeypatch.setattr(homcheck, "skew_rep", skew_rep)
+    report = character_match_report(2, 3, 3, [q])
+    assert report.cases == 10
+    assert report.failure == (
+        f"skew = generic g1 on [1]|[1] at {specialized_point(q, 3, 3)}: "
+        f"entry (1, 0): {Rat(bent[1, 0], den)} != {Rat(num[1, 0], den)}")
 
 
 def test_character_match_validation():

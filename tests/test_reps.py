@@ -14,7 +14,7 @@ from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
     relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
     typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
-    is_zero_matrix, specialized_point, to_rat
+    is_zero_matrix, to_rat
 from heckeweights.traces import q1_point, trace_table
 from helpers import coset_representatives, mat_eq
 
@@ -278,24 +278,6 @@ def test_coset_products_span(points):
             vectors.append(vec)
     assert len(vectors) == 8
     assert _rref_rank(vectors) == 8
-
-
-def test_skew_matches_generic_matrices():
-    # at Q = -q^(r1+m) the skew realization reproduces the generic matrices
-    # entry by entry (same canonical basis order)
-    for q in (Rat(2), Rat(3, 2)):
-        for n in (1, 2):
-            m = r1 = 3
-            p = specialized_point(q, m, r1)
-            for shape in double_partitions(n):
-                a = skew_rep(shape, m, r1, q)
-                b = typeB_rep(shape, p)
-                assert a.size == b.size == n
-                assert a.dimension == b.dimension
-                for letter in [T_LETTER] + [g_letter(i) for i in range(1, n)]:
-                    assert mat_eq(to_rat(*a.letter_matrix(letter)),
-                                  to_rat(*b.letter_matrix(letter))), \
-                        (q, shape, letter)
 
 
 def test_skew_rep_validation():
