@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import dimension, double_partitions, embed_double, \
-    one_box_successors, partitions, shape_str, trim
+    one_box_successors, pad, partitions, shape_str, trim
 from .reps import T_LETTER, full_twist_scalar, g_letter, relation_residuals, \
     relation_str, relations, skew_rep, tprime_letter, typeA_rep, typeB_rep, \
     word
@@ -215,25 +215,29 @@ def rectangle_closed_form(qs, rectangles):
 
 @identity("Eq. (4)")
 def schur_factorization(n, m, r1, r2s, qs):
-    """The normalized Schur value of the glued diagram factors into the
-    Schur values of alpha and beta times a cross product."""
+    """The normalized Schur value of the glued diagram factors into
+    q^e ((1 - q) / (1 - q^r))^|mu| s_alpha s_beta times a cross product over
+    r1 x r2 rows, built in integers with q = a/b, 1 - q^k = (b^k - a^k) / b^k,
+    and one Rat (s_beta = 0 when beta has more than r2 rows)."""
     for q in qs:
+        a, b = q.numerator, q.denominator
         for r2 in r2s:
             r = r1 + r2
             for shape in double_partitions(n):
-                mu = embed_double(shape, m, r1)
-                alpha, beta = shape
-                rhs = q ** (m * r1 * (r1 - 1) // 2 + r1 * sum(beta)) \
-                    * ((1 - q) / (1 - q**r)) ** sum(mu) \
-                    * schur_principal(alpha, r1, q) \
-                    * schur_principal(beta, r2, q)
-                for i in range(1, r1 + 1):
-                    for j in range(1, r2 + 1):
-                        a_i = alpha[i - 1] if i <= len(alpha) else 0
-                        b_j = beta[j - 1] if j <= len(beta) else 0
-                        rhs *= (1 - q ** (m + r1 + a_i - b_j + j - i)) \
-                            / (1 - q ** (r1 + j - i))
-                yield (schur_normalized(mu, r, q), rhs,
+                (alpha, beta), mu = shape, embed_double(shape, m, r1)
+                s_alpha = schur_principal(alpha, r1, q)
+                s_beta = schur_principal(beta, r2, q)
+                e, size = m * r1 * (r1 - 1) // 2 + r1 * sum(beta), sum(mu)
+                num = a ** e * ((b - a) * b ** (r - 1)) ** size \
+                    * s_alpha.numerator * s_beta.numerator
+                den = b ** e * (b ** r - a ** r) ** size \
+                    * s_alpha.denominator * s_beta.denominator
+                for i, p in enumerate(pad(alpha, r1)):
+                    for j, s in enumerate(pad(beta[:r2], r2)):
+                        k, l = m + r1 + p - s + j - i, r1 + j - i
+                        num *= (b ** k - a ** k) * b ** l
+                        den *= (b ** l - a ** l) * b ** k
+                yield (schur_normalized(mu, r, q), Rat(num, den),
                        lambda: f"glued Schur value = factored form for "
                                f"{shape_str(shape)}, r2 = {r2} at q = {q}")
 

@@ -10,10 +10,10 @@ Two families of representations share one seminormal construction:
   diagram at the specialization Q = -q^(r1+m), built from absolute contents
   inside the big diagram (an independent code path from typeB_rep).
 
-The off-diagonal pair of each 2x2 swap block is (1, P(x)) with
-P(x) = (q - x)(1 - q x) / (1 - x)^2.  Only the pair's product is fixed by
-trace q - 1 and determinant -q; this is one square-root-free choice among
-others, and characters are unaffected by the similarity normalization.
+The off-diagonal pair of each 2x2 swap block is ((1 - q x) / (1 - x),
+(q - x) / (1 - x)).  Only its product (q - x)(1 - q x) / (1 - x)^2 is fixed
+by trace q - 1 and determinant -q; this square-root-free choice keeps the
+denominators 1 - x, and characters are unaffected by the normalization.
 
 Every matrix of a representation is a pair (num, den): a read-only numpy
 object array of integers and one positive integer, the least common
@@ -285,8 +285,8 @@ def _combination(terms):
 def _seminormal_g(basis, index, i: int, axial, q):
     """Matrix of the i-th generator from the axial scalar x(t, i).
 
-    Columns follow the pair rule: for a swap pair the earlier tableau in
-    canonical order carries off-diagonal 1, the later carries P(x).
+    Columns follow the pair rule: in a swap pair the earlier tableau in
+    canonical order carries (1 - q x) / (1 - x), the later (q - x) / (1 - x).
     """
     d = len(basis)
     m = zeros(d, d)
@@ -304,8 +304,8 @@ def _seminormal_g(basis, index, i: int, axial, q):
         if s > s2:
             continue
         m[s, s] = diag(x)
-        m[s2, s] = Rat(1)
-        m[s, s2] = (q - x) * (1 - q * x) / (1 - x) ** 2
+        m[s2, s] = (1 - q * x) / (1 - x)
+        m[s, s2] = (q - x) / (1 - x)
         m[s2, s2] = diag(1 / x)
     return m
 

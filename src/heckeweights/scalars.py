@@ -9,8 +9,7 @@ A representation's matrix is a pair (num, den): a numpy array with
 ``dtype=object`` holding Python integers, and one positive integer
 denominator, so products are exact integer matrix products and a trace
 needs one division.  The representations build each generator with ``Rat``
-entries and convert it once; ``to_rat`` is the one way back to ``Rat``
-entries.
+entries and convert it once.
 """
 
 from __future__ import annotations
@@ -127,11 +126,6 @@ def zeros(rows: int, cols: int):
 def identity(n: int):
     """Identity matrix with integer entries, exact beside Rat entries."""
     return np.identity(n, dtype=object)
-
-
-def to_rat(num, den):
-    """The matrix num / den with Rat entries."""
-    return np.array([[Rat(e, den) for e in row] for row in num], dtype=object)
 
 
 def is_zero_matrix(a) -> bool:

@@ -5,8 +5,8 @@ the hook-content formula (Macdonald, I.3 Ex. 1; Stanley, EC2, Thm 7.21.2)
     s_alpha(1, ..., q^(r-1)) = q^n(alpha) prod_x (1-q^(r+c(x))) / (1-q^h(x))
 
 over the boxes x, with content c and hook length h.  It runs over boxes, not
-over the pairs of rows of ``traces.weight_B``, so the Schur form of the
-weight is an independent formula for it.
+over row pairs as ``traces.weight_table`` does; the Schur form of the weight
+and the factored side of Eq. (4) multiply its numerators and denominators.
 """
 
 from __future__ import annotations

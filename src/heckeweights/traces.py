@@ -17,7 +17,7 @@ each group a ``Representation`` that stacks the modules of its shapes;
 ``markov_trace_B`` is one table lookup, one ``evaluate`` and one integer dot
 per group, and one Rat.  Types A and D live at the one point
 ``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
-independent oracle for the table and shares no code with it.
+independent oracle for the table: integers and one Rat too, no shared code.
 """
 
 from __future__ import annotations
@@ -46,23 +46,35 @@ def weight_B(shape, r1: int, r2: int, point: ParameterPoint):
 
 
 def weight_B_schur_form(shape, r1: int, r2: int, point: ParameterPoint):
-    """The same weight written as a product of principal Schur values; an
-    independent code path from weight_B."""
+    """The same weight as q^(r1 |beta|) s_alpha s_beta / s_[1]^n, principal
+    Schur values in r1, r2 and r variables, times the ratios
+    C(alpha_i - beta_j + j - i) / C(j - i); an independent code path from
+    weight_B.  In integers with q = a/b and Q = c/d: s_[1] is
+    (b^r - a^r) / (b^(r-1) (b - a)), and C(x) = 1 + Q q^x is
+    (d (ab)^M + c a^(M+x) b^(M-x)) / (d (ab)^M) for |x| < M = n + r."""
     alpha, beta = trim(shape[0]), trim(shape[1])
     if len(alpha) > r1 or len(beta) > r2:
         return Rat(0)
-    q, Q = point.q, point.Q
-    r = r1 + r2
-    n = sum(alpha) + sum(beta)
-    a, b = pad(alpha, r1), pad(beta, r2)
-    w = q ** (r1 * sum(beta)) \
-        * schur_principal(alpha, r1, q) * schur_principal(beta, r2, q) \
-        / schur_principal((1,), r, q) ** n
-    for i in range(1, r1 + 1):
-        for j in range(1, r2 + 1):
-            w *= (1 + Q * q ** (a[i - 1] - b[j - 1] + j - i)) \
-                / (1 + Q * q ** (j - i))
-    return w
+    a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
+    r, n = r1 + r2, sum(alpha) + sum(beta)
+    M, e = n + r, r1 * sum(beta)
+    unit = d * (a * b) ** M
+
+    def cross(x):  # d (ab)^M C(x)
+        return unit + c * a ** (M + x) * b ** (M - x)
+
+    s_alpha = schur_principal(alpha, r1, point.q)
+    s_beta = schur_principal(beta, r2, point.q)
+    num = a ** e * s_alpha.numerator * s_beta.numerator \
+        * (b ** (r - 1) * (b - a)) ** n
+    den = b ** e * s_alpha.denominator * s_beta.denominator \
+        * (b ** r - a ** r) ** n
+    for i, p in enumerate(pad(alpha, r1)):
+        for j, s in enumerate(pad(beta, r2)):
+            num *= cross(p - s + j - i)
+            den *= cross(j - i)
+    return Rat(num, den)
 
 
 def markov_params(r1: int, r2: int, point: ParameterPoint):

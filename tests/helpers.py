@@ -1,7 +1,8 @@
-"""Helpers that only the tests use: scalar and matrix shorthands, removable
-corners, the coset representatives of the size-(n-1) algebra, the type-A
-Markov trace, a shape-by-shape type-B Markov trace and the reprint of a
-printed weight table."""
+"""Helpers that only the tests use: scalar and matrix shorthands, the
+conversion of a (num, den) matrix to Rat entries, removable corners, the
+coset representatives of the size-(n-1) algebra, the type-A Markov trace, a
+shape-by-shape type-B Markov trace and the reprint of a printed weight
+table."""
 
 import csv
 import io
@@ -29,6 +30,11 @@ def qpow(point, k: int):
 def matrix(rows):
     """Dense matrix from nested lists, entries coerced to Rat."""
     return np.array([[Rat(e) for e in row] for row in rows], dtype=object)
+
+
+def to_rat(num, den):
+    """The matrix num / den with Rat entries."""
+    return np.array([[Rat(e, den) for e in row] for row in num], dtype=object)
 
 
 def mat_eq(a, b) -> bool:

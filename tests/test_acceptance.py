@@ -19,9 +19,9 @@ from heckeweights.homcheck import character_match_report, \
     weight_ratio_report, weight_two_forms
 from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
     random_word, tprime_letter, typeA_rep, word
-from heckeweights.scalars import Rat, admissible_point, identity, to_rat
+from heckeweights.scalars import Rat, admissible_point, identity
 from heckeweights.traces import markov_params, q1_point, weight_B
-from helpers import mat_eq, typeA_markov_trace
+from helpers import mat_eq, to_rat, typeA_markov_trace
 
 
 def criterion(num, label, limit_s, body):

@@ -3,11 +3,16 @@ import dataclasses
 import pytest
 
 from heckeweights import homcheck
-from heckeweights.combinatorics import double_partitions
+from heckeweights.combinatorics import double_partitions, embed_double
 from heckeweights.homcheck import character_match_report, \
-    rho_eigenvalue_report, skew_dimension_report, weight_ratio_report
+    rho_eigenvalue_report, schur_factorization, skew_dimension_report, \
+    weight_ratio_report
 from heckeweights.reps import g_letter
 from heckeweights.scalars import Rat, specialized_point
+from heckeweights.schur import schur_normalized
+
+# the q's of the three-digit points of test_traces.py, on both sides of 1
+THREE_DIGIT_QS = [Rat(347, 512), Rat(911, 127), Rat(100, 999)]
 
 
 @pytest.mark.parametrize("q", [Rat(2), Rat(1, 2), Rat(3, 2)])
@@ -64,6 +69,34 @@ def test_weight_ratio(q):
     for n in (1, 2):
         report = weight_ratio_report(n, 3, 3, (3, 4), [q])
         assert report.passed, report.failure
+
+
+def test_schur_factorization():
+    # r2 = 1 leaves beta = [1, 1] more rows than r2: both sides are zero
+    for n in range(1, 5):
+        report = schur_factorization(n, n + 1, n + 1, (n + 1, n + 2, 1),
+                                     THREE_DIGIT_QS)
+        assert report.passed, report.failure
+        assert report.cases == 3 * 3 * {1: 2, 2: 5, 3: 10, 4: 20}[n]
+
+
+def test_schur_factorization_names_the_failure(monkeypatch):
+    # s_beta doubled for beta = [1] in r2 = 4 variables: only [1]|[1] at
+    # r2 = 4 fails
+    real = homcheck.schur_principal
+
+    def schur_principal(alpha, r, q):
+        value = real(alpha, r, q)
+        return 2 * value if (alpha, r) == ((1,), 4) else value
+
+    monkeypatch.setattr(homcheck, "schur_principal", schur_principal)
+    q = THREE_DIGIT_QS[0]
+    report = schur_factorization(2, 3, 3, (3, 4), [q])
+    assert report.cases == 10
+    glued = schur_normalized(embed_double(((1,), (1,)), 3, 3), 7, q)
+    assert report.failure == (
+        f"glued Schur value = factored form for [1]|[1], r2 = 4 at "
+        f"q = 347/512: {glued} != {2 * glued}")
 
 
 def test_skew_dimensions():

@@ -14,9 +14,9 @@ from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
     relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
     typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
-    is_zero_matrix, to_rat
+    is_zero_matrix
 from heckeweights.traces import q1_point, trace_table
-from helpers import coset_representatives, mat_eq
+from helpers import coset_representatives, mat_eq, to_rat
 
 
 def test_word_validation():

@@ -9,11 +9,13 @@ from heckeweights.homcheck import weight_branching, weight_normalization, \
 from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
     expand_word, g_letter, ginv_letter, parse_word, random_word, \
     tprime_letter, typeB_rep, word
-from heckeweights.scalars import ParameterPoint, Rat, guard_bound, to_rat
+from heckeweights.scalars import ParameterPoint, Rat, guard_bound
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import markov_params, markov_trace_B, \
-    markov_trace_D, q1_point, trace_table, weight_B, weight_D, weight_table
-from helpers import markov_trace_by_shape, mat_eq, typeA_markov_trace
+    markov_trace_D, q1_point, trace_table, weight_B, weight_B_schur_form, \
+    weight_D, weight_table
+from helpers import markov_trace_by_shape, mat_eq, to_rat, \
+    typeA_markov_trace
 
 
 def test_worked_example(point):
@@ -76,6 +78,21 @@ def test_two_forms_agree(points):
     p = THREE_DIGIT[0]
     assert weight_B(((2, 0), (1,)), 2, 2, p) \
         == weight_table(3, 2, 2, p)[(2,), (1,)] != 0
+
+
+def _names(code) -> set:
+    """The global and attribute names a function's code and its nested
+    functions read."""
+    return set(code.co_names).union(*(_names(c) for c in code.co_consts
+                                      if hasattr(c, "co_names")))
+
+
+def test_weight_oracle_is_independent():
+    # the Schur form is the oracle for the table: neither reads the other
+    oracle = _names(weight_B_schur_form.__code__)
+    assert not oracle & {"weight_table", "weight_B", "trace_table"}
+    table = _names(weight_table.__wrapped__.__code__)
+    assert not [name for name in table if "schur" in name]
 
 
 def test_weight_table_every_frame():
