@@ -5,12 +5,12 @@ never by inductive rewriting: the weight formula is the object under test
 and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
-``weight_table`` is the one weight evaluator: it evaluates the product
-formula in integers for every shape of one size at once, with the factors
-between a nonempty row and the empty rows telescoped to one factor per box,
-and keeps the read-only map shape -> weight in a bounded cache.  ``weight_B``,
-``weight_D`` and ``trace_table`` read that map; the trace parameters
-(z, y) come from ``markov_params``.
+``weight_table`` is the one weight evaluator, in integers and in two steps.
+Per size, ``_weight_plan`` walks each shape's factors once (those between a
+nonempty row and the empty rows telescoped to one per box) and keeps the net
+exponents of the atoms b^k - a^k, 1 + Q q^x, a and b, each on one side only.
+Per point, the atoms are evaluated once; a weight is one product of powers a
+side and one Rat.  ``weight_B``, ``weight_D`` and ``trace_table`` read it.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``Representation`` that stacks the modules of its shapes;
@@ -23,6 +23,7 @@ independent oracle for the table: integers and one Rat too, no shared code.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -86,14 +87,11 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
     return z, y
 
 
-# Bounded: a long-lived process meets unboundedly many points, and each
-# table holds every shape of one size.
+# Bounded like weight_table; a plan depends only on the size (n, r1, r2).
 @lru_cache(maxsize=64)
-def weight_table(n: int, r1: int, r2: int,
-                 point: ParameterPoint) -> MappingProxyType:
-    """The one weight evaluator: the read-only map shape -> weight over the
-    double partitions of n, computed once per (n, r1, r2, point) and kept in
-    a bounded cache.
+def _weight_plan(n: int, r1: int, r2: int) -> MappingProxyType:
+    """The point-free half of ``weight_table``: the read-only map shape ->
+    the net exponents of the atoms in its weight, None beyond the row bounds.
 
     The product formula runs over every pair of rows up to the row bounds,
     times ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).  Take
@@ -106,47 +104,36 @@ def weight_table(n: int, r1: int, r2: int,
     (1 - q^(lam_i-lam_j+j-i)) / (1 - q^(j-i)) and
     C(alpha_i-beta_j+j-i) / C(j-i); pairs of empty rows have none.
 
-    Everything is evaluated in integers.  With q = a/b and Q = c/d, 1 - q^k
-    is (b^k - a^k) / b^k, and C(x) is (d b^x + c a^x) / (d b^x) for x >= 0
-    and (d a^-x + c b^-x) / (d a^-x) for x < 0; the d's cancel in each ratio.
-    The powers of a and b and each C(x) are computed once per table; a shape
-    multiplies its factors, counts the signed exponents of a and b apart,
-    and builds one Rat: a single gcd.
-    """
-    a, b = point.q.numerator, point.q.denominator
-    c, d = point.Q.numerator, point.Q.denominator
+    With q = a/b and Q = c/d, 1 - q^k is (b^k - a^k) / b^k, and C(x) is
+    (d b^x + c a^x) / (d b^x) for x >= 0 and (d a^-x + c b^-x) / (d a^-x)
+    for x < 0; the d's cancel in each ratio.  With m = n + r the atoms are
+    b^k - a^k at index k, the numerator of C(x) at 2m + 1 + x for |x| <= m,
+    and a and b at 3m + 2 and 3m + 3.  An entry is a pair (numerator,
+    denominator) of tuples (index, exponent); an atom on both sides cancels."""
     r = r1 + r2
     m = n + r
-    pa = [a ** k for k in range(m + 1)]
-    pb = [b ** k for k in range(m + 1)]
-    diff = [y - x for x, y in zip(pa, pb)]  # b^k - a^k
-    # cross[x] = (t, ea, eb) with C(x) = t a^ea b^eb / d, for -m <= x <= m
-    cross = {x: (d * pb[x] + c * pa[x], 0, -x) for x in range(m + 1)}
-    cross.update((-x, (d * pa[x] + c * pb[x], -x, 0)) for x in range(1, m + 1))
-
-    top, bottom = (b - a) ** n, diff[r] ** n
-    weights = {}
+    plan = {}
     for alpha, beta in double_partitions(n):
         l1, l2 = len(alpha), len(beta)
         if l1 > r1 or l2 > r2:
-            weights[alpha, beta] = Rat(0)
+            plan[alpha, beta] = None
             continue
         # ((1 - q) / (1 - q^r))^n and, row by row, q^(n(alpha) + n(beta))
         # and q^(r1 |beta|)
-        num, den = top, bottom
+        e = Counter({1: n})
+        e[r] -= n
         ea, eb = 0, (r - 1) * n
         # the nonempty rows of one component and their pairs
         for parts, l, rho, shift in ((alpha, l1, r1, 0), (beta, l2, r2, r1)):
             for i, p in enumerate(parts, 1):
                 for k in range(1, p + 1):
-                    num *= diff[rho - i + k]
-                    den *= diff[l - i + k]
-                e = (i - 1 + shift) * p
-                ea += e
-                eb += p * (l - rho) - e
+                    e[rho - i + k] += 1
+                    e[l - i + k] -= 1
+                ea += (i - 1 + shift) * p
+                eb += p * (l - rho - i + 1 - shift)
                 for j in range(i + 1, l + 1):
-                    num *= diff[p - parts[j - 1] + j - i]
-                    den *= diff[j - i]
+                    e[p - parts[j - 1] + j - i] += 1
+                    e[j - i] -= 1
                     eb += parts[j - 1] - p
         # the cross ratios C(x) / C(y)
         ratios = [(r2 - i + k, l2 - i + k)
@@ -157,17 +144,38 @@ def weight_table(n: int, r1: int, r2: int,
                    for i, p in enumerate(alpha, 1)
                    for j, s in enumerate(beta, 1)]
         for x, y in ratios:
-            t, ex_a, ex_b = cross[x]
-            num *= t
-            ea += ex_a
-            eb += ex_b
-            t, ex_a, ex_b = cross[y]
-            den *= t
-            ea -= ex_a
-            eb -= ex_b
-        weights[alpha, beta] = Rat(num * a ** max(ea, 0) * b ** max(eb, 0),
-                                   den * a ** max(-ea, 0) * b ** max(-eb, 0))
-    return MappingProxyType(weights)
+            e[2 * m + 1 + x] += 1
+            e[2 * m + 1 + y] -= 1
+            ea += min(x, 0) - min(y, 0)
+            eb += max(y, 0) - max(x, 0)
+        e[3 * m + 2], e[3 * m + 3] = ea, eb
+        plan[alpha, beta] = (tuple((i, k) for i, k in e.items() if k > 0),
+                             tuple((i, -k) for i, k in e.items() if k < 0))
+    return MappingProxyType(plan)
+
+
+# Bounded: a long-lived process meets unboundedly many points, and each
+# table holds every shape of one size.
+@lru_cache(maxsize=64)
+def weight_table(n: int, r1: int, r2: int,
+                 point: ParameterPoint) -> MappingProxyType:
+    """The one weight evaluator: the read-only map shape -> weight over the
+    double partitions of n, kept in a bounded cache.  It evaluates the atoms
+    of ``_weight_plan`` once; a weight is then one product of atom powers on
+    each side and one Rat: a single gcd."""
+    a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
+    m = n + r1 + r2
+    pa, pb = ([x ** k for k in range(m + 1)] for x in (a, b))
+    # b^k - a^k, then d C(x) a^max(-x, 0) b^max(x, 0) from x = -m up to m
+    atoms = [y - x for x, y in zip(pa, pb)]
+    atoms += [d * pa[x] + c * pb[x] for x in range(m, 0, -1)]
+    atoms += [d * pb[x] + c * pa[x] for x in range(m + 1)] + [a, b]
+    return MappingProxyType({
+        shape: Rat(0) if entry is None else Rat(
+            math.prod([atoms[i] ** k for i, k in entry[0]]),
+            math.prod([atoms[i] ** k for i, k in entry[1]]))
+        for shape, entry in _weight_plan(n, r1, r2).items()})
 
 
 # Bounded like weight_table; a table's stacks hold only the letters used.

@@ -11,9 +11,9 @@ from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
     tprime_letter, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, guard_bound
 from heckeweights.schur import schur_normalized
-from heckeweights.traces import markov_params, markov_trace_B, \
-    markov_trace_D, q1_point, trace_table, weight_B, weight_B_schur_form, \
-    weight_D, weight_table
+from heckeweights.traces import _weight_plan, markov_params, \
+    markov_trace_B, markov_trace_D, q1_point, trace_table, weight_B, \
+    weight_B_schur_form, weight_D, weight_table
 from helpers import markov_trace_by_shape, mat_eq, to_rat, \
     typeA_markov_trace
 
@@ -74,6 +74,14 @@ def test_two_forms_agree(points):
             report = weight_two_forms(r1, r2, THREE_DIGIT, [n])
             assert report.passed, report.failure
             assert report.cases == 3 * {3: 10, 4: 20, 5: 36, 6: 65}[n]
+    # type D reads the tables of those bounds at Q = 1
+    q1_points = [q1_point(p.q) for p in THREE_DIGIT]
+    cases = 0
+    for n in range(3, 7):
+        report = weight_two_forms(n + 1, n + 1, q1_points, [n])
+        assert report.passed, report.failure
+        cases += report.cases
+    assert cases == 393  # 3 * (10 + 20 + 36 + 65)
     # weight_B reads the table at the trimmed shape
     p = THREE_DIGIT[0]
     assert weight_B(((2, 0), (1,)), 2, 2, p) \
@@ -90,9 +98,11 @@ def _names(code) -> set:
 def test_weight_oracle_is_independent():
     # the Schur form is the oracle for the table: neither reads the other
     oracle = _names(weight_B_schur_form.__code__)
-    assert not oracle & {"weight_table", "weight_B", "trace_table"}
-    table = _names(weight_table.__wrapped__.__code__)
-    assert not [name for name in table if "schur" in name]
+    assert not oracle & {"weight_table", "_weight_plan", "weight_B",
+                         "trace_table"}
+    for f in (weight_table, _weight_plan):
+        table = _names(f.__wrapped__.__code__)
+        assert not [name for name in table if "schur" in name], f
 
 
 def test_weight_table_every_frame():
@@ -132,6 +142,27 @@ def test_weight_table(point):
     table = weight_table(2, 3, 3, point)
     assert set(table) == set(double_partitions(2))
     assert sum(w * dimension(s) for s, w in table.items()) == 1
+
+
+def test_weight_plan():
+    # one plan per size serves the tables at every point, and it cancels
+    # each atom met on both sides of a weight
+    assert _weight_plan.cache_info().maxsize is not None
+    _weight_plan.cache_clear()
+    for k in range(5):
+        weight_table(4, 3, 5, ParameterPoint(Rat(2 * k + 3, 13), Rat(-9),
+                                             guard_bound(4, 3, 5)))
+    info = _weight_plan.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    entries = []
+    for n in range(7):
+        for r1, r2 in ((n + 1, n + 1), (0, 3), (2, 1), (2 * n + 2, 0)):
+            entries += _weight_plan(n, r1, r2).values()
+    for num, den in filter(None, entries):
+        assert not {i for i, _ in num} & {i for i, _ in den}
+        assert all(k > 0 for _, k in num + den)
+    # 556 shapes, 314 of them beyond their row bounds
+    assert (len(entries), entries.count(None)) == (556, 314)
 
 
 def test_weight_table_cache_is_bounded():
