@@ -59,7 +59,7 @@ def cmd_weights(args) -> int:
             return _error("--Q is required for type B")
         point = _point_or_exit(q, args.Q, n, r1, r2)
     elif kind == "D" and n < 1:
-        # the one shape []|[] would split into two halves of dimension 0
+        # weight_D says the same, but only after q has been checked
         return _error("type D needs --n >= 1")
     else:
         point = _or_exit(q1_point, q)

@@ -10,7 +10,8 @@ Per size, ``_weight_plan`` walks each shape's factors once (those between a
 nonempty row and the empty rows telescoped to one per box) and keeps the net
 exponents of the atoms b^k - a^k, 1 + Q q^x, a and b, each on one side only.
 Per point, the atoms are evaluated once; a weight is one product of powers a
-side and one Rat.  ``weight_B``, ``weight_D`` and ``trace_table`` read it.
+side and one Rat.  ``weight_B`` and ``trace_table`` read it; ``weight_D``
+reads its own plan over the same atoms, a merged class over one denominator.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``Representation`` that stacks the modules of its shapes;
@@ -79,12 +80,14 @@ def weight_B_schur_form(shape, r1: int, r2: int, point: ParameterPoint):
 
 
 def markov_params(r1: int, r2: int, point: ParameterPoint):
-    """The trace parameters (z, y) attached to the row bounds."""
-    q, Q = point.q, point.Q
-    r = r1 + r2
-    z = q**r * (1 - q) / (1 - q**r)
-    y = (Q * q**r2 + 1) * (1 - q**r1) / (1 - q**r) - 1
-    return z, y
+    """The trace parameters (z, y) of the row bounds, in integers with q =
+    a/b and Q = c/d: one Rat each."""
+    a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
+    s = b ** (r1 + r2) - a ** (r1 + r2)
+    return (Rat(a ** (r1 + r2) * (b - a), b * s),
+            Rat((c * a ** r2 + d * b ** r2) * (b ** r1 - a ** r1) - d * s,
+                d * s))
 
 
 # Bounded like weight_table; a plan depends only on the size (n, r1, r2).
@@ -162,20 +165,24 @@ def weight_table(n: int, r1: int, r2: int,
     """The one weight evaluator: the read-only map shape -> weight over the
     double partitions of n, kept in a bounded cache.  It evaluates the atoms
     of ``_weight_plan`` once; a weight is then one product of atom powers on
-    each side and one Rat: a single gcd."""
+    each side and one Rat: a single gcd; one zero beyond the row bounds."""
+    atoms, zero = _atoms(n + r1 + r2, point), Rat(0)
+    return MappingProxyType({
+        shape: zero if entry is None else Rat(
+            math.prod([atoms[i] ** k for i, k in entry[0]]),
+            math.prod([atoms[i] ** k for i, k in entry[1]]))
+        for shape, entry in _weight_plan(n, r1, r2).items()})
+
+
+def _atoms(m: int, point: ParameterPoint) -> list:
+    """The atoms of the plans with m = n + r1 + r2, evaluated at a point."""
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
-    m = n + r1 + r2
     pa, pb = ([x ** k for k in range(m + 1)] for x in (a, b))
     # b^k - a^k, then d C(x) a^max(-x, 0) b^max(x, 0) from x = -m up to m
     atoms = [y - x for x, y in zip(pa, pb)]
     atoms += [d * pa[x] + c * pb[x] for x in range(m, 0, -1)]
-    atoms += [d * pb[x] + c * pa[x] for x in range(m + 1)] + [a, b]
-    return MappingProxyType({
-        shape: Rat(0) if entry is None else Rat(
-            math.prod([atoms[i] ** k for i, k in entry[0]]),
-            math.prod([atoms[i] ** k for i, k in entry[1]]))
-        for shape, entry in _weight_plan(n, r1, r2).items()})
+    return atoms + [d * pb[x] + c * pa[x] for x in range(m + 1)] + [a, b]
 
 
 # Bounded like weight_table; a table's stacks hold only the letters used.
@@ -225,25 +232,43 @@ def q1_point(q) -> ParameterPoint:
 
 # -- type D ------------------------------------------------------------------
 
+# Bounded like _weight_plan, whose entries it combines.
+@lru_cache(maxsize=64)
+def _type_d_plan(n: int, r1: int, r2: int) -> tuple:
+    """The point-free half of ``weight_D``: read-only rows (shape, splits,
+    dimension, entry), one a class.  With ei the net atom exponents of its
+    i-th shape within the row bounds and low = min(e1, ...), the class
+    weighs prod G (prod T1 + ...) / prod L, entry (G, L, T1, ...) with G =
+    max(low, 0), L = max(-low, 0) and Ti = ei - low: 0 if it has no T."""
+    plan, rows = _weight_plan(n, r1, r2), []
+    classes = {frozenset((s, s[::-1])): [t for t in plan if t in (s, s[::-1])]
+               for s in plan}
+    for shapes in classes.values():
+        nets = [Counter({**dict(num), **{i: -k for i, k in den}})
+                for num, den in filter(None, map(plan.get, shapes))]
+        low = Counter({i: min(e[i] for e in nets) for e in nets for i in e})
+        split = len(shapes) == 1
+        rows.append((shapes[0], (1, 2) if split else (None,),
+                     dimension(shapes[0]) // (1 + split),
+                     tuple(tuple(part.items()) for part
+                           in (+low, -low, *(e - low for e in nets)))))
+    return tuple(rows)
+
+
 def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
-    """The type-D components of size n at a Q = 1 point, from one read of
-    ``weight_table``: rows (shape, split, weight, dimension) in table order.
-    A merged class {(alpha, beta), (beta, alpha)} is one row at its first
-    shape, with split None and the summed weight; the two halves of a split
-    shape (alpha, alpha) are rows with split 1 and 2, each of half the
-    dimension."""
-    if point.Q != 1:
-        raise ValueError(f"type-D weights live at Q = 1, not Q = {point.Q}")
-    weights = weight_table(n, r1, r2, point)
-    rows, merged = [], set()
-    for shape, w in weights.items():
-        alpha, beta = shape
-        d = dimension(shape)
-        if alpha == beta:
-            rows += [(shape, k, w, d // 2) for k in (1, 2)]
-        elif (beta, alpha) not in merged:
-            merged.add(shape)
-            rows.append((shape, None, w + weights[beta, alpha], d))
+    """Rows (shape, split, weight, dimension) of size n >= 1 at Q = 1, one Rat
+    a class of ``_type_d_plan`` over the shared atoms: merged classes at their
+    first shape, split None; the halves 1, 2 of (alpha, alpha), half as big."""
+    if n < 1 or point.Q != 1:
+        raise ValueError("type D needs --n >= 1" if n < 1 else
+                         f"type-D weights live at Q = 1, not Q = {point.Q}")
+    atoms, rows = _atoms(n + r1 + r2, point), []
+
+    def power(part):
+        return math.prod([atoms[i] ** k for i, k in part])
+    for shape, splits, d, (num, den, *terms) in _type_d_plan(n, r1, r2):
+        w = Rat(power(num) * sum(map(power, terms)), power(den))
+        rows += [(shape, split, w, d) for split in splits]
     return rows
 
 

@@ -111,6 +111,14 @@ def test_weights_typeD_rows_are_weight_D(capsys):
         assert json.loads(out)["weights"] == want
 
 
+def test_weights_typeD_needs_a_size(capsys):
+    # n is checked before q, so an excluded q at n = 0 reports the size
+    for q in ("2", "0"):
+        assert run(capsys, ["weights", "--type", "D", "--n", "0",
+                            "--q", q]) \
+            == (2, "", "error: type D needs --n >= 1\n")
+
+
 def test_weights_output_round_trips(capsys):
     """Both formats print exactly the bytes json.dumps(indent=2) and
     csv.writer print for the data they hold, and hold the same rows: types

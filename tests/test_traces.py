@@ -9,9 +9,10 @@ from heckeweights.homcheck import weight_branching, weight_normalization, \
 from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
     expand_word, g_letter, ginv_letter, parse_word, random_word, \
     tprime_letter, typeB_rep, word
-from heckeweights.scalars import ParameterPoint, Rat, guard_bound
+from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
+    guard_bound
 from heckeweights.schur import schur_normalized
-from heckeweights.traces import _weight_plan, markov_params, \
+from heckeweights.traces import _type_d_plan, _weight_plan, markov_params, \
     markov_trace_B, markov_trace_D, q1_point, trace_table, weight_B, \
     weight_B_schur_form, weight_D, weight_table
 from helpers import markov_trace_by_shape, mat_eq, to_rat, \
@@ -396,6 +397,72 @@ def test_weight_D_structure():
     assert ((), (2,)) not in [row[0] for row in weight_D(2, 3, 3, point1)]
     with pytest.raises(ValueError, match="Q = 1"):
         weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2), 0))
+
+
+def test_weight_D_rows_are_weight_B_sums():
+    # every row against the two-parameter weights it sums, at row bounds
+    # that put no shape, one shape or both shapes of a class beyond them
+    cases = 0
+    for q in (p.q for p in THREE_DIGIT):
+        point1 = q1_point(q)
+        for n in range(1, 7):
+            for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (0, 3), (3, 0),
+                           (1, 5), (2, 2)):
+                rows = weight_D(n, r1, r2, point1)
+                for (alpha, beta), split, w, d in rows:
+                    want = weight_B((alpha, beta), r1, r2, point1)
+                    if split is None:
+                        want += weight_B((beta, alpha), r1, r2, point1)
+                    assert (w, d) == (want, dimension((alpha, beta))
+                                      // (1 if split is None else 2)), \
+                        (alpha, beta, split, n, r1, r2, q)
+                    cases += 1
+                covered = {s for (alpha, beta), _, _, _ in rows
+                           for s in ((alpha, beta), (beta, alpha))}
+                assert covered == set(double_partitions(n))
+    # 1 + 4 + 5 + 13 + 18 + 37 rows for n = 1..6
+    assert cases == 3 * 6 * 78
+    # the plan is per size, bounded, and puts each merged class over one
+    # denominator with nonnegative exponents
+    assert _type_d_plan.cache_info().maxsize is not None
+    merged = empty = 0
+    for n in range(1, 7):
+        for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (1, 5)):
+            for _, _, _, (num, den, *terms) in _type_d_plan(n, r1, r2):
+                assert all(k > 0 for part in (num, den, *terms)
+                           for _, k in part)
+                assert not {i for i, _ in num} & {i for i, _ in den}
+                merged += len(terms) == 2
+                empty += not terms
+    # 11 classes at (1, 5) have no shape within the row bounds
+    assert (merged, empty) == (144, 11)
+
+
+def test_weight_D_needs_a_size():
+    # the one shape []|[] would split into two halves of dimension 0, whose
+    # weight times dimension sums to 0, not 1
+    with pytest.raises(ValueError, match="type D needs --n >= 1"):
+        weight_D(0, 1, 1, q1_point(Rat(2)))
+
+
+def test_markov_params_textbook_form():
+    # the integer form against z = q^r (1 - q) / (1 - q^r) and
+    # y = (Q q^r2 + 1)(1 - q^r1) / (1 - q^r) - 1 taken in Rat
+    cases = negative = 0
+    for seed in range(300):
+        p = admissible_point(5, 5, 5, seed)
+        q, Q = p.q, p.Q
+        negative += Q < 0
+        for r1 in range(6):
+            for r2 in range(6):
+                if r1 + r2 == 0:
+                    continue
+                r = r1 + r2
+                z = q**r * (1 - q) / (1 - q**r)
+                y = (Q * q**r2 + 1) * (1 - q**r1) / (1 - q**r) - 1
+                assert markov_params(r1, r2, p) == (z, y), (r1, r2, p)
+                cases += 1
+    assert (cases, negative) == (300 * 35, 141)
 
 
 def test_u_quadratic_trace_identity():
