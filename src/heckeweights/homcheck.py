@@ -351,12 +351,15 @@ def skew_dimension_report(n: int, m: int, r1: int, q):
 def typeD_inclusion_weights(n, r1, r2, qs):
     """At Q = 1 a merged component weighs weight(alpha, beta) +
     weight(beta, alpha); each split half of (alpha, alpha) weighs
-    weight(alpha, alpha)."""
+    weight(alpha, alpha).  One case a class, so a missing row fails."""
     for q in qs:
         point1 = q1_point(q)
-        rows = weight_D(n, r1, r2, point1)
+        rows, seen = weight_D(n, r1, r2, point1), set()
         for shape in double_partitions(n):
             alpha, beta = shape
+            if (beta, alpha) in seen:
+                continue
+            seen.add(shape)
             if alpha == beta:
                 want = [weight_B(shape, r1, r2, point1)] * 2
             else:

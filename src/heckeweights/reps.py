@@ -27,9 +27,8 @@ letter matrices, of one module or of a stack of modules of one dimension
 what each letter means; ``evaluate`` multiplies a word's letter matrices in
 integers, numerators by ``@`` and denominators as ints, and ``character``
 makes the one division.  ``expand_word`` rewrites the same letters over
-{t, g} independently, as a reference for tests; its result is a
-``HeckeElement``, a map from words to coefficients with no arithmetic of its
-own, which ``evaluate`` takes as the weighted sum of its words.
+{t, g} independently, as a reference for tests, into a ``HeckeElement``: a
+map word -> coefficient that the tests evaluate word by word.
 
 Each type has one presentation here: ``relations(n, kind)`` lists the
 defining relations of type "A", "B" or "D", ``relation_residuals`` measures
@@ -113,14 +112,11 @@ def word(letters, n: int) -> HeckeWord:
 
 @dataclass
 class HeckeElement:
-    """A finite linear combination of words, as the map word -> coefficient
-    with no zero coefficients stored."""
+    """A finite linear combination of words, as the map word -> coefficient;
+    ``expand_word`` stores no zero coefficient."""
 
     terms: dict
     ambient_n: int
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c != 0}
 
 
 def parse_word(text: str, n: int) -> HeckeWord:
@@ -395,24 +391,15 @@ def full_twist_scalar(nu, q):
 
 
 def evaluate(rep, element):
-    """Matrix of a word or linear combination in a representation, as a
-    pair (num, den) of an integer array and a positive integer.
-
-    A word is the product of its letter matrices: the numerators multiplied
-    by ``@``, the denominators as ints, nothing reduced; the empty word is
-    (identity, 1), whose (d, d) array broadcasts against a stack's (k, d, d)
-    letters.  An element is the coefficient-weighted sum over its words, put
-    over one common denominator.  A one-letter word returns the letter's own
-    numerator, which is read-only.
-    """
+    """Matrix of a word in a representation, as a pair (num, den) of an
+    integer array and a positive integer: the product of its letter
+    matrices, numerators multiplied by ``@`` and denominators as ints,
+    nothing reduced.  The empty word is (identity, 1), whose (d, d) array
+    broadcasts against a stack's (k, d, d) letters; a one-letter word
+    returns the letter's own numerator, which is read-only."""
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "
                          f"representation in size {rep.size}")
-    if isinstance(element, HeckeElement):
-        if not element.terms:
-            return zeros(rep.dimension, rep.dimension), 1
-        return _combination([(coeff, evaluate(rep, w))
-                             for w, coeff in element.terms.items()])
     if not element.letters:
         return identity(rep.dimension), 1
     return _product([rep.letter_matrix(letter) for letter in element.letters])

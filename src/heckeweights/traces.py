@@ -5,13 +5,14 @@ never by inductive rewriting: the weight formula is the object under test
 and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
-``weight_table`` is the one weight evaluator, in integers and in two steps.
-Per size, ``_weight_plan`` walks each shape's factors once (those between a
-nonempty row and the empty rows telescoped to one per box) and keeps the net
-exponents of the atoms b^k - a^k, 1 + Q q^x, a and b, each on one side only.
-Per point, the atoms are evaluated once; a weight is one product of powers a
-side and one Rat.  ``weight_B`` and ``trace_table`` read it; ``weight_D``
-reads its own plan over the same atoms, a merged class over one denominator.
+Weights are computed in integers, in two steps.  Per size and type,
+``_weight_plan`` walks each shape's factors once and puts each class of
+shapes over one denominator of atoms b^k - a^k, 1 + Q q^x, a and b: a shape
+alone for type B; for type D {(alpha, beta), (beta, alpha)} or a split
+(alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per point the
+atoms are evaluated once and a class weighs one Rat.  ``weight_table`` reads
+the type-B rows and ``weight_D`` the type-D ones; ``weight_B`` and
+``trace_table`` read the table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``Representation`` that stacks the modules of its shapes;
@@ -90,11 +91,13 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
                 d * s))
 
 
-# Bounded like weight_table; a plan depends only on the size (n, r1, r2).
+# Bounded like weight_table; a plan depends only on the size and the type.
 @lru_cache(maxsize=64)
-def _weight_plan(n: int, r1: int, r2: int) -> MappingProxyType:
-    """The point-free half of ``weight_table``: the read-only map shape ->
-    the net exponents of the atoms in its weight, None beyond the row bounds.
+def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
+    """The point-free half of ``weight_table`` (kind "B") and ``weight_D``
+    ("D"): read-only rows (shape, splits, dimension, entry), one a class; a
+    type-D class is {(alpha, beta), (beta, alpha)} or, in halves 1 and 2 of
+    half the dimension, (alpha, alpha).
 
     The product formula runs over every pair of rows up to the row bounds,
     times ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).  Take
@@ -111,15 +114,16 @@ def _weight_plan(n: int, r1: int, r2: int) -> MappingProxyType:
     (d b^x + c a^x) / (d b^x) for x >= 0 and (d a^-x + c b^-x) / (d a^-x)
     for x < 0; the d's cancel in each ratio.  With m = n + r the atoms are
     b^k - a^k at index k, the numerator of C(x) at 2m + 1 + x for |x| <= m,
-    and a and b at 3m + 2 and 3m + 3.  An entry is a pair (numerator,
-    denominator) of tuples (index, exponent); an atom on both sides cancels."""
+    and a and b at 3m + 2 and 3m + 3.  With ei the net exponents of the
+    class's i-th shape within the row bounds and low = min(e1, ...), the
+    class weighs prod G (prod T1 + ...) / prod L, entry (G, L, T1, ...) of
+    pairs (atom, exponent > 0) with G = max(low, 0), L = max(-low, 0) and
+    Ti = ei - low; None with no such shape, (G, L, ()) for type B."""
     r = r1 + r2
-    m = n + r
-    plan = {}
+    m, nets = n + r, {}
     for alpha, beta in double_partitions(n):
         l1, l2 = len(alpha), len(beta)
         if l1 > r1 or l2 > r2:
-            plan[alpha, beta] = None
             continue
         # ((1 - q) / (1 - q^r))^n and, row by row, q^(n(alpha) + n(beta))
         # and q^(r1 |beta|)
@@ -152,9 +156,21 @@ def _weight_plan(n: int, r1: int, r2: int) -> MappingProxyType:
             ea += min(x, 0) - min(y, 0)
             eb += max(y, 0) - max(x, 0)
         e[3 * m + 2], e[3 * m + 3] = ea, eb
-        plan[alpha, beta] = (tuple((i, k) for i, k in e.items() if k > 0),
-                             tuple((i, -k) for i, k in e.items() if k < 0))
-    return MappingProxyType(plan)
+        nets[alpha, beta] = e
+    classes = {}
+    for s in double_partitions(n):
+        classes.setdefault(min(s, s[::-1]) if kind == "D" else s, []).append(s)
+    rows = []
+    for shapes in classes.values():
+        es = [nets[s] for s in shapes if s in nets]
+        low = Counter({i: min(e[i] for e in es) for e in es for i in e})
+        split = kind == "D" and len(shapes) == 1
+        rows.append((shapes[0], (1, 2) if split else (None,),
+                     dimension(shapes[0]) // (1 + split),
+                     tuple(tuple(part.items()) for part
+                           in (+low, -low, *(e - low for e in es)))
+                     if es else None))
+    return tuple(rows)
 
 
 # Bounded: a long-lived process meets unboundedly many points, and each
@@ -164,14 +180,15 @@ def weight_table(n: int, r1: int, r2: int,
                  point: ParameterPoint) -> MappingProxyType:
     """The one weight evaluator: the read-only map shape -> weight over the
     double partitions of n, kept in a bounded cache.  It evaluates the atoms
-    of ``_weight_plan`` once; a weight is then one product of atom powers on
-    each side and one Rat: a single gcd; one zero beyond the row bounds."""
+    of ``_weight_plan(n, r1, r2, "B")`` once; a weight is then one product of
+    atom powers on each side, G over L, and one Rat: a single gcd; one zero
+    beyond the row bounds."""
     atoms, zero = _atoms(n + r1 + r2, point), Rat(0)
     return MappingProxyType({
         shape: zero if entry is None else Rat(
             math.prod([atoms[i] ** k for i, k in entry[0]]),
             math.prod([atoms[i] ** k for i, k in entry[1]]))
-        for shape, entry in _weight_plan(n, r1, r2).items()})
+        for shape, _, _, entry in _weight_plan(n, r1, r2, "B")})
 
 
 def _atoms(m: int, point: ParameterPoint) -> list:
@@ -232,42 +249,20 @@ def q1_point(q) -> ParameterPoint:
 
 # -- type D ------------------------------------------------------------------
 
-# Bounded like _weight_plan, whose entries it combines.
-@lru_cache(maxsize=64)
-def _type_d_plan(n: int, r1: int, r2: int) -> tuple:
-    """The point-free half of ``weight_D``: read-only rows (shape, splits,
-    dimension, entry), one a class.  With ei the net atom exponents of its
-    i-th shape within the row bounds and low = min(e1, ...), the class
-    weighs prod G (prod T1 + ...) / prod L, entry (G, L, T1, ...) with G =
-    max(low, 0), L = max(-low, 0) and Ti = ei - low: 0 if it has no T."""
-    plan, rows = _weight_plan(n, r1, r2), []
-    classes = {frozenset((s, s[::-1])): [t for t in plan if t in (s, s[::-1])]
-               for s in plan}
-    for shapes in classes.values():
-        nets = [Counter({**dict(num), **{i: -k for i, k in den}})
-                for num, den in filter(None, map(plan.get, shapes))]
-        low = Counter({i: min(e[i] for e in nets) for e in nets for i in e})
-        split = len(shapes) == 1
-        rows.append((shapes[0], (1, 2) if split else (None,),
-                     dimension(shapes[0]) // (1 + split),
-                     tuple(tuple(part.items()) for part
-                           in (+low, -low, *(e - low for e in nets)))))
-    return tuple(rows)
-
-
 def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
     """Rows (shape, split, weight, dimension) of size n >= 1 at Q = 1, one Rat
-    a class of ``_type_d_plan`` over the shared atoms: merged classes at their
+    a class of the type-D plan over the shared atoms: merged classes at their
     first shape, split None; the halves 1, 2 of (alpha, alpha), half as big."""
     if n < 1 or point.Q != 1:
         raise ValueError("type D needs --n >= 1" if n < 1 else
                          f"type-D weights live at Q = 1, not Q = {point.Q}")
-    atoms, rows = _atoms(n + r1 + r2, point), []
+    atoms, zero, rows = _atoms(n + r1 + r2, point), Rat(0), []
 
     def power(part):
         return math.prod([atoms[i] ** k for i, k in part])
-    for shape, splits, d, (num, den, *terms) in _type_d_plan(n, r1, r2):
-        w = Rat(power(num) * sum(map(power, terms)), power(den))
+    for shape, splits, d, entry in _weight_plan(n, r1, r2, "D"):
+        w = zero if entry is None else Rat(
+            power(entry[0]) * sum(map(power, entry[2:])), power(entry[1]))
         rows += [(shape, split, w, d) for split in splits]
     return rows
 

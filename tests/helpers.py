@@ -1,6 +1,7 @@
 """Helpers that only the tests use: scalar and matrix shorthands, the
 conversion of a (num, den) matrix to Rat entries, removable corners, the
-coset representatives of the size-(n-1) algebra, the type-A Markov trace, a
+coset representatives of the size-(n-1) algebra, the linear extension of a
+word's value to a linear combination of words, the type-A Markov trace, a
 shape-by-shape type-B Markov trace and the reprint of a printed weight
 table."""
 
@@ -63,6 +64,13 @@ def coset_representatives(n: int) -> list:
         reps.append(word(chain, n))
         reps.append(word(chain + (tprime_letter(n - k - 1),), n))
     return reps
+
+
+def linear(value, element):
+    """``value`` extended linearly from words to a ``HeckeElement``, such as
+    an ``expand_word`` result: the sum of coefficient times value(word) over
+    its terms.  The package evaluates words only."""
+    return sum(c * value(w) for w, c in element.terms.items())
 
 
 def typeA_markov_trace(element, n: int, r: int, q):

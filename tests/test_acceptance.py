@@ -187,7 +187,7 @@ def test_criterion_11_type_d():
             reports.append(typeD_markov_property(3, 4, 4, [(q, hs)]))
         # (D1)-(D5) on every type-B module at Q = 1
         reports.append(relations_report("typeD", map(q1_point, qs), (2, 3)))
-        assert_reports(reports, 120)
+        assert_reports(reports, 96)
     criterion(11, "index-2 subalgebra at Q = 1: merged/split weights sum the "
                   "linked generic weights and normalize to 1, every module "
                   "satisfies the relations (D1)-(D5), and the trace has the "

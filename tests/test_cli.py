@@ -149,13 +149,15 @@ def test_weights_output_round_trips(capsys):
 
 def test_typeD_markov_property_counts_each_h_once(capsys):
     """Every type-D word of size 1 is empty, so at n = 2 the Markov check
-    has one case per point."""
+    has one case per point.  The inclusion check compares each type-D class
+    once: {[2]|[], []|[2]}, {[1,1]|[], []|[1,1]} and the split [1]|[1]."""
     for points in (1, 3):
         code, out, _ = run(capsys, ["verify", "--suite", "typeD", "--n", "2",
                                     "--points", str(points)])
         assert code == 0
         cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
         assert cases["typeD-markov-property-n2"] == points
+        assert cases["typeD-inclusion-weights-n2"] == 3 * points
 
 
 def test_markov_suite_counts_each_h_once(capsys):

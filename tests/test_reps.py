@@ -16,7 +16,12 @@ from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix
 from heckeweights.traces import q1_point, trace_table
-from helpers import coset_representatives, mat_eq, to_rat
+from helpers import coset_representatives, linear, mat_eq, to_rat
+
+
+def _matrix(rep, element):
+    """The Rat matrix of a linear combination of words, word by word."""
+    return linear(lambda w: to_rat(*evaluate(rep, w)), element)
 
 
 def test_word_validation():
@@ -185,7 +190,7 @@ def test_ginv_is_inverse(points):
                 assert mat_eq(to_rat(*gg), identity(rep.dimension))
             for w in words:
                 assert mat_eq(to_rat(*evaluate(rep, w)),
-                              to_rat(*evaluate(rep, expand_word(w, p)))), \
+                              _matrix(rep, expand_word(w, p))), \
                     (shape, w.letters)
 
 
@@ -204,8 +209,7 @@ def test_tprime_family(points):
                     chain = tuple(g_letter(j) for j in range(i, 0, -1)) \
                         + (T_LETTER,) \
                         + tuple(ginv_letter(j) for j in range(1, i + 1))
-                    direct = to_rat(*evaluate(rep,
-                                              expand_word(word(chain, n), p)))
+                    direct = _matrix(rep, expand_word(word(chain, n), p))
                     assert mat_eq(m, direct)
 
 
@@ -226,7 +230,7 @@ def test_u_letter_is_t_g1_t(points):
                                                 T_LETTER), 2)))
             assert mat_eq(to_rat(*evaluate(rep, word((U_LETTER,), 2))), tg1t)
             e = HeckeElement({word((U_LETTER, g_letter(1)), 2): Rat(3)}, 2)
-            assert mat_eq(to_rat(*evaluate(rep, e)),
+            assert mat_eq(_matrix(rep, e),
                           tg1t.dot(to_rat(*rep.letter_matrix(g_letter(1))))
                           * 3)
 
@@ -273,7 +277,7 @@ def test_coset_products_span(points):
             w = word(l1 + l2, n)
             vec = []
             for rep in reps:
-                m = to_rat(*evaluate(rep, expand_word(w, p)))
+                m = _matrix(rep, expand_word(w, p))
                 vec.extend(m.flat)
             vectors.append(vec)
     assert len(vectors) == 8
@@ -322,8 +326,8 @@ def test_character_conjugation_invariance(points):
         w = random_word(3, rng)
         for i in (1, 2):
             conj = word((g_letter(i),) + w.letters + (ginv_letter(i),), 3)
-            assert character(rep, expand_word(conj, p)) \
-                == character(rep, expand_word(w, p))
+            assert linear(lambda v: character(rep, v), expand_word(conj, p)) \
+                == linear(lambda v: character(rep, v), expand_word(w, p))
 
 
 def test_cached_matrices_read_only(points):

@@ -12,10 +12,10 @@ from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
     guard_bound
 from heckeweights.schur import schur_normalized
-from heckeweights.traces import _type_d_plan, _weight_plan, markov_params, \
+from heckeweights.traces import _weight_plan, markov_params, \
     markov_trace_B, markov_trace_D, q1_point, trace_table, weight_B, \
     weight_B_schur_form, weight_D, weight_table
-from helpers import markov_trace_by_shape, mat_eq, to_rat, \
+from helpers import linear, markov_trace_by_shape, mat_eq, to_rat, \
     typeA_markov_trace
 
 
@@ -146,20 +146,26 @@ def test_weight_table(point):
 
 
 def test_weight_plan():
-    # one plan per size serves the tables at every point, and it cancels
-    # each atom met on both sides of a weight
+    # one plan per size and type serves the tables and the type-D rows at
+    # every point, and it cancels each atom met on both sides of a weight
     assert _weight_plan.cache_info().maxsize is not None
     _weight_plan.cache_clear()
     for k in range(5):
-        weight_table(4, 3, 5, ParameterPoint(Rat(2 * k + 3, 13), Rat(-9),
-                                             guard_bound(4, 3, 5)))
+        p = ParameterPoint(Rat(2 * k + 3, 13), Rat(-9), guard_bound(4, 3, 5))
+        weight_table(4, 3, 5, p)
+        weight_D(4, 3, 5, q1_point(p.q))
     info = _weight_plan.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 8)
     entries = []
     for n in range(7):
         for r1, r2 in ((n + 1, n + 1), (0, 3), (2, 1), (2 * n + 2, 0)):
-            entries += _weight_plan(n, r1, r2).values()
-    for num, den in filter(None, entries):
+            rows = _weight_plan(n, r1, r2, "B")
+            assert [(s, splits, d) for s, splits, d, _ in rows] \
+                == [(s, (None,), dimension(s)) for s in double_partitions(n)]
+            entries += [entry for _, _, _, entry in rows]
+    for num, den, *terms in filter(None, entries):
+        # a class of one shape: weight_table reads G over L only
+        assert terms == [()]
         assert not {i for i, _ in num} & {i for i, _ in den}
         assert all(k > 0 for _, k in num + den)
     # 556 shapes, 314 of them beyond their row bounds
@@ -184,7 +190,8 @@ def test_weight_table_is_read_only(point):
 def _oracle_words(n, rng):
     """The empty word, a word with every letter kind that exists at size n,
     two random words, and two elements: a weighted sum of words with an
-    empty-word term, and the expansion of the every-kind word."""
+    empty-word term, and the expansion of the every-kind word.  All are
+    elements, a word the one term of its own."""
     kinds = [T_LETTER, tprime_letter(n - 1)]
     if n >= 2:
         kinds += [g_letter(1), ginv_letter(n - 1), U_LETTER]
@@ -192,8 +199,9 @@ def _oracle_words(n, rng):
     w1, w2 = random_word(n, rng, max_len=5), random_word(n, rng, max_len=5)
     mixed = HeckeElement({w1: Rat(3, 2), w2: Rat(-2), word((), n): Rat(1, 7)},
                          n)
-    return [word((), n), every, w1, w2, mixed,
-            expand_word(every, THREE_DIGIT[0])]
+    words = (word((), n), every, w1, w2)
+    return [HeckeElement({w: Rat(1)}, n) for w in words] \
+        + [mixed, expand_word(every, THREE_DIGIT[0])]
 
 
 def test_markov_trace_matches_shape_by_shape():
@@ -203,15 +211,17 @@ def test_markov_trace_matches_shape_by_shape():
     rng = random.Random(23)
     cases = 0
     for n in range(1, 5):
-        words = _oracle_words(n, rng)
+        elements = _oracle_words(n, rng)
         for r1, r2 in ((n + 1, n + 1), (0, 3), (3, 0), (1, 1)):
             for p in THREE_DIGIT:
-                for w in words:
-                    value = markov_trace_B(w, n, r1, r2, p)
-                    assert value == markov_trace_by_shape(w, n, r1, r2, p), \
-                        (w, n, r1, r2, str(p))
+                for e in elements:
+                    value = linear(
+                        lambda w: markov_trace_B(w, n, r1, r2, p), e)
+                    assert value == linear(
+                        lambda w: markov_trace_by_shape(w, n, r1, r2, p), e), \
+                        (e, n, r1, r2, str(p))
                     cases += 1
-                assert markov_trace_B(words[0], n, r1, r2, p) == 1
+                assert markov_trace_B(word((), n), n, r1, r2, p) == 1
     for r1, r2 in ((6, 6), (3, 0)):
         for p in THREE_DIGIT:
             for w in (word((U_LETTER, g_letter(4), tprime_letter(3)), 5),
@@ -332,19 +342,21 @@ def test_markov_property(points):
         for n in (2, 3):
             r1 = r2 = n + 1
             z, y = markov_params(r1, r2, p)
+
+            def trace(w):  # the trace of the word's expansion
+                m = w.ambient_n
+                return linear(lambda v: markov_trace_B(v, m, r1, r2, p),
+                              expand_word(w, p))
             for _ in range(8):
                 h = random_word(n - 1, rng)
-                base = markov_trace_B(expand_word(h, p), n - 1, r1, r2, p)
+                base = trace(h)
                 hg = word(h.letters + (g_letter(n - 1),), n)
-                assert markov_trace_B(expand_word(hg, p), n, r1, r2, p) \
-                    == z * base
+                assert trace(hg) == z * base
                 ht = word(h.letters + (tprime_letter(n - 1),), n)
-                assert markov_trace_B(expand_word(ht, p), n, r1, r2, p) \
-                    == y * base
+                assert trace(ht) == y * base
                 hginv = word(h.letters + (ginv_letter(n - 1),), n)
                 zbar = z / p.q + (1 / p.q - 1)
-                assert markov_trace_B(expand_word(hginv, p), n, r1, r2, p) \
-                    == zbar * base
+                assert trace(hginv) == zbar * base
 
 
 def test_trace_symmetry(points):
@@ -355,8 +367,8 @@ def test_trace_symmetry(points):
         a, b = random_word(n, rng), random_word(n, rng)
         ab = expand_word(word(a.letters + b.letters, n), p)
         ba = expand_word(word(b.letters + a.letters, n), p)
-        assert markov_trace_B(ab, n, r1, r2, p) \
-            == markov_trace_B(ba, n, r1, r2, p)
+        assert linear(lambda w: markov_trace_B(w, n, r1, r2, p), ab) \
+            == linear(lambda w: markov_trace_B(w, n, r1, r2, p), ba)
 
 
 def test_typeA_trace(points):
@@ -369,10 +381,11 @@ def test_typeA_trace(points):
             for _ in range(6):
                 h = random_word(n - 1, rng, kind="A")
                 p0 = q1_point(q)
-                base = typeA_markov_trace(expand_word(h, p0), n - 1, r, q)
+                base = linear(lambda w: typeA_markov_trace(w, n - 1, r, q),
+                              expand_word(h, p0))
                 hg = word(h.letters + (g_letter(n - 1),), n)
-                assert typeA_markov_trace(expand_word(hg, p0), n, r, q) \
-                    == z * base
+                assert linear(lambda w: typeA_markov_trace(w, n, r, q),
+                              expand_word(hg, p0)) == z * base
 
 
 # -- type D -------------------------------------------------------------------
@@ -422,18 +435,19 @@ def test_weight_D_rows_are_weight_B_sums():
                 assert covered == set(double_partitions(n))
     # 1 + 4 + 5 + 13 + 18 + 37 rows for n = 1..6
     assert cases == 3 * 6 * 78
-    # the plan is per size, bounded, and puts each merged class over one
-    # denominator with nonnegative exponents
-    assert _type_d_plan.cache_info().maxsize is not None
+    # the plan puts each merged class over one denominator with positive
+    # exponents
     merged = empty = 0
     for n in range(1, 7):
         for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (1, 5)):
-            for _, _, _, (num, den, *terms) in _type_d_plan(n, r1, r2):
-                assert all(k > 0 for part in (num, den, *terms)
-                           for _, k in part)
+            for _, _, _, entry in _weight_plan(n, r1, r2, "D"):
+                if entry is None:
+                    empty += 1
+                    continue
+                num, den, *terms = entry
+                assert all(k > 0 for part in entry for _, k in part)
                 assert not {i for i, _ in num} & {i for i, _ in den}
                 merged += len(terms) == 2
-                empty += not terms
     # 11 classes at (1, 5) have no shape within the row bounds
     assert (merged, empty) == (144, 11)
 
@@ -491,7 +505,8 @@ def test_markov_trace_D_matches_B_at_Q1():
     for _ in range(6):
         h = random_word(n, rng)
         assert markov_trace_D(h, n, r1, r2, q) \
-            == markov_trace_B(expand_word(h, point1), n, r1, r2, point1)
+            == linear(lambda w: markov_trace_B(w, n, r1, r2, point1),
+                      expand_word(h, point1))
 
 
 
