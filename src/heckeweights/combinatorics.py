@@ -181,22 +181,24 @@ def apply_transposition(t: DoubleTableau, i: int):
     return DoubleTableau(shape=t.shape, boxes=tuple(boxes))
 
 
-def axial_parameter(t: DoubleTableau, i: int, point):
-    """The scalar x(t, i) driving the seminormal action of the i-th
-    generator on the basis vector of t.
+def axial_parameter(box1, box2, point):
+    """The scalar x driving the seminormal action of the i-th generator on
+    the basis vector of a tableau with i in box1 and i+1 in box2, as
+    integers (u, v) with x = u / v.
 
     Within one component it is q to the content difference of the boxes of
     i+1 and i.  Across components the content difference is corrected by
     -1/Q (first to second) or -Q (second to first); at Q = -q^(r1+m) this
     reduces to the plain content-difference rule inside the glued diagram.
     """
-    (c1, row1, col1), (c2, row2, col2) = t.boxes[i - 1], t.boxes[i]
+    (c1, row1, col1), (c2, row2, col2) = box1, box2
     base = point.q ** ((col2 - row2) - (col1 - row1))
+    u, v, Q = base.numerator, base.denominator, point.Q
     if c1 == c2:
-        return base
+        return u, v
     if c1 == 0:
-        return -base / point.Q
-    return -point.Q * base
+        return -u * Q.denominator, v * Q.numerator
+    return -u * Q.numerator, v * Q.denominator
 
 
 def mu_content(box, m: int, r1: int) -> int:

@@ -17,8 +17,9 @@ denominators 1 - x, and characters are unaffected by the normalization.
 
 Every matrix of a representation is a pair (num, den): a read-only numpy
 object array of integers and one positive integer, the least common
-denominator of the entries, standing for num / den.  ``_build`` computes the
-generators' entries as ``Rat`` and converts each matrix once.
+denominator of the entries, standing for num / den.  ``_build`` writes the
+generators' entries at a point as integers over one denominator, from a
+point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
 
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
 the type-D front end, ("u", 0).  A ``Representation`` is the one store of
@@ -45,8 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import DoubleTableau, apply_transposition, axial_parameter, \
-    mu_content, standard_tableaux, trim
+from .combinatorics import apply_transposition, axial_parameter, mu_content, \
+    standard_tableaux, trim
 from .scalars import ParameterPoint, Rat, identity, specialized_point, zeros
 
 T_LETTER = ("t", 0)
@@ -243,16 +244,6 @@ class Representation:
 
 # -- matrices over one denominator -------------------------------------------
 
-def _integer_form(m):
-    """The Rat matrix m as (num, den), num read-only and den the least
-    common denominator of its entries."""
-    den = math.lcm(*(e.denominator for e in m.flat))
-    num = np.array([[e.numerator * (den // e.denominator) for e in row]
-                    for row in m], dtype=object)
-    num.flags.writeable = False
-    return num, den
-
-
 def _reduced(num, den):
     """The same matrix over the least common denominator of its entries."""
     g = math.gcd(den, *num.flat)
@@ -278,49 +269,63 @@ def _combination(terms):
                for c, (m, d) in terms), den
 
 
-def _seminormal_g(basis, index, i: int, axial, q):
-    """Matrix of the i-th generator from the axial scalar x(t, i).
-
-    Columns follow the pair rule: in a swap pair the earlier tableau in
-    canonical order carries (1 - q x) / (1 - x), the later (q - x) / (1 - x).
-    """
-    d = len(basis)
-    m = zeros(d, d)
-
-    def diag(x):
-        return x * (1 - q) / (1 - x)
-
-    for s, t in enumerate(basis):
-        t2 = apply_transposition(t, i)
-        x = axial(t, i)
-        if t2 is None:
-            m[s, s] = diag(x)
-            continue
-        s2 = index[t2.boxes]
-        if s > s2:
-            continue
-        m[s, s] = diag(x)
-        m[s2, s] = (1 - q * x) / (1 - x)
-        m[s, s2] = (q - x) / (1 - x)
-        m[s2, s2] = diag(1 / x)
-    return m
+# Bounded, and built from tuples, so no caller can alter a cached plan; 256
+# holds every shape of size at most 6 (138).
+PLAN_CACHE_SIZE = 256
 
 
-def _build(shape, point, axial, t_eigenvalue):
-    if shape == ((), ()):
-        raise ValueError("no module of size 0: the double partition is empty")
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _seminormal_plan(shape):
+    """The point-free part of the generators of a trimmed, nonempty double
+    partition: its dimension, the component of entry 1 in each standard
+    tableau, and for each g_i its blocks (s, s2, box of i, box of i+1): a
+    tableau s with no standard swap (s2 None) or the earlier of a swap pair."""
     basis = standard_tableaux(shape)
     index = {t.boxes: s for s, t in enumerate(basis)}
-    d = len(basis)
-    n = sum(shape[0]) + sum(shape[1])
-    letters = {g_letter(i): _integer_form(_seminormal_g(basis, index, i, axial,
-                                                        point.q))
-               for i in range(1, n)}
-    t = zeros(d, d)
-    for s, tableau in enumerate(basis):
-        t[s, s] = t_eigenvalue(tableau)
-    letters[T_LETTER] = _integer_form(t)
-    return Representation(d, n, point, letters)
+    generators = []
+    for i in range(1, len(basis[0].boxes)):
+        blocks = []
+        for s, t in enumerate(basis):
+            t2 = apply_transposition(t, i)
+            s2 = None if t2 is None else index[t2.boxes]
+            if s2 is None or s < s2:
+                blocks.append((s, s2, t.boxes[i - 1], t.boxes[i]))
+        generators.append(tuple(blocks))
+    return len(basis), tuple(t.boxes[0][0] for t in basis), tuple(generators)
+
+
+def _build(shape, point, axial, t_eigenvalues):
+    """The module of a trimmed double partition at ``point``: t acts by
+    ``t_eigenvalues[c]`` on a tableau with entry 1 in component c, and g_i
+    by the seminormal rule at x = u / v, (u, v) = axial(box of i, box of
+    i+1): in a swap pair the earlier tableau's column carries (1 - q x) /
+    (1 - x), the later's (q - x) / (1 - x).  With q = a/b every entry of a
+    block is an integer over b (v - u)."""
+    if shape == ((), ()):
+        raise ValueError("no module of size 0: the double partition is empty")
+    d, components, generators = _seminormal_plan(shape)
+    a, b = point.q.numerator, point.q.denominator
+    letters = {}
+    for i, blocks in enumerate(generators, 1):
+        xs = [axial(box1, box2) for _, _, box1, box2 in blocks]
+        den = b * math.lcm(*(v - u for u, v in xs))
+        num = zeros(d, d)
+        for (s, s2, _, _), (u, v) in zip(blocks, xs):
+            k = den // (b * (v - u))
+            num[s, s] = u * (b - a) * k
+            if s2 is not None:
+                num[s2, s] = (b * v - a * u) * k
+                num[s, s2] = (a * v - b * u) * k
+                num[s2, s2] = -v * (b - a) * k
+        letters[g_letter(i)] = _reduced(num, den)
+    eigenvalues = [t_eigenvalues[c] for c in components]
+    den = math.lcm(*(e.denominator for e in eigenvalues))
+    letters[T_LETTER] = np.diag(np.array(
+        [e.numerator * (den // e.denominator) for e in eigenvalues],
+        dtype=object)), den
+    for num, _ in letters.values():
+        num.flags.writeable = False
+    return Representation(d, len(generators) + 1, point, letters)
 
 
 # Bounded: a long-lived process meets unboundedly many points.  128 holds
@@ -335,13 +340,9 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
     """Seminormal representation indexed by a double partition; t acts
     diagonally by Q or -1 according to the component holding entry 1."""
     shape = (trim(shape[0]), trim(shape[1]))
-    Q = point.Q
-
-    def t_eig(t: DoubleTableau):
-        return Q if t.boxes[0][0] == 0 else Rat(-1)
-
     return _build(shape, point,
-                  lambda t, i: axial_parameter(t, i, point), t_eig)
+                  lambda box1, box2: axial_parameter(box1, box2, point),
+                  (point.Q, Rat(-1)))
 
 
 # maxsize 0: no second cache, but the calls and cache_info() the tracer reads
@@ -363,19 +364,15 @@ def skew_rep(shape, m: int, r1: int, q) -> Representation:
     point = specialized_point(q, m, r1)
     q = point.q
 
-    def axial(t, i):
-        return q ** (mu_content(t.boxes[i], m, r1)
-                     - mu_content(t.boxes[i - 1], m, r1))
+    def axial(box1, box2):
+        x = q ** (mu_content(box2, m, r1) - mu_content(box1, m, r1))
+        return x.numerator, x.denominator
 
     gamma = (m,) * r1 + (1,)
     beta_shape = (m + 1,) + (m,) * (r1 - 1)
     alpha_gamma = full_twist_scalar(gamma, q)
-
-    def t_eig(t: DoubleTableau):
-        nu = beta_shape if t.boxes[0][0] == 0 else gamma
-        return -full_twist_scalar(nu, q) / alpha_gamma
-
-    return _build(shape, point, axial, t_eig)
+    return _build(shape, point, axial, [-full_twist_scalar(nu, q) / alpha_gamma
+                                        for nu in (beta_shape, gamma)])
 
 
 def full_twist_scalar(nu, q):

@@ -8,8 +8,9 @@ fractions in lowest terms with positive denominator and both are exact.
 A representation's matrix is a pair (num, den): a numpy array with
 ``dtype=object`` holding Python integers, and one positive integer
 denominator, so products are exact integer matrix products and a trace
-needs one division.  The representations build each generator with ``Rat``
-entries and convert it once.
+needs one division.  The representations write each generator's entries as
+integers over one denominator from a per-shape plan, never as Rat
+entries.
 """
 
 from __future__ import annotations

@@ -7,23 +7,37 @@ the hook-content formula (Macdonald, I.3 Ex. 1; Stanley, EC2, Thm 7.21.2)
 over the boxes x, with content c and hook length h.  It runs over boxes, not
 over row pairs as ``traces.weight_table`` does; the Schur form of the weight
 and the factored side of Eq. (4) multiply its numerators and denominators.
+Contents and hook lengths are planned once per partition, as (value,
+multiplicity) pairs in a bounded cache.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from functools import lru_cache
+
 from .combinatorics import hook_lengths, n_stat, trim
 from .scalars import Rat
+
+
+# Bounded, and built from tuples, so no caller can alter a cached plan.
+@lru_cache(maxsize=1024)
+def _hook_content_plan(alpha):
+    """The contents and the hook lengths of the boxes of alpha, each as
+    (value, multiplicity) pairs."""
+    contents = Counter(j - i for i, part in enumerate(alpha)
+                       for j in range(part))
+    return tuple(contents.items()), tuple(Counter(hook_lengths(alpha)).items())
 
 
 def _hook_content(alpha, r: int, q):
     """a, b with q = a/b, and the products over the boxes of alpha of
     b^(r+c) - a^(r+c) and b^h - a^h, as 1 - q^k = (b^k - a^k) / b^k."""
     a, b = q.numerator, q.denominator
-    top = bottom = 1
-    contents = [j - i for i, part in enumerate(alpha) for j in range(part)]
-    for c, h in zip(contents, hook_lengths(alpha)):
-        top *= b ** (r + c) - a ** (r + c)
-        bottom *= b ** h - a ** h
+    contents, hooks = _hook_content_plan(alpha)
+    top = math.prod((b ** (r + c) - a ** (r + c)) ** k for c, k in contents)
+    bottom = math.prod((b ** h - a ** h) ** k for h, k in hooks)
     return a, b, top, bottom
 
 

@@ -2,18 +2,21 @@
 conversion of a (num, den) matrix to Rat entries, removable corners, the
 coset representatives of the size-(n-1) algebra, the linear extension of a
 word's value to a linear combination of words, the type-A Markov trace, a
-shape-by-shape type-B Markov trace and the reprint of a printed weight
-table."""
+shape-by-shape type-B Markov trace, the reprint of a printed weight table,
+and the Rat-entry seminormal generators that the integer build of
+``typeB_rep`` and ``skew_rep`` is checked against."""
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
-from heckeweights.combinatorics import double_partitions, partitions, trim
-from heckeweights.reps import character, g_letter, tprime_letter, typeA_rep, \
-    typeB_rep, word
+from heckeweights.combinatorics import apply_transposition, \
+    double_partitions, partitions, standard_tableaux, trim
+from heckeweights.reps import T_LETTER, character, g_letter, tprime_letter, \
+    typeA_rep, typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
 from heckeweights.traces import q1_point, weight_B, weight_B_schur_form
 
@@ -110,3 +113,87 @@ def reprinted(table: str) -> str:
     csv.writer(out, lineterminator="\n").writerows(
         csv.reader(io.StringIO(table)))
     return out.getvalue()
+
+
+def integer_form(m):
+    """The Rat matrix m as (num, den), den the least common denominator of
+    its entries."""
+    den = math.lcm(*(e.denominator for e in m.flat))
+    num = np.array([[e.numerator * (den // e.denominator) for e in row]
+                    for row in m], dtype=object)
+    return num, den
+
+
+def seminormal_generators(shape, q, axial, t_eigenvalue) -> dict:
+    """The letters t, g_1, ..., g_{n-1} of the module of a nonempty double
+    partition at q as Rat matrices, entry by entry from the axial scalar
+    ``axial(t, i)`` and the eigenvalue ``t_eigenvalue(t)`` of t on each
+    tableau.  In a swap pair the earlier tableau in canonical order carries
+    (1 - q x) / (1 - x), the later (q - x) / (1 - x)."""
+    basis = standard_tableaux(shape)
+    index = {t.boxes: s for s, t in enumerate(basis)}
+    d, n = len(basis), len(basis[0].boxes)
+
+    def diag(x):
+        return x * (1 - q) / (1 - x)
+
+    letters = {T_LETTER: np.diag(np.array([t_eigenvalue(t) for t in basis],
+                                          dtype=object))}
+    for i in range(1, n):
+        m = np.array([[Rat(0)] * d for _ in range(d)], dtype=object)
+        for s, t in enumerate(basis):
+            t2 = apply_transposition(t, i)
+            x = axial(t, i)
+            if t2 is None:
+                m[s, s] = diag(x)
+                continue
+            s2 = index[t2.boxes]
+            if s > s2:
+                continue
+            m[s, s] = diag(x)
+            m[s2, s] = (1 - q * x) / (1 - x)
+            m[s, s2] = (q - x) / (1 - x)
+            m[s2, s2] = diag(1 / x)
+        letters[g_letter(i)] = m
+    return letters
+
+
+def typeB_generators(shape, point) -> dict:
+    """``seminormal_generators`` of ``typeB_rep``: x(t, i) is q to the
+    content difference of the boxes of i+1 and i, times -1/Q from the
+    first component to the second and -Q back; t acts by Q on tableaux
+    with 1 in the first component and by -1 on the others."""
+    q, Q = point.q, point.Q
+
+    def axial(t, i):
+        (c1, row1, col1), (c2, row2, col2) = t.boxes[i - 1], t.boxes[i]
+        x = q ** ((col2 - row2) - (col1 - row1))
+        return x if c1 == c2 else -x / Q if c1 == 0 else -Q * x
+
+    return seminormal_generators(
+        shape, q, axial, lambda t: Q if t.boxes[0][0] == 0 else Rat(-1))
+
+
+def skew_generators(shape, m: int, r1: int, q) -> dict:
+    """``seminormal_generators`` of ``skew_rep(shape, m, r1, q)``: x(t, i)
+    is q to the difference of the contents of the boxes of i+1 and i inside
+    the glued diagram, and t acts by minus the ratio of full twists,
+    q^(f(f-1)/2 + content sum), of [m+1, m^(r1-1)] (1 in the first
+    component) or [m^r1, 1] (in the second) to that of [m^r1, 1]."""
+
+    def content(box):
+        comp, row, col = box
+        return col + m - row if comp == 0 else col - row - r1
+
+    def twist(nu):
+        f = sum(nu)
+        return q ** (f * (f - 1) // 2 + sum(j - i for i, part in enumerate(nu)
+                                            for j in range(part)))
+
+    gamma = (m,) * r1 + (1,)
+    eigenvalues = [-twist(nu) / twist(gamma)
+                   for nu in ((m + 1,) + (m,) * (r1 - 1), gamma)]
+    return seminormal_generators(
+        shape, q, lambda t, i: q ** (content(t.boxes[i])
+                                      - content(t.boxes[i - 1])),
+        lambda t: eigenvalues[t.boxes[0][0]])

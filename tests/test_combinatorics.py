@@ -6,6 +6,7 @@ from heckeweights.combinatorics import DoubleTableau, add_box, addable_corners, 
     apply_transposition, axial_parameter, dimension, double_partitions, \
     embed_double, mu_content, n_stat, one_box_successors, pad, partition_str, \
     partitions, shape_str, standard_tableaux, trim
+from heckeweights.scalars import Rat
 from helpers import removable_corners
 
 
@@ -137,12 +138,17 @@ def test_apply_transposition():
         apply_transposition(ts[0], 5)
 
 
+def _axial(t, i, point):
+    """x(t, i) as a Rat, from the pair (u, v) of the boxes of i and i+1."""
+    return Rat(*axial_parameter(t.boxes[i - 1], t.boxes[i], point))
+
+
 def test_axial_parameter_same_component(point):
     # row neighbors give q, column neighbors give 1/q
     (t_row,) = standard_tableaux(((2,), ()))
-    assert axial_parameter(t_row, 1, point) == point.q
+    assert _axial(t_row, 1, point) == point.q
     (t_col,) = standard_tableaux(((1, 1), ()))
-    assert axial_parameter(t_col, 1, point) == 1 / point.q
+    assert _axial(t_col, 1, point) == 1 / point.q
 
 
 def test_axial_parameter_cross_component(point):
@@ -150,10 +156,9 @@ def test_axial_parameter_cross_component(point):
     ts = standard_tableaux(((1,), (1,)))
     t_ab = next(t for t in ts if t.boxes[0][0] == 0)
     t_ba = next(t for t in ts if t.boxes[0][0] == 1)
-    assert axial_parameter(t_ab, 1, point) == -1 / Q
-    assert axial_parameter(t_ba, 1, point) == -Q
-    assert axial_parameter(t_ab, 1, point) \
-        * axial_parameter(t_ba, 1, point) == 1
+    assert _axial(t_ab, 1, point) == -1 / Q
+    assert _axial(t_ba, 1, point) == -Q
+    assert _axial(t_ab, 1, point) * _axial(t_ba, 1, point) == 1
 
 
 def test_axial_reciprocity(point):
@@ -162,8 +167,7 @@ def test_axial_reciprocity(point):
             for i in (1, 2):
                 t2 = apply_transposition(t, i)
                 if t2 is not None:
-                    assert axial_parameter(t2, i, point) \
-                        == 1 / axial_parameter(t, i, point)
+                    assert _axial(t2, i, point) == 1 / _axial(t, i, point)
 
 
 def test_mu_content():

@@ -8,15 +8,17 @@ import pytest
 from heckeweights import homcheck
 from heckeweights.combinatorics import double_partitions, partitions
 from heckeweights.homcheck import relations_report
-from heckeweights.reps import REP_CACHE_SIZE, HeckeElement, T_LETTER, \
-    U_LETTER, character, evaluate, expand_word, \
+from heckeweights.reps import PLAN_CACHE_SIZE, REP_CACHE_SIZE, HeckeElement, \
+    T_LETTER, U_LETTER, _seminormal_plan, character, evaluate, expand_word, \
     full_twist_scalar, g_letter, ginv_letter, parse_word, random_word, \
     relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
     typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix
+from heckeweights.schur import _hook_content_plan
 from heckeweights.traces import q1_point, trace_table
-from helpers import coset_representatives, linear, mat_eq, to_rat
+from helpers import coset_representatives, integer_form, linear, mat_eq, \
+    skew_generators, to_rat, typeB_generators
 
 
 def _matrix(rep, element):
@@ -442,6 +444,36 @@ def test_integer_product_matches_fraction_product():
     assert cases == 3 * 6 * (37 + 1 + 2 + 3 + 5)
 
 
+def test_generators_match_rat_oracle():
+    # every generator and t of typeB_rep and skew_rep, numerator and
+    # denominator, is the Rat-entry seminormal matrix over the least common
+    # denominator of its entries: every shape of size <= 4, at a point with
+    # Q < 0, one with q > 1 and one with three-digit values, and skew_rep at
+    # each point's q with m = r1 = n + 1
+    pts = [ParameterPoint(Rat(2, 3), Rat(-5, 7), 10),
+           ParameterPoint(Rat(7, 2), Rat(3), 10),
+           ParameterPoint(Rat(347, 512), Rat(613, 229), 10)]
+    cases = 0
+    for p in pts:
+        for n in range(1, 5):
+            for shape in double_partitions(n):
+                for rep, oracle in (
+                        (typeB_rep(shape, p), typeB_generators(shape, p)),
+                        (skew_rep(shape, n + 1, n + 1, p.q),
+                         skew_generators(shape, n + 1, n + 1, p.q))):
+                    assert (rep.dimension, rep.size) \
+                        == (len(oracle[T_LETTER]), n)
+                    assert len(oracle) == n
+                    for letter, m in oracle.items():
+                        num, den = rep.letter_matrix(letter)
+                        want, want_den = integer_form(m)
+                        assert (num.tolist(), den) \
+                            == (want.tolist(), want_den), \
+                            (shape, letter, str(rep.point))
+                        cases += 1
+    assert cases == 2 * 3 * (2 + 5 * 2 + 10 * 3 + 20 * 4)
+
+
 def test_character_of_empty_word_is_dimension(points):
     for n in range(1, 5):
         for shape in double_partitions(n):
@@ -464,3 +496,27 @@ def test_rep_caches_are_bounded():
         assert info.currsize <= info.maxsize
     # the type-A alias holds no module of its own
     assert typeA_rep.cache_info().currsize == 0
+
+
+def _frozen(plan) -> bool:
+    """Whether plan is built of tuples of ints and None only."""
+    return plan is None or isinstance(plan, int) \
+        or isinstance(plan, tuple) and all(map(_frozen, plan))
+
+
+def test_plan_caches_are_bounded_and_read_only():
+    # more shapes (one row in either component) and partitions (the 2714
+    # of sizes 1..20) than the point-free plans hold: neither keeps more
+    # than its maxsize, and every plan is tuples all the way down
+    rows = range(1, PLAN_CACHE_SIZE // 2 + 4)
+    for cached, keys, maxsize in (
+            (_seminormal_plan, [((k,), ()) for k in rows]
+             + [((), (k,)) for k in rows], PLAN_CACHE_SIZE),
+            (_hook_content_plan, [a for n in range(1, 21)
+                                  for a in partitions(n)], 1024)):
+        assert len(keys) > maxsize
+        for key in keys:
+            assert _frozen(cached(key)), key
+            info = cached.cache_info()
+            assert info.maxsize == maxsize
+            assert info.currsize <= info.maxsize
