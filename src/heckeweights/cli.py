@@ -232,14 +232,20 @@ def cmd_verify(args) -> int:
         return _error("verify needs --n >= 1 and --points >= 1")
     reports = [report for name in names
                for report in SUITES[name](args.n, args.seed, args.points)]
-    doc = {
-        "params": {"n": args.n, "seed": args.seed, "points": args.points,
-                   "suite": args.suite},
-        "checks": [{"name": r.name, "paper_ref": r.paper_ref,
-                    "pass": r.passed, "cases": r.cases, "failure": r.failure}
-                   for r in reports],
-    }
-    print(json.dumps(doc, indent=2))
+    # Written out, the bytes of json.dumps(indent=2) of the document: params
+    # n, seed, points, suite, then one object a check; strings go through
+    # json.dumps
+    checks = ",\n".join(
+        f'    {{\n      "name": {json.dumps(r.name)},\n'
+        f'      "paper_ref": {json.dumps(r.paper_ref)},\n'
+        f'      "pass": {"true" if r.passed else "false"},\n'
+        f'      "cases": {r.cases},\n      "failure": '
+        f'{"null" if r.failure is None else json.dumps(r.failure)}\n    }}'
+        for r in reports)
+    print(f'{{\n  "params": {{\n    "n": {args.n},\n    "seed": {args.seed},\n'
+          f'    "points": {args.points},\n'
+          f'    "suite": {json.dumps(args.suite)}\n  }},\n'
+          f'  "checks": [\n{checks}\n  ]\n}}')
     return 0 if all(r.passed for r in reports) else 1
 
 

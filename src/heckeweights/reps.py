@@ -24,17 +24,18 @@ point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
 the type-D front end, ("u", 0).  A ``Representation`` is the one store of
 letter matrices, of one module or of a stack of modules of one dimension
-(see ``traces.trace_table``), and ``Representation.letter_matrix`` defines
-what each letter means; ``evaluate`` multiplies a word's letter matrices in
-integers, numerators by ``@`` and denominators as ints, and ``character``
-makes the one division.  ``expand_word`` rewrites the same letters over
-{t, g} independently, as a reference for tests, into a ``HeckeElement``: a
-map word -> coefficient that the tests evaluate word by word.
+(see ``traces.trace_table`` and ``homcheck.relations_report``), and
+``Representation.letter_matrix`` defines what each letter means;
+``evaluate`` multiplies a word's letter matrices in integers, numerators by
+``@`` and denominators as ints, and ``character`` makes the one division.
+``expand_word`` rewrites the same letters over {t, g} independently, as a
+reference for tests, into a ``HeckeElement``: a map word -> coefficient
+that the tests evaluate word by word.
 
 Each type has one presentation here: ``relations(n, kind)`` lists the
 defining relations of type "A", "B" or "D", ``relation_residuals`` measures
-a module's letter matrices against them, and ``random_word`` draws words in
-the letters of the type.
+the letter matrices of a module, or of a stack of modules, against them in
+integers, and ``random_word`` draws words in the letters of the type.
 """
 
 from __future__ import annotations
@@ -361,18 +362,30 @@ def skew_rep(shape, m: int, r1: int, q) -> Representation:
     n = sum(shape[0]) + sum(shape[1])
     if not (m > n and r1 > n):
         raise ValueError(f"need m > n and r1 > n (got m={m}, r1={r1}, n={n})")
+    point, t_eigenvalues = _skew_point(m, r1, q)
+    a, b = point.q.numerator, point.q.denominator
+
+    def axial(box1, box2):  # q^e in lowest terms, as a and b are coprime
+        e = mu_content(box2, m, r1) - mu_content(box1, m, r1)
+        return (a ** e, b ** e) if e >= 0 else (b ** -e, a ** -e)
+
+    return _build(shape, point, axial, t_eigenvalues)
+
+
+# Bounded, as a long-lived process meets unboundedly many q; skew_rep's own,
+# so that it shares no code with typeB_rep, which the skew modules check.
+@lru_cache(maxsize=64)
+def _skew_point(m: int, r1: int, q):
+    """The point Q = -q^(r1+m) of ``skew_rep`` and the eigenvalues of t on
+    a tableau with 1 in the first or the second component: minus the full
+    twists of beta = [m+1, m^(r1-1)] and gamma = [m^r1, 1] over gamma's."""
     point = specialized_point(q, m, r1)
     q = point.q
-
-    def axial(box1, box2):
-        x = q ** (mu_content(box2, m, r1) - mu_content(box1, m, r1))
-        return x.numerator, x.denominator
-
     gamma = (m,) * r1 + (1,)
     beta_shape = (m + 1,) + (m,) * (r1 - 1)
     alpha_gamma = full_twist_scalar(gamma, q)
-    return _build(shape, point, axial, [-full_twist_scalar(nu, q) / alpha_gamma
-                                        for nu in (beta_shape, gamma)])
+    return point, tuple(-full_twist_scalar(nu, q) / alpha_gamma
+                        for nu in (beta_shape, gamma))
 
 
 def full_twist_scalar(nu, q):
@@ -411,6 +424,8 @@ def character(rep: Representation, element):
 
 # -- the presentations -------------------------------------------------------
 
+# Bounded; a tuple of tuples, so no caller can alter a cached list.
+@lru_cache(maxsize=32)
 def relations(n: int, kind: str) -> tuple:
     """The defining relations of the size-n algebra of type ``kind``: "A"
     (the g_i), "B" (also t) or "D" (also u = t g_1 t, the index-2
@@ -449,21 +464,29 @@ def relation_str(relation) -> str:
 
 def relation_residuals(rep: Representation, kind: str = "B") -> list:
     """Left minus right of each of ``relations(rep.size, kind)``, in order,
-    as pairs (num, den).  A residual is zero exactly when its integer
-    numerator is zero, so the letter matrices satisfy the presentation iff
-    every numerator is zero."""
-    def product(letters):
-        return _product([rep.letter_matrix(x) for x in letters])
+    as pairs (num, den) in integers, on one module or on a stack of them.  A
+    residual is zero exactly when its integer numerator is zero, so the
+    letter matrices satisfy the presentation iff every numerator is zero.
 
+    A braid or commutation relation with sides L = ln / ld and R = rn / rd
+    leaves ln rd - rn ld over ld rd.  The quadratic x x = (p - 1) x + p with
+    x = X / D and p = c / e leaves e X X - (c - e) D X - c D^2 I over e D^2;
+    c D^2 comes off a strided view of the fresh numerator's diagonal."""
     res = []
     for lhs, rhs in relations(rep.size, kind):
         if isinstance(rhs, str):
             p = getattr(rep.point, rhs)
-            right = [(1 - p, product(lhs[:1])),
-                     (-p, (identity(rep.dimension), 1))]
+            c, e = p.numerator, p.denominator
+            X, D = rep.letter_matrix(lhs[0])
+            num = e * (X @ X) - (c - e) * D * X
+            d = rep.dimension
+            num.reshape(*num.shape[:-2], d * d)[..., ::d + 1] -= c * D * D
+            res.append((num, e * D * D))
         else:
-            right = [(-1, product(rhs))]
-        res.append(_combination([(1, product(lhs))] + right))
+            (ln, ld), (rn, rd) = (
+                _product([rep.letter_matrix(x) for x in side])
+                for side in (lhs, rhs))
+            res.append((ln * rd - rn * ld, ld * rd))
     return res
 
 

@@ -76,6 +76,15 @@ class ParameterPoint:
             s = k if (c, d) == (a**k, b**k) else -k
             raise ValueError(f"Q = -q^{s} is excluded")
 
+    def __hash__(self):
+        # every cache lookup hashes its point, and a Fraction's hash takes a
+        # modular inverse: the fields are hashed on the first lookup only
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.q, self.Q, self.guard_bound))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self):
         return f"q = {self.q}, Q = {self.Q}"
 

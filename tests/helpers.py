@@ -3,8 +3,9 @@ conversion of a (num, den) matrix to Rat entries, removable corners, the
 coset representatives of the size-(n-1) algebra, the linear extension of a
 word's value to a linear combination of words, the type-A Markov trace, a
 shape-by-shape type-B Markov trace, the reprint of a printed weight table,
-and the Rat-entry seminormal generators that the integer build of
-``typeB_rep`` and ``skew_rep`` is checked against."""
+the Rat-entry seminormal generators that the integer build of ``typeB_rep``
+and ``skew_rep`` is checked against, and the Rat-entry relation residuals
+that ``relation_residuals`` is checked against."""
 
 import csv
 import io
@@ -15,8 +16,8 @@ import numpy as np
 
 from heckeweights.combinatorics import apply_transposition, \
     double_partitions, partitions, standard_tableaux, trim
-from heckeweights.reps import T_LETTER, character, g_letter, tprime_letter, \
-    typeA_rep, typeB_rep, word
+from heckeweights.reps import T_LETTER, U_LETTER, character, g_letter, \
+    relations, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
 from heckeweights.traces import q1_point, weight_B, weight_B_schur_form
 
@@ -197,3 +198,31 @@ def skew_generators(shape, m: int, r1: int, q) -> dict:
         shape, q, lambda t, i: q ** (content(t.boxes[i])
                                       - content(t.boxes[i - 1])),
         lambda t: eigenvalues[t.boxes[0][0]])
+
+
+def rat_residuals(generators, point, kind: str) -> list:
+    """Left minus right of each of ``relations(n, kind)`` as Rat matrices,
+    from the Rat matrices ``generators`` of t and g_1, ..., g_{n-1}, with u
+    = t g_1 t: x x - (p - 1) x - p for a quadratic relation, lhs - rhs for
+    the others."""
+    letters = dict(generators)
+    d = len(letters[T_LETTER])
+    one = np.diag(np.array([Rat(1)] * d, dtype=object))
+    if g_letter(1) in letters:
+        t = letters[T_LETTER]
+        letters[U_LETTER] = t.dot(letters[g_letter(1)]).dot(t)
+
+    def product(letters_):
+        m = one
+        for x in letters_:
+            m = m.dot(letters[x])
+        return m
+
+    out = []
+    for lhs, rhs in relations(len(generators), kind):
+        if isinstance(rhs, str):
+            p = getattr(point, rhs)
+            out.append(product(lhs) - letters[lhs[0]] * (p - 1) - one * p)
+        else:
+            out.append(product(lhs) - product(rhs))
+    return out

@@ -414,6 +414,30 @@ def test_verify_failure_names_counterexample(capsys, monkeypatch):
     assert "/" in str(rhs)
 
 
+def test_verify_prints_the_bytes_of_json_dumps(capsys, monkeypatch):
+    """verify prints exactly json.dumps(indent=2) of its document: for every
+    suite at n = 1..3, and for reports whose texts hold a quote, a
+    backslash and non-ASCII characters."""
+    for suite, n in itertools.product([*cli.SUITES, "all"], range(1, 4)):
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--n",
+                                      str(n), "--points", "1"])
+        assert (code, err) == (0, ""), (suite, n)
+        assert out == reprinted(out), (suite, n)
+    reports = [homcheck.Report('odd "name"', "Eq. (9) \\ \u00a7 5", cases=2,
+                               failure='"quoted" \\ value, q \u2260 1 \u00e9'),
+               homcheck.Report("fine", "", cases=0)]
+    monkeypatch.setitem(cli.SUITES, "relations",
+                        lambda n, seed, points: reports)
+    code, out, _ = run(capsys, ["verify", "--suite", "relations", "--n", "2",
+                                "--seed", "-4", "--points", "7"])
+    assert code == 1
+    doc = {"params": {"n": 2, "seed": -4, "points": 7, "suite": "relations"},
+           "checks": [{"name": r.name, "paper_ref": r.paper_ref,
+                       "pass": r.passed, "cases": r.cases,
+                       "failure": r.failure} for r in reports]}
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_verify_deterministic(capsys):
     argv = ["verify", "--suite", "markov", "--n", "2", "--seed", "3",
             "--points", "2"]

@@ -5,20 +5,21 @@ from collections import Counter
 
 import pytest
 
-from heckeweights import homcheck
-from heckeweights.combinatorics import double_partitions, partitions
+from heckeweights import reps
+from heckeweights.combinatorics import dimension, double_partitions, \
+    partitions
 from heckeweights.homcheck import relations_report
 from heckeweights.reps import PLAN_CACHE_SIZE, REP_CACHE_SIZE, HeckeElement, \
-    T_LETTER, U_LETTER, _seminormal_plan, character, evaluate, expand_word, \
-    full_twist_scalar, g_letter, ginv_letter, parse_word, random_word, \
-    relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
-    typeA_rep, typeB_rep, word
+    T_LETTER, U_LETTER, _seminormal_plan, _skew_point, character, evaluate, \
+    expand_word, full_twist_scalar, g_letter, ginv_letter, parse_word, \
+    random_word, relation_residuals, relation_str, relations, skew_rep, \
+    tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix
 from heckeweights.schur import _hook_content_plan
 from heckeweights.traces import q1_point, trace_table
 from helpers import coset_representatives, integer_form, linear, mat_eq, \
-    skew_generators, to_rat, typeB_generators
+    rat_residuals, skew_generators, to_rat, typeB_generators
 
 
 def _matrix(rep, element):
@@ -125,31 +126,99 @@ def test_relation_list():
         relations(3, "C")
 
 
+def _generators_with(rep, letter, num):
+    """rep's module with the numerator of one generator replaced by num: a
+    store of the generators t and g_i only, so that G_i, t'_i and u derive
+    from the replacement."""
+    letters = {x: m for x, m in rep.letters.items()
+               if x == T_LETTER or x[0] == "g"}
+    num.flags.writeable = False
+    letters[letter] = num, letters[letter][1]
+    return dataclasses.replace(rep, letters=letters)
+
+
 def test_relation_residuals_catch_corruption(point, monkeypatch):
-    # g1 with one entry shifted by 1 breaks its quadratic relation; u
-    # replaced by g2 keeps its quadratic relation but not u g1 = g1 u.  The
-    # residuals see each, and relations_report names the first relation that
-    # fails, the module and the point
-    real = homcheck.typeB_rep
+    # g1 with one entry shifted by 1 breaks its quadratic relation; t with
+    # two rows swapped is still an involution, so u = t g1 t keeps its
+    # quadratic relation, but not u g1 = g1 u.  The residuals see each, and
+    # relations_report, whose stacks take their generators from
+    # reps.typeB_rep, names the first relation that fails, the module and
+    # the point
+    real = reps.typeB_rep
     rep_b = real(((1,), (1,)), point)
     num, den = rep_b.letter_matrix(g_letter(1))
     g = num.copy()
     g[0, 0] = g[0, 0] + den
     rep_d = real(((2,), (1,)), q1_point(Rat(2)))
-    cases = [("typeB", rep_b, ((1,), (1,)), g_letter(1), (g, den),
+    cases = [("typeB", rep_b, ((1,), (1,)), g_letter(1), g,
               "q = 2, Q = 5: relation g1 g1 = (q-1) g1 + q"),
-             ("typeD", rep_d, ((2,), (1,)), U_LETTER,
-              rep_d.letter_matrix(g_letter(2)),
+             ("typeD", rep_d, ((2,), (1,)), T_LETTER,
+              rep_d.letter_matrix(T_LETTER)[0][[1, 0, 2]],
               "q = 2, Q = 1: relation u g1 = g1 u")]
-    for family, rep, shape, letter, matrix, failure in cases:
-        broken = dataclasses.replace(rep, letters={**rep.letters,
-                                                   letter: matrix})
+    for family, rep, shape, letter, num, failure in cases:
+        broken = _generators_with(rep, letter, num)
         assert not all(is_zero_matrix(m) for m, _ in
                        relation_residuals(broken, family[-1]))
-        monkeypatch.setattr(homcheck, "typeB_rep", lambda s, p: broken
+        monkeypatch.setattr(reps, "typeB_rep", lambda s, p: broken
                             if s == shape else real(s, p))
         report = relations_report(family, [rep.point], [rep.size])
         assert report.failure == f"{family} module {shape} at {failure} fails"
+
+
+def test_relations_report_names_the_failing_module_of_a_stack(
+        point, monkeypatch):
+    # the four modules of dimension 3 at n = 3 share one stack; g2 broken in
+    # the third fails that stack, and the report names the third module,
+    # with one case a module as before
+    real = reps.typeB_rep
+    shapes = double_partitions(3)
+    group = [s for s in shapes if dimension(s) == 3]
+    assert len(group) == 4
+    rep = real(group[2], point)
+    num, den = rep.letter_matrix(g_letter(2))
+    g = num.copy()
+    g[0, 0] = g[0, 0] + den
+    broken = _generators_with(rep, g_letter(2), g)
+    monkeypatch.setattr(reps, "typeB_rep", lambda s, p: broken
+                        if s == group[2] else real(s, p))
+    report = relations_report("typeB", [point], [3])
+    assert report.cases == len(shapes) == 10
+    assert report.failure == (f"typeB module {group[2]} at {point}: relation "
+                              f"g1 g2 g1 = g2 g1 g2 fails")
+
+
+def test_relation_residuals_match_rat_oracle(monkeypatch):
+    # with g1 of one module perturbed, each residual (num, den) is the
+    # Rat-entry lhs - rhs, of types B and D: on the module alone, and as
+    # the module's slice of the stack of the d = 3 modules at n = 3
+    points = [ParameterPoint(Rat(2, 3), Rat(-5, 7), 10), q1_point(Rat(7, 2))]
+    real = reps.typeB_rep
+    group = [s for s in double_partitions(3) if dimension(s) == 3]
+    cases = 0
+    for p in points:
+        oracle = {s: typeB_generators(s, p) for s in group}
+        broken = oracle[group[2]]
+        broken[g_letter(1)] = broken[g_letter(1)].copy()
+        broken[g_letter(1)][0, 1] += Rat(1, 7)
+        module = reps.Representation(3, 3, p, {
+            x: integer_form(m) for x, m in broken.items()})
+        monkeypatch.setattr(reps, "typeB_rep", lambda s, at: module
+                            if s == group[2] else real(s, at))
+        stack = reps.Representation(3, 3, p, shapes=tuple(group))
+        for kind in "BD" if p.Q == 1 else "B":
+            want = [rat_residuals(oracle[s], p, kind) for s in group]
+            assert not all(is_zero_matrix(m) for m in want[2])
+            for (num, den), lhs_rhs in zip(
+                    relation_residuals(module, kind), want[2]):
+                assert mat_eq(to_rat(num, den), lhs_rhs)
+                cases += 1
+            stacked = relation_residuals(stack, kind)
+            for j, residuals in enumerate(want):
+                for (num, den), lhs_rhs in zip(stacked, residuals):
+                    assert mat_eq(to_rat(num[j], den), lhs_rhs), (p, j)
+                    cases += 1
+    # six relations of each type at n = 3, on the module and four slices
+    assert cases == 3 * 6 * (1 + 4)
 
 
 def test_worked_example_matrices(point):
@@ -494,6 +563,9 @@ def test_rep_caches_are_bounded():
         info = cached.cache_info()
         assert info.maxsize == REP_CACHE_SIZE
         assert info.currsize <= info.maxsize
+    # so is skew_rep's cache of its point and t-eigenvalues per q
+    info = _skew_point.cache_info()
+    assert info.currsize <= info.maxsize < REP_CACHE_SIZE + 5
     # the type-A alias holds no module of its own
     assert typeA_rep.cache_info().currsize == 0
 

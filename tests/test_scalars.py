@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
@@ -93,6 +96,37 @@ def test_admissible_point_respects_guard():
         p = admissible_point(2, 3, 3, seed)
         for s in range(-p.guard_bound, p.guard_bound + 1):
             assert p.Q != -(p.q**s)
+
+
+def test_point_hash_is_cached_and_unchanged():
+    # a point hashes as the tuple of its fields and compares as before:
+    # equal fields, equal points, across every field
+    points = [ParameterPoint(Rat(2), Rat(5), 4),
+              ParameterPoint(Rat(347, 512), Rat(-613, 229), 10),
+              ParameterPoint(Rat(3, 2), Rat(1), 0),
+              admissible_point(3, 4, 4, 17)]
+    for p in points:
+        assert hash(p) == hash((p.q, p.Q, p.guard_bound))
+        twin = dataclasses.replace(p)
+        assert twin == p and twin is not p and hash(twin) == hash(p)
+        for field, value in (("q", p.q + 1), ("Q", p.Q + 1),
+                             ("guard_bound", p.guard_bound + 1)):
+            assert dataclasses.replace(p, **{field: value}) != p
+    assert len({*points, *map(dataclasses.replace, points)}) == len(points)
+
+    class Counted(Fraction):
+        hashes = 0
+
+        def __hash__(self):
+            Counted.hashes += 1
+            return super().__hash__()
+
+    # the first lookup hashes the fields, and no later one does again
+    p = ParameterPoint(Counted(3, 2), Counted(-7, 5), 4)
+    assert hash(p) == hash((Fraction(3, 2), Fraction(-7, 5), 4))
+    before = Counted.hashes
+    assert {p: 1}[p] == 1 and hash(p) == hash(p)
+    assert Counted.hashes == before
 
 
 def test_specialized_point():
