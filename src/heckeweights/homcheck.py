@@ -24,8 +24,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, pad, partitions, shape_str, trim
 from .reps import T_LETTER, Representation, full_twist_scalar, g_letter, \
@@ -313,10 +311,10 @@ def _first_difference(a, b) -> str | None:
     (na, da), (nb, db) = a, b
     if na.shape != nb.shape:
         return f"dimension {len(na)} != {len(nb)}"
-    differ = np.argwhere(na * db != nb * da)
-    if not len(differ):
+    rows, cols = (na * db != nb * da).nonzero()
+    if not len(rows):
         return None
-    i, j = differ[0]
+    i, j = rows[0], cols[0]
     return f"entry ({i}, {j}): {Rat(na[i, j], da)} != {Rat(nb[i, j], db)}"
 
 

@@ -16,7 +16,8 @@ by trace q - 1 and determinant -q; this square-root-free choice keeps the
 denominators 1 - x, and characters are unaffected by the normalization.
 
 Every matrix of a representation is a pair (num, den): a read-only numpy
-object array of integers and one positive integer, the least common
+object array of integers, built by a constructor of ``scalars`` (numpy is
+loaded with the first), and one positive integer, the least common
 denominator of the entries, standing for num / den.  ``_build`` writes the
 generators' entries at a point as integers over one denominator, from a
 point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
@@ -45,11 +46,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .combinatorics import apply_transposition, axial_parameter, mu_content, \
     standard_tableaux, trim
-from .scalars import ParameterPoint, Rat, identity, specialized_point, zeros
+from .scalars import ParameterPoint, Rat, diagonal, identity, \
+    specialized_point, stack, zeros
 
 T_LETTER = ("t", 0)
 U_LETTER = ("u", 0)
@@ -219,9 +219,9 @@ class Representation:
             ms = [typeB_rep(shape, self.point).letter_matrix(letter)
                   for shape in self.shapes]
             den = math.lcm(*(d for _, d in ms))
-            m = (ms[0][0][np.newaxis], den) if len(ms) == 1 else \
-                (np.stack([num if d == den else num * (den // d)
-                           for num, d in ms]), den)
+            m = (ms[0][0][None], den) if len(ms) == 1 else \
+                (stack([num if d == den else num * (den // d)
+                        for num, d in ms]), den)
         elif kind == "ginv" and 0 < i < n:
             m = _combination([(1 / q, self.letter_matrix(g_letter(i))),
                               (1 / q - 1, (identity(self.dimension), 1))])
@@ -321,9 +321,8 @@ def _build(shape, point, axial, t_eigenvalues):
         letters[g_letter(i)] = _reduced(num, den)
     eigenvalues = [t_eigenvalues[c] for c in components]
     den = math.lcm(*(e.denominator for e in eigenvalues))
-    letters[T_LETTER] = np.diag(np.array(
-        [e.numerator * (den // e.denominator) for e in eigenvalues],
-        dtype=object)), den
+    letters[T_LETTER] = diagonal(
+        [e.numerator * (den // e.denominator) for e in eigenvalues]), den
     for num, _ in letters.values():
         num.flags.writeable = False
     return Representation(d, len(generators) + 1, point, letters)

@@ -8,9 +8,10 @@ fractions in lowest terms with positive denominator and both are exact.
 A representation's matrix is a pair (num, den): a numpy array with
 ``dtype=object`` holding Python integers, and one positive integer
 denominator, so products are exact integer matrix products and a trace
-needs one division.  The representations write each generator's entries as
-integers over one denominator from a per-shape plan, never as Rat
-entries.
+needs one division.  Only the constructors at the end of this module build
+arrays, and each imports numpy in its body, so numpy is loaded with the
+first array: ``import heckeweights``, ``-h``, ``weights`` and the ``schur``
+and ``branching`` suites of ``verify`` never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 try:
     from gmpy2 import mpq as Rat
@@ -130,12 +129,29 @@ def specialized_point(q, m: int, r1: int) -> ParameterPoint:
 
 def zeros(rows: int, cols: int):
     """Zero matrix with integer entries, exact beside Rat entries."""
+    import numpy as np
     return np.zeros((rows, cols), dtype=object)
 
 
 def identity(n: int):
     """Identity matrix with integer entries, exact beside Rat entries."""
+    import numpy as np
     return np.identity(n, dtype=object)
+
+
+def diagonal(entries):
+    import numpy as np
+    return np.diag(np.array(entries, dtype=object))
+
+
+def vector(entries):
+    import numpy as np
+    return np.array(entries, dtype=object)
+
+
+def stack(matrices):
+    import numpy as np
+    return np.stack(matrices)
 
 
 def is_zero_matrix(a) -> bool:

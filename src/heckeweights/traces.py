@@ -29,11 +29,9 @@ from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
 from .combinatorics import dimension, double_partitions, pad, trim
 from .reps import Representation, evaluate
-from .scalars import ParameterPoint, Rat
+from .scalars import ParameterPoint, Rat, vector
 from .schur import schur_principal
 
 
@@ -218,8 +216,8 @@ def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
         by_dimension.setdefault(dimension(shape), []).append(shape)
     groups = []
     for d, shapes in by_dimension.items():
-        nums = np.array([weights[s].numerator * (den // weights[s].denominator)
-                         for s in shapes], dtype=object)
+        nums = vector([weights[s].numerator * (den // weights[s].denominator)
+                       for s in shapes])
         nums.flags.writeable = False
         groups.append((nums, Representation(d, n, point,
                                             shapes=tuple(shapes))))

@@ -8,7 +8,7 @@ from heckeweights.homcheck import character_match_report, \
     rho_eigenvalue_report, schur_factorization, skew_dimension_report, \
     weight_ratio_report
 from heckeweights.reps import g_letter
-from heckeweights.scalars import Rat, specialized_point
+from heckeweights.scalars import Rat, identity, specialized_point
 from heckeweights.schur import schur_normalized
 
 # the q's of the three-digit points of test_traces.py, on both sides of 1
@@ -57,6 +57,25 @@ def test_character_match_names_the_first_difference(monkeypatch):
     assert report.failure == (
         f"skew = generic g1 on [1]|[1] at {specialized_point(q, 3, 3)}: "
         f"entry (1, 0): {Rat(bent[1, 0], den)} != {Rat(num[1, 0], den)}")
+
+
+def test_character_match_names_a_dimension_difference(monkeypatch):
+    q, shape, letter = Rat(2), ((1,), (1,)), g_letter(1)
+    real = homcheck.skew_rep
+
+    def skew_rep(s, m, r1, q):
+        rep = real(s, m, r1, q)
+        if s != shape:
+            return rep
+        return dataclasses.replace(rep, letters={**rep.letters,
+                                                 letter: (identity(3), 1)})
+
+    monkeypatch.setattr(homcheck, "skew_rep", skew_rep)
+    report = character_match_report(2, 3, 3, [q])
+    assert report.cases == 10
+    assert report.failure == (
+        f"skew = generic g1 on [1]|[1] at {specialized_point(q, 3, 3)}: "
+        f"dimension 3 != 2")
 
 
 def test_character_match_validation():
