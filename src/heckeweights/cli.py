@@ -118,8 +118,6 @@ def suite_relations(n, seed, points):
     pts = _points(n, n + 1, n + 1, seed, points)
     k = min(n, 3)
     return [
-        homcheck.relations_report("typeA", pts, range(1, n + 1),
-                                  name=f"relations-typeA-n{n}"),
         homcheck.relations_report("typeB", pts, range(1, n + 1),
                                   name=f"relations-typeB-n{n}"),
         homcheck.relations_report("skew", pts, range(1, k + 1),

@@ -8,13 +8,12 @@ every check here, and the acceptance gate in ``tests/test_acceptance.py``
 runs the same functions at larger sizes.  Most checks are written as
 generators of (lhs, rhs, describe) cases and turned into report-returning
 functions by ``identity``.  ``relations_report`` checks ``reps.relations`` on
-whole modules: types A, B and skew against the type-B presentation, and
-(D1)-(D5) on type-B modules at Q = 1, which covers every two-sided multiple
-of a relation at once.  Types A, B and D are checked on one stack of
-modules per dimension, as ``traces.trace_table`` groups them.
-``character_match_report`` checks Theorem 3.3 on the generators: at
-Q = -q^(r1+m) the skew and generic modules have equal matrices of t and
-every g_i, so their characters agree on every element.
+the type-B modules, one stack per dimension (``reps.stacks``), which covers
+every two-sided multiple of a relation at once: type B at p and at
+Q = -q^(r1+m), and (D1)-(D5) at Q = 1.  ``character_match_report`` checks
+Theorem 3.3 on the generators: at Q = -q^(r1+m) the skew and generic
+modules have equal matrices of t and every g_i, so equal characters on
+every element, and the relations hold on the skew modules there.
 tr(ab) = tr(ba) has no check: a trace is taken of the exact product of
 letter matrices, and AB and BA have equal traces.
 """
@@ -26,9 +25,8 @@ from dataclasses import dataclass
 
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_successors, pad, partitions, shape_str, trim
-from .reps import T_LETTER, Representation, full_twist_scalar, g_letter, \
-    relation_residuals, relation_str, relations, skew_rep, tprime_letter, \
-    typeB_rep, word
+from .reps import T_LETTER, full_twist_scalar, g_letter, relation_residuals, \
+    relation_str, relations, skew_rep, stacks, tprime_letter, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point
 from .schur import rectangle_schur, schur_normalized, schur_principal
 from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
@@ -82,54 +80,40 @@ def identity(paper_ref: str):
 # -- representations ---------------------------------------------------------
 
 _RELATION_FAMILIES = {
-    # family: (paper reference, shapes of a size, relations' type, the
-    # double partition of a shape, the point of size k at a point p); a
-    # type-A module is the type-B one of (mu, ()), on which t acts as Q
-    "typeA": ("Section 2 (H1)-(H3)", partitions, "B", lambda mu: (mu, ()),
-              lambda p, k: p),
-    "typeB": ("Section 2 (H1)-(H6)", double_partitions, "B",
-              lambda shape: shape, lambda p, k: p),
-    "skew": ("Lemma 3.2", double_partitions, "B", lambda shape: shape,
+    # family: (paper reference, relations' type, the point of size k at a
+    # point p); each checks the type-B modules, type A's among them as
+    # those of (mu, ())
+    "typeB": ("Section 2 (H1)-(H6)", "B", lambda p, k: p),
+    # at Q = -q^(r1+m) the skew modules have the generic modules' generators
+    # (Theorem 3.3, character_match_report), so these stand for them
+    "skew": ("Lemma 3.2", "B",
              lambda p, k: specialized_point(p.q, k + 1, k + 1)),
     # H(D_n) is the subalgebra of H(B_n) at Q = 1 generated by the g_i and
     # u = t g_1 t, so every type-B module at Q = 1 is a module of it
-    "typeD": ("Section 6 (D1)-(D5)", double_partitions, "D",
-              lambda shape: shape, lambda p, k: q1_point(p.q)),
+    "typeD": ("Section 6 (D1)-(D5)", "D", lambda p, k: q1_point(p.q)),
 }
 
 
 def relations_report(family: str, points, sizes, name=None) -> Report:
-    """Every defining relation holds in every representation of the family
-    ("typeA", "typeB", "skew" at m = r1 = size + 1, or "typeD" at Q = 1)
-    of the given sizes; one case a module, and a size with no relation
-    counts none.  Types A, B and D check each relation once per stack of the
-    modules of one dimension, and look for the failing modules only when the
-    stack fails; skew modules are checked one at a time."""
-    paper_ref, shapes_of, kind, module, point_of = _RELATION_FAMILIES[family]
+    """Every defining relation holds in every type-B module of the given
+    sizes at the family's point: p ("typeB"), Q = -q^(r1+m) with m = r1 =
+    size + 1 ("skew") or Q = 1 for (D1)-(D5) ("typeD"); one case a module,
+    and a size with no relation counts none.  Each relation is checked once
+    per ``reps.stacks`` stack, and its modules only when the stack fails."""
+    paper_ref, kind, point_of = _RELATION_FAMILIES[family]
     report = Report(name or f"relations-{family}", paper_ref)
     for p in points:
         for k in sizes:
             rels = relations(k, kind)
             if not rels:
                 continue
-            shapes, point = shapes_of(k), point_of(p, k)
-            if family == "skew":
-                # one at a time: a stack takes its modules from typeB_rep
-                groups = [(skew_rep(s, k + 1, k + 1, p.q), [s])
-                          for s in shapes]
-            else:
-                by_dimension = {}
-                for s in shapes:
-                    by_dimension.setdefault(dimension(module(s)), []).append(s)
-                groups = [(Representation(d, k, point,
-                                          shapes=tuple(map(module, group))),
-                           group) for d, group in by_dimension.items()]
+            shapes, point = double_partitions(k), point_of(p, k)
             bad = {}  # a module's first failing relation
-            for rep, group in groups:
+            for rep in stacks(shapes, k, point):
                 for rel, (num, _) in zip(rels, relation_residuals(rep, kind)):
                     if is_zero_matrix(num):
                         continue
-                    for s, m in zip(group, num.reshape(-1, *num.shape[-2:])):
+                    for s, m in zip(rep.shapes, num):
                         if not is_zero_matrix(m):
                             bad.setdefault(s, rel)
             for s in shapes:

@@ -25,18 +25,20 @@ point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
 Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
 the type-D front end, ("u", 0).  A ``Representation`` is the one store of
 letter matrices, of one module or of a stack of modules of one dimension
-(see ``traces.trace_table`` and ``homcheck.relations_report``), and
-``Representation.letter_matrix`` defines what each letter means;
+as ``stacks`` groups them for ``traces.trace_table`` and
+``homcheck.relations_report``; ``Representation.letter_matrix`` defines
+what each letter means;
 ``evaluate`` multiplies a word's letter matrices in integers, numerators by
 ``@`` and denominators as ints, and ``character`` makes the one division.
 ``expand_word`` rewrites the same letters over {t, g} independently, as a
 reference for tests, into a ``HeckeElement``: a map word -> coefficient
 that the tests evaluate word by word.
 
-Each type has one presentation here: ``relations(n, kind)`` lists the
-defining relations of type "A", "B" or "D", ``relation_residuals`` measures
-the letter matrices of a module, or of a stack of modules, against them in
-integers, and ``random_word`` draws words in the letters of the type.
+``relations(n, kind)`` lists the defining relations of the two checked
+presentations, "B" and "D" (type A is checked as type B on the modules of
+(mu, ())); ``relation_residuals`` measures a module's or a stack's letter
+matrices against them in integers; ``random_word`` draws words of type A,
+B or D.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .combinatorics import apply_transposition, axial_parameter, mu_content, \
-    standard_tableaux, trim
+from .combinatorics import apply_transposition, axial_parameter, dimension, \
+    mu_content, standard_tableaux, trim
 from .scalars import ParameterPoint, Rat, diagonal, identity, \
     specialized_point, stack, zeros
 
@@ -191,7 +193,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
 @dataclass
 class Representation:
     """The letter store of one module, or of a stack of the k modules of
-    ``shapes`` that share one dimension d (see ``traces.trace_table``).
+    ``shapes`` that share one dimension d (see ``stacks``).
 
     ``letters`` maps a letter to its matrix (num, den): a read-only integer
     array, (d, d) for one module and (k, d, d) for a stack, and its least
@@ -223,8 +225,10 @@ class Representation:
                 (stack([num if d == den else num * (den // d)
                         for num, d in ms]), den)
         elif kind == "ginv" and 0 < i < n:
-            m = _combination([(1 / q, self.letter_matrix(g_letter(i))),
-                              (1 / q - 1, (identity(self.dimension), 1))])
+            # g_i = X / D, q = a / b: G_i = (b X - (a - b) D I) / (a D)
+            X, D = self.letter_matrix(g_letter(i))
+            a, b = q.numerator, q.denominator
+            m = b * X - (a - b) * D * identity(self.dimension), a * D
         elif kind == "tprime" and 0 <= i < n:
             # t'_0 = t and t'_i = g_i t'_{i-1} G_i
             m = self.letter_matrix(T_LETTER) if i == 0 else _product([
@@ -241,6 +245,17 @@ class Representation:
         m[0].flags.writeable = False
         self.letters[letter] = m
         return m
+
+
+def stacks(shapes, n: int, point: ParameterPoint) -> list:
+    """The modules at ``point`` of ``shapes``, double partitions of n, as
+    one ``Representation`` stack per dimension, in the order in which the
+    dimensions first appear."""
+    by_dimension = {}
+    for shape in shapes:
+        by_dimension.setdefault(dimension(shape), []).append(shape)
+    return [Representation(d, n, point, shapes=tuple(group))
+            for d, group in by_dimension.items()]
 
 
 # -- matrices over one denominator -------------------------------------------
@@ -260,14 +275,6 @@ def _product(factors):
         num = num @ m
         den *= d
     return num, den
-
-
-def _combination(terms):
-    """Sum of c * num / den over (c, (num, den)) terms with rational c, over
-    one common denominator, not reduced."""
-    den = math.lcm(*(c.denominator * d for c, (_, d) in terms))
-    return sum(m * (c.numerator * (den // (c.denominator * d)))
-               for c, (m, d) in terms), den
 
 
 # Bounded, and built from tuples, so no caller can alter a cached plan; 256
@@ -426,11 +433,11 @@ def character(rep: Representation, element):
 # Bounded; a tuple of tuples, so no caller can alter a cached list.
 @lru_cache(maxsize=32)
 def relations(n: int, kind: str) -> tuple:
-    """The defining relations of the size-n algebra of type ``kind``: "A"
-    (the g_i), "B" (also t) or "D" (also u = t g_1 t, the index-2
-    subalgebra of type B at Q = 1).  A relation is a pair (lhs, rhs) of
-    letter tuples, or (x x, p) for x x = (p - 1) x + p, with p the name of
-    the parameter: "Q" for t, "q" for g_i and u."""
+    """The defining relations of the size-n algebra of type ``kind``: "B"
+    (the g_i and t) or "D" (the g_i and u = t g_1 t, the index-2 subalgebra
+    of type B at Q = 1).  A relation is a pair (lhs, rhs) of letter tuples,
+    or (x x, p) for x x = (p - 1) x + p, with p the name of the parameter:
+    "Q" for t, "q" for g_i and u."""
     g = [g_letter(i) for i in range(1, n)]
     rels = [((a, b, a), (b, a, b)) for a, b in zip(g, g[1:])]
     rels += [((a, b), (b, a)) for i, a in enumerate(g) for b in g[i + 2:]]
@@ -440,14 +447,14 @@ def relations(n: int, kind: str) -> tuple:
         rels.append(((t, t), "Q"))
         rels += [((t, a, t, a), (a, t, a, t)) for a in g[:1]]
         rels += [((t, a), (a, t)) for a in g[1:]]
-    elif kind == "D" and g:
+    elif kind != "D":
+        raise ValueError(f"no algebra of type {kind!r}")
+    elif g:
         u = U_LETTER
         rels.append(((u, u), "q"))
         # u commutes with g_1 and with g_i for i >= 3, and braids with g_2
         rels += [((u, a), (a, u)) for a in g[:1] + g[2:]]
         rels += [((u, a, u), (a, u, a)) for a in g[1:2]]
-    elif kind not in ("A", "D"):
-        raise ValueError(f"no algebra of type {kind!r}")
     return tuple(rels)
 
 

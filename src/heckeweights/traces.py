@@ -15,7 +15,7 @@ the type-B rows and ``weight_D`` the type-D ones; ``weight_B`` and
 ``trace_table`` read the table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
-each group a ``Representation`` that stacks the modules of its shapes;
+each group a ``reps.stacks`` stack of the modules of its shapes;
 ``markov_trace_B`` is one table lookup, one ``evaluate`` and one integer dot
 per group, and one Rat.  Types A and D live at the one point
 ``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
@@ -30,7 +30,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .combinatorics import dimension, double_partitions, pad, trim
-from .reps import Representation, evaluate
+from .reps import evaluate, stacks
 from .scalars import ParameterPoint, Rat, vector
 from .schur import schur_principal
 
@@ -211,16 +211,12 @@ def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
     weights = {shape: w for shape, w in weight_table(n, r1, r2, point).items()
                if w != 0}
     den = math.lcm(*(w.denominator for w in weights.values()))
-    by_dimension = {}
-    for shape in weights:
-        by_dimension.setdefault(dimension(shape), []).append(shape)
     groups = []
-    for d, shapes in by_dimension.items():
+    for group in stacks(weights, n, point):
         nums = vector([weights[s].numerator * (den // weights[s].denominator)
-                       for s in shapes])
+                       for s in group.shapes])
         nums.flags.writeable = False
-        groups.append((nums, Representation(d, n, point,
-                                            shapes=tuple(shapes))))
+        groups.append((nums, group))
     return tuple(groups), den
 
 

@@ -54,9 +54,9 @@ def assert_reports(reports, cases):
 def test_criterion_01_defining_relations():
     def body():
         pts = five_points(5, 6, 6)
-        assert_reports([relations_report("typeA", pts, range(1, 6)),
-                        relations_report("typeB", pts, range(1, 5)),
-                        relations_report("skew", pts, range(1, 4))], 360)
+        # type B to size 5 holds the type-A modules, those of (mu, ())
+        assert_reports([relations_report("typeB", pts, range(1, 6)),
+                        relations_report("skew", pts, range(1, 4))], 450)
     criterion(1, "defining relations hold for all generic and skew "
                  "representations (types A, B; sizes to 5)", 60, body)
 

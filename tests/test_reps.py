@@ -15,7 +15,7 @@ from heckeweights.reps import PLAN_CACHE_SIZE, REP_CACHE_SIZE, HeckeElement, \
     random_word, relation_residuals, relation_str, relations, skew_rep, \
     tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
-    is_zero_matrix
+    is_zero_matrix, specialized_point
 from heckeweights.schur import _hook_content_plan
 from heckeweights.traces import q1_point, trace_table
 from helpers import coset_representatives, integer_form, linear, mat_eq, \
@@ -56,13 +56,9 @@ def test_parse_word():
             parse_word(bad, 3)
 
 
-def test_typeA_relations(points):
-    report = relations_report("typeA", points, range(1, 5))
-    assert report.passed, report.failure
-
-
 def test_typeB_relations(points):
-    report = relations_report("typeB", points, range(1, 4))
+    # sizes to 4 hold the type-A modules of size 4, those of (mu, ())
+    report = relations_report("typeB", points, range(1, 5))
     assert report.passed, report.failure
 
 
@@ -96,7 +92,6 @@ def test_relation_list():
         base = {"braid": max(n - 2, 0), "commutation": far,
                 "quadratic": n - 1}
         extra = {
-            "A": {},
             # t t, t g1 t g1 = g1 t g1 t, t g_i = g_i t for i >= 2
             "B": {"quadratic": 1, "t g1 t g1": int(n >= 2),
                   "commutation": max(n - 2, 0)},
@@ -117,13 +112,14 @@ def test_relation_list():
                    for r in relations(n, "B")) == (n - 1) * (n - 2) // 2
     common = ["g1 g2 g1 = g2 g1 g2", "g1 g1 = (q-1) g1 + q",
               "g2 g2 = (q-1) g2 + q"]
-    assert [relation_str(r) for r in relations(3, "A")] == common
     assert [relation_str(r) for r in relations(3, "B")] == common + [
         "t t = (Q-1) t + Q", "t g1 t g1 = g1 t g1 t", "t g2 = g2 t"]
     assert [relation_str(r) for r in relations(3, "D")] == common + [
         "u u = (q-1) u + q", "u g1 = g1 u", "u g2 u = g2 u g2"]
-    with pytest.raises(ValueError, match="no algebra of type 'C'"):
-        relations(3, "C")
+    # type A is checked as type B on the modules of (mu, ())
+    for kind in "AC":
+        with pytest.raises(ValueError, match=f"no algebra of type '{kind}'"):
+            relations(3, kind)
 
 
 def _generators_with(rep, letter, num):
@@ -137,28 +133,39 @@ def _generators_with(rep, letter, num):
     return dataclasses.replace(rep, letters=letters)
 
 
+def _shifted(rep, letter):
+    """The numerator of one of rep's letters with entry (0, 0) raised by 1."""
+    num, den = rep.letter_matrix(letter)
+    num = num.copy()
+    num[0, 0] = num[0, 0] + den
+    return num
+
+
 def test_relation_residuals_catch_corruption(point, monkeypatch):
-    # g1 with one entry shifted by 1 breaks its quadratic relation; t with
-    # two rows swapped is still an involution, so u = t g1 t keeps its
-    # quadratic relation, but not u g1 = g1 u.  The residuals see each, and
-    # relations_report, whose stacks take their generators from
+    # g1 with one entry shifted by 1 breaks its quadratic relation, on a
+    # module at p and on one at the skew family's point Q = -q^(r1+m), m =
+    # r1 = 3; t with two rows swapped is still an involution, so u = t g1 t
+    # keeps its quadratic relation, but not u g1 = g1 u.  The residuals see
+    # each, and relations_report, whose stacks take their generators from
     # reps.typeB_rep, names the first relation that fails, the module and
     # the point
     real = reps.typeB_rep
     rep_b = real(((1,), (1,)), point)
-    num, den = rep_b.letter_matrix(g_letter(1))
-    g = num.copy()
-    g[0, 0] = g[0, 0] + den
+    rep_s = real(((2,), ()), specialized_point(point.q, 3, 3))
     rep_d = real(((2,), (1,)), q1_point(Rat(2)))
-    cases = [("typeB", rep_b, ((1,), (1,)), g_letter(1), g,
+    cases = [("typeB", "B", rep_b, ((1,), (1,)), g_letter(1),
+              _shifted(rep_b, g_letter(1)),
               "q = 2, Q = 5: relation g1 g1 = (q-1) g1 + q"),
-             ("typeD", rep_d, ((2,), (1,)), T_LETTER,
+             ("skew", "B", rep_s, ((2,), ()), g_letter(1),
+              _shifted(rep_s, g_letter(1)),
+              "q = 2, Q = -64: relation g1 g1 = (q-1) g1 + q"),
+             ("typeD", "D", rep_d, ((2,), (1,)), T_LETTER,
               rep_d.letter_matrix(T_LETTER)[0][[1, 0, 2]],
               "q = 2, Q = 1: relation u g1 = g1 u")]
-    for family, rep, shape, letter, num, failure in cases:
+    for family, kind, rep, shape, letter, num, failure in cases:
         broken = _generators_with(rep, letter, num)
         assert not all(is_zero_matrix(m) for m, _ in
-                       relation_residuals(broken, family[-1]))
+                       relation_residuals(broken, kind))
         monkeypatch.setattr(reps, "typeB_rep", lambda s, p: broken
                             if s == shape else real(s, p))
         report = relations_report(family, [rep.point], [rep.size])
@@ -175,10 +182,7 @@ def test_relations_report_names_the_failing_module_of_a_stack(
     group = [s for s in shapes if dimension(s) == 3]
     assert len(group) == 4
     rep = real(group[2], point)
-    num, den = rep.letter_matrix(g_letter(2))
-    g = num.copy()
-    g[0, 0] = g[0, 0] + den
-    broken = _generators_with(rep, g_letter(2), g)
+    broken = _generators_with(rep, g_letter(2), _shifted(rep, g_letter(2)))
     monkeypatch.setattr(reps, "typeB_rep", lambda s, p: broken
                         if s == group[2] else real(s, p))
     report = relations_report("typeB", [point], [3])
