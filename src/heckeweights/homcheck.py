@@ -225,12 +225,14 @@ def schur_factorization(n, m, r1, r2s, qs):
     and one Rat (s_beta = 0 when beta has more than r2 rows)."""
     for q in qs:
         a, b = q.numerator, q.denominator
+        principal = {(lam, rows): schur_principal(lam, rows, q)
+                     for rows in {r1, *r2s}
+                     for k in range(n + 1) for lam in partitions(k)}
         for r2 in r2s:
             r = r1 + r2
             for shape in double_partitions(n):
                 (alpha, beta), mu = shape, embed_double(shape, m, r1)
-                s_alpha = schur_principal(alpha, r1, q)
-                s_beta = schur_principal(beta, r2, q)
+                s_alpha, s_beta = principal[alpha, r1], principal[beta, r2]
                 e, size = m * r1 * (r1 - 1) // 2 + r1 * sum(beta), sum(mu)
                 num = a ** e * ((b - a) * b ** (r - 1)) ** size \
                     * s_alpha.numerator * s_beta.numerator

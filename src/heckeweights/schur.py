@@ -7,8 +7,8 @@ the hook-content formula (Macdonald, I.3 Ex. 1; Stanley, EC2, Thm 7.21.2)
 over the boxes x, with content c and hook length h.  It runs over boxes, not
 over row pairs as ``traces.weight_table`` does; the Schur form of the weight
 and the factored side of Eq. (4) multiply its numerators and denominators.
-Contents and hook lengths are planned once per partition, as (value,
-multiplicity) pairs in a bounded cache.
+Each (partition, r) is planned once, point-free, as net exponents of the
+atoms b^k - a^k: a value is one product of powers a side and one Rat.
 """
 
 from __future__ import annotations
@@ -22,23 +22,27 @@ from .scalars import Rat
 
 
 # Bounded, and built from tuples, so no caller can alter a cached plan.
-@lru_cache(maxsize=1024)
-def _hook_content_plan(alpha):
-    """The contents and the hook lengths of the boxes of alpha, each as
-    (value, multiplicity) pairs."""
-    contents = Counter(j - i for i, part in enumerate(alpha)
-                       for j in range(part))
-    return tuple(contents.items()), tuple(Counter(hook_lengths(alpha)).items())
+@lru_cache(maxsize=2048)
+def _schur_plan(alpha, r: int) -> tuple:
+    """n(alpha), |alpha| and the principal and normalized forms of a trimmed
+    alpha with at most r rows: (k, power) pairs of atoms b^k - a^k over such
+    pairs.  A box counts at k = r + its content and against at its hook
+    length; the normalized form adds s_[1]^-|alpha| but its powers of b."""
+    size, hooks = sum(alpha), hook_lengths(alpha)
+    contents = [r + j - i for i, part in enumerate(alpha) for j in range(part)]
+    nets, normal = Counter(contents), Counter(contents + [1] * size)
+    nets.subtract(hooks)
+    normal.subtract(hooks + [r] * size)
+    return (n_stat(alpha), size, *((tuple((+f).items()), tuple((-f).items()))
+                                   for f in (nets, normal)))
 
 
-def _hook_content(alpha, r: int, q):
-    """a, b with q = a/b, and the products over the boxes of alpha of
-    b^(r+c) - a^(r+c) and b^h - a^h, as 1 - q^k = (b^k - a^k) / b^k."""
-    a, b = q.numerator, q.denominator
-    contents, hooks = _hook_content_plan(alpha)
-    top = math.prod((b ** (r + c) - a ** (r + c)) ** k for c, k in contents)
-    bottom = math.prod((b ** h - a ** h) ** k for h, k in hooks)
-    return a, b, top, bottom
+def _value(form, q, n: int, x: int, y: int):
+    """a^n b^x / b^y times a planned form at q = a/b, as one Rat."""
+    (num, den), a, b = form, q.numerator, q.denominator
+    return Rat(a ** n * b ** x * math.prod([(b ** k - a ** k) ** e
+                                            for k, e in num]),
+               b ** y * math.prod([(b ** k - a ** k) ** e for k, e in den]))
 
 
 def schur_principal(alpha, r: int, q):
@@ -46,21 +50,18 @@ def schur_principal(alpha, r: int, q):
     alpha = trim(alpha)
     if len(alpha) > r:
         return Rat(0)
-    a, b, top, bottom = _hook_content(alpha, r, q)
-    n = n_stat(alpha)
-    return Rat(a ** n * top, bottom * b ** ((r - 1) * sum(alpha) - n))
+    n, size, form, _ = _schur_plan(alpha, r)
+    return _value(form, q, n, 0, (r - 1) * size - n)
 
 
 def schur_normalized(alpha, r: int, q):
     """s_{alpha,r}(q) = s_alpha / s_[1]^{|alpha|} at x_i = q^(i-1), with
-    s_[1] = (b^r - a^r) / (b^(r-1) (b - a)) folded into the same integers."""
+    s_[1] = (b^r - a^r) / (b^(r-1) (b - a)) folded into the plan."""
     alpha = trim(alpha)
     if len(alpha) > r:
         return Rat(0)
-    a, b, top, bottom = _hook_content(alpha, r, q)
-    size = sum(alpha)
-    return Rat((a * b) ** n_stat(alpha) * (b - a) ** size * top,
-               bottom * (b ** r - a ** r) ** size)
+    n, _, _, form = _schur_plan(alpha, r)
+    return _value(form, q, n, n, 0)
 
 
 def rectangle_schur(m: int, r1: int, r2: int, q):

@@ -1,8 +1,8 @@
 from heckeweights.combinatorics import n_stat, pad, partitions, trim
 from heckeweights.homcheck import rectangle_closed_form, typeA_normalization
 from heckeweights.scalars import Rat
-from heckeweights.schur import rectangle_schur, schur_normalized, \
-    schur_principal
+from heckeweights.schur import _schur_plan, rectangle_schur, \
+    schur_normalized, schur_principal
 
 
 def ratio_product(alpha, r, q):
@@ -132,6 +132,13 @@ def test_hook_content_matches_ratio_product():
                     cases += 1
                     zeros += len(alpha) > r
     assert (cases, zeros) == (3714, 1302)
+
+
+def test_normalized_plan_of_one_box_is_empty():
+    # s_[1] / s_[1] = 1: the box's content atom b^r - a^r and hook atom
+    # b - a cancel against the folded (b - a) / (b^r - a^r), at every r
+    for r in range(1, 41):
+        assert _schur_plan((1,), r)[3] == ((), ()), r
 
 
 def test_rectangle_matches_product():
