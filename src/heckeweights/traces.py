@@ -7,12 +7,12 @@ matrices satisfy the defining relations.
 
 Weights are computed in integers, in two steps.  Per size and type,
 ``_weight_plan`` walks each shape's factors once and puts each class of
-shapes over one denominator of atoms b^k - a^k, 1 + Q q^x, a and b: a shape
-alone for type B; for type D {(alpha, beta), (beta, alpha)} or a split
+shapes over one denominator of atoms Phi_k(b, a), 1 + Q q^x, a and b: a
+shape alone for type B; for type D {(alpha, beta), (beta, alpha)} or a split
 (alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per point the
-atoms are evaluated once and a class weighs one Rat.  ``weight_table`` reads
-the type-B rows and ``weight_D`` the type-D ones; ``weight_B`` and
-``trace_table`` read the table.
+distinct atom powers are evaluated once and a class weighs one Rat.
+``weight_table`` reads the type-B rows and ``weight_D`` the type-D ones;
+``weight_B`` and ``trace_table`` read the table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``reps.stacks`` stack of the modules of its shapes;
@@ -93,9 +93,9 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
 @lru_cache(maxsize=64)
 def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     """The point-free half of ``weight_table`` (kind "B") and ``weight_D``
-    ("D"): read-only rows (shape, splits, dimension, entry), one a class; a
-    type-D class is {(alpha, beta), (beta, alpha)} or, in halves 1 and 2 of
-    half the dimension, (alpha, alpha).
+    ("D"): read-only rows (shape, splits, dimension, entry), one a class,
+    and ``powers``, its sorted distinct pairs (atom, exponent > 0); a type-D
+    class is {(alpha, beta), (beta, alpha)} or (alpha, alpha) in halves 1, 2.
 
     The product formula runs over every pair of rows up to the row bounds,
     times ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).  Take
@@ -111,12 +111,12 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     With q = a/b and Q = c/d, 1 - q^k is (b^k - a^k) / b^k, and C(x) is
     (d b^x + c a^x) / (d b^x) for x >= 0 and (d a^-x + c b^-x) / (d a^-x)
     for x < 0; the d's cancel in each ratio.  With m = n + r the atoms are
-    b^k - a^k at index k, the numerator of C(x) at 2m + 1 + x for |x| <= m,
-    and a and b at 3m + 2 and 3m + 3.  With ei the net exponents of the
+    Phi_k(b, a) at index k, the numerator of C(x) at 2m + 1 + x for |x| <=
+    m, and a and b at 3m + 2 and 3m + 3.  With ei the net exponents of the
     class's i-th shape within the row bounds and low = min(e1, ...), the
     class weighs prod G (prod T1 + ...) / prod L, entry (G, L, T1, ...) of
-    pairs (atom, exponent > 0) with G = max(low, 0), L = max(-low, 0) and
-    Ti = ei - low; None with no such shape, (G, L, ()) for type B."""
+    indices into ``powers``, G = max(low, 0), L = max(-low, 0) and Ti =
+    ei - low; None with no such shape, (G, L, ()) for type B."""
     r = r1 + r2
     m, nets = n + r, {}
     for alpha, beta in double_partitions(n):
@@ -140,6 +140,10 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
                     e[p - parts[j - 1] + j - i] += 1
                     e[j - i] -= 1
                     eb += parts[j - 1] - p
+        # b^k - a^k is the product of the Phi_j(b, a) with j | k; going up,
+        # j reads each e[k] before k's own turn
+        for j in range(1, m // 2 + 1):
+            e[j] += sum(e[k] for k in range(2 * j, m + 1, j))
         # the cross ratios C(x) / C(y)
         ratios = [(r2 - i + k, l2 - i + k)
                   for i, p in enumerate(alpha, 1) for k in range(1, p + 1)]
@@ -165,10 +169,21 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
         split = kind == "D" and len(shapes) == 1
         rows.append((shapes[0], (1, 2) if split else (None,),
                      dimension(shapes[0]) // (1 + split),
-                     tuple(tuple(part.items()) for part
-                           in (+low, -low, *(e - low for e in es)))
+                     [part.items() for part
+                      in (+low, -low, *(e - low for e in es))]
                      if es else None))
-    return tuple(rows)
+    powers = tuple(sorted({x for *_, e in rows if e for p in e for x in p}))
+    index = {x: i for i, x in enumerate(powers)}.__getitem__
+    return tuple((*row, e and tuple(tuple(map(index, p)) for p in e))
+                 for *row, e in rows), powers
+
+
+def _weights(n: int, r1: int, r2: int, kind: str, point: ParameterPoint):
+    """A plan's rows and a side's value at a point, each power once."""
+    rows, powers = _weight_plan(n, r1, r2, kind)
+    atoms = _atoms(n + r1 + r2, point)
+    values = [atoms[i] ** k for i, k in powers]
+    return rows, lambda part: math.prod(map(values.__getitem__, part))
 
 
 # Bounded: a long-lived process meets unboundedly many points, and each
@@ -177,25 +192,26 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
 def weight_table(n: int, r1: int, r2: int,
                  point: ParameterPoint) -> MappingProxyType:
     """The one weight evaluator: the read-only map shape -> weight over the
-    double partitions of n, kept in a bounded cache.  It evaluates the atoms
-    of ``_weight_plan(n, r1, r2, "B")`` once; a weight is then one product of
-    atom powers on each side, G over L, and one Rat: a single gcd; one zero
-    beyond the row bounds."""
-    atoms, zero = _atoms(n + r1 + r2, point), Rat(0)
+    double partitions of n, kept in a bounded cache.  It evaluates each
+    distinct atom power of ``_weight_plan(n, r1, r2, "B")`` once; a weight
+    is then one product of powers on each side, G over L, and one Rat: a
+    single gcd; one zero beyond the row bounds."""
+    (rows, side), zero = _weights(n, r1, r2, "B", point), Rat(0)
     return MappingProxyType({
-        shape: zero if entry is None else Rat(
-            math.prod([atoms[i] ** k for i, k in entry[0]]),
-            math.prod([atoms[i] ** k for i, k in entry[1]]))
-        for shape, _, _, entry in _weight_plan(n, r1, r2, "B")})
+        shape: zero if entry is None else Rat(side(entry[0]), side(entry[1]))
+        for shape, _, _, entry in rows})
 
 
 def _atoms(m: int, point: ParameterPoint) -> list:
-    """The atoms of the plans with m = n + r1 + r2, evaluated at a point."""
+    """The atoms for m = n + r1 + r2 at a point; Phi_k(b, a) by exact sieve."""
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
     pa, pb = ([x ** k for k in range(m + 1)] for x in (a, b))
-    # b^k - a^k, then d C(x) a^max(-x, 0) b^max(x, 0) from x = -m up to m
     atoms = [y - x for x, y in zip(pa, pb)]
+    for j in range(1, m // 2 + 1):
+        for k in range(2 * j, m + 1, j):
+            atoms[k] //= atoms[j]
+    # d C(x) a^max(-x, 0) b^max(x, 0) from x = -m up to m
     atoms += [d * pa[x] + c * pb[x] for x in range(m, 0, -1)]
     return atoms + [d * pb[x] + c * pa[x] for x in range(m + 1)] + [a, b]
 
@@ -250,13 +266,10 @@ def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
     if n < 1 or point.Q != 1:
         raise ValueError("type D needs --n >= 1" if n < 1 else
                          f"type-D weights live at Q = 1, not Q = {point.Q}")
-    atoms, zero, rows = _atoms(n + r1 + r2, point), Rat(0), []
-
-    def power(part):
-        return math.prod([atoms[i] ** k for i, k in part])
-    for shape, splits, d, entry in _weight_plan(n, r1, r2, "D"):
+    (plan, side), zero, rows = _weights(n, r1, r2, "D", point), Rat(0), []
+    for shape, splits, d, entry in plan:
         w = zero if entry is None else Rat(
-            power(entry[0]) * sum(map(power, entry[2:])), power(entry[1]))
+            side(entry[0]) * sum(map(side, entry[2:])), side(entry[1]))
         rows += [(shape, split, w, d) for split in splits]
     return rows
 

@@ -17,7 +17,7 @@ from heckeweights.reps import PLAN_CACHE_SIZE, REP_CACHE_SIZE, HeckeElement, \
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
     is_zero_matrix, specialized_point
 from heckeweights.schur import _schur_plan
-from heckeweights.traces import q1_point, trace_table
+from heckeweights.traces import _weight_plan, q1_point, trace_table
 from helpers import coset_representatives, integer_form, linear, mat_eq, \
     rat_residuals, skew_generators, to_rat, typeB_generators
 
@@ -581,16 +581,19 @@ def _frozen(plan) -> bool:
 
 
 def test_plan_caches_are_bounded_and_read_only():
-    # more shapes (one row in either component) and (partition, r) pairs
-    # (the 2713 partitions of sizes 1..20, each at r = its length + 1) than
-    # the point-free plans hold: neither keeps more than its maxsize, and
-    # every plan is tuples all the way down
+    # more shapes (one row in either component), (partition, r) pairs (the
+    # 2713 partitions of sizes 1..20, each at r = its length + 1) and weight
+    # plan keys (72: sizes 1..3, r1 = 0..11, r2 = 2, kinds B and D) than the
+    # point-free plans hold: none keeps more than its maxsize, and every plan
+    # is tuples all the way down
     rows = range(1, PLAN_CACHE_SIZE // 2 + 4)
     for cached, keys, maxsize in (
             (_seminormal_plan, [(((k,), ()),) for k in rows]
              + [(((), (k,)),) for k in rows], PLAN_CACHE_SIZE),
             (_schur_plan, [(a, len(a) + 1) for n in range(1, 21)
-                           for a in partitions(n)], 2048)):
+                           for a in partitions(n)], 2048),
+            (_weight_plan, [(n, r1, 2, kind) for n in range(1, 4)
+                            for r1 in range(12) for kind in "BD"], 64)):
         assert len(keys) > maxsize
         for key in keys:
             assert _frozen(cached(*key)), key

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
     guard_bound
 from heckeweights.schur import schur_normalized
-from heckeweights.traces import _weight_plan, markov_params, \
+from heckeweights.traces import _atoms, _weight_plan, markov_params, \
     markov_trace_B, markov_trace_D, q1_point, trace_table, weight_B, \
     weight_B_schur_form, weight_D, weight_table
 from helpers import linear, markov_trace_by_shape, mat_eq, to_rat, \
@@ -159,17 +160,48 @@ def test_weight_plan():
     entries = []
     for n in range(7):
         for r1, r2 in ((n + 1, n + 1), (0, 3), (2, 1), (2 * n + 2, 0)):
-            rows = _weight_plan(n, r1, r2, "B")
+            rows, powers = _weight_plan(n, r1, r2, "B")
             assert [(s, splits, d) for s, splits, d, _ in rows] \
                 == [(s, (None,), dimension(s)) for s in double_partitions(n)]
+            _check_powers(rows, powers)
             entries += [entry for _, _, _, entry in rows]
     for num, den, *terms in filter(None, entries):
         # a class of one shape: weight_table reads G over L only
         assert terms == [()]
-        assert not {i for i, _ in num} & {i for i, _ in den}
-        assert all(k > 0 for _, k in num + den)
     # 556 shapes, 314 of them beyond their row bounds
     assert (len(entries), entries.count(None)) == (556, 314)
+
+
+def test_cyclotomic_atoms():
+    # atom k of the plans is Phi_k(b, a): over the divisors j of k the atoms
+    # multiply to b^k - a^k, and each Phi_k with k >= 2 is positive
+    for q in (Rat(2), Rat(1, 2), Rat(347, 512), Rat(911, 127), Rat(100, 999)):
+        a, b = q.numerator, q.denominator
+        for m in range(1, 24):
+            atoms = _atoms(m, q1_point(q))
+            for k in range(1, m + 1):
+                assert math.prod(atoms[j] for j in range(1, k + 1)
+                                 if k % j == 0) == b ** k - a ** k, (q, m, k)
+            assert all(x > 0 for x in atoms[2:m + 1]), (q, m)
+
+
+def _check_powers(rows, powers):
+    # each distinct (atom, exponent > 0) pair once, sorted and used; every
+    # index of an entry in range, no atom twice in one part and none on both
+    # sides of an entry
+    assert list(powers) == sorted(set(powers))
+    assert all(k > 0 for _, k in powers)
+    used = set()
+    for _, _, _, entry in rows:
+        if entry is None:
+            continue
+        num, den = entry[:2]
+        assert all(0 <= i < len(powers) for part in entry for i in part)
+        assert not {powers[i][0] for i in num} & {powers[i][0] for i in den}
+        for part in entry:
+            assert len({powers[i][0] for i in part}) == len(part)
+            used.update(part)
+    assert used == set(range(len(powers)))
 
 
 def test_weight_table_cache_is_bounded():
@@ -437,14 +469,13 @@ def test_weight_D_rows_are_weight_B_sums():
     merged = empty = 0
     for n in range(1, 7):
         for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (1, 5)):
-            for _, _, _, entry in _weight_plan(n, r1, r2, "D"):
+            rows, powers = _weight_plan(n, r1, r2, "D")
+            _check_powers(rows, powers)
+            for _, _, _, entry in rows:
                 if entry is None:
                     empty += 1
                     continue
-                num, den, *terms = entry
-                assert all(k > 0 for part in entry for _, k in part)
-                assert not {i for i, _ in num} & {i for i, _ in den}
-                merged += len(terms) == 2
+                merged += len(entry) == 4
     # 11 classes at (1, 5) have no shape within the row bounds
     assert (merged, empty) == (144, 11)
 
