@@ -2,7 +2,7 @@
 
 Output is deterministic given the flags and seed.  Rationals are printed as
 decimal-free ``p/q`` strings.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parameter error.
+failure, 2 a bad input: its ValueError as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,19 +22,6 @@ from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
     weight_table
 
 
-def _error(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _or_exit(make, *args):
-    """make(*args); a ValueError is reported as a parameter error (exit 2)."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise SystemExit(_error(exc)) from None
-
-
 def _row_bounds(args):
     """n, r1, r2, each row bound n + 1 unless given."""
     if args.n < 0:
@@ -45,24 +32,20 @@ def _row_bounds(args):
     return args.n, r1, r2
 
 
-def _point_or_exit(q, Q, n, r1, r2):
-    return _or_exit(ParameterPoint, q, Q, guard_bound(n, r1, r2))
-
-
 # -- weights -----------------------------------------------------------------
 
 def cmd_weights(args) -> int:
-    n, r1, r2 = _or_exit(_row_bounds, args)
+    n, r1, r2 = _row_bounds(args)
     kind, q = args.type, args.q
     if kind == "B":
         if args.Q is None:
-            return _error("--Q is required for type B")
-        point = _point_or_exit(q, args.Q, n, r1, r2)
+            raise ValueError("--Q is required for type B")
+        point = ParameterPoint(q, args.Q, guard_bound(n, r1, r2))
     elif kind == "D" and n < 1:
         # weight_D says the same, but only after q has been checked
-        return _error("type D needs --n >= 1")
+        raise ValueError("type D needs --n >= 1")
     else:
-        point = _or_exit(q1_point, q)
+        point = q1_point(q)
     if kind == "A":
         rows = [(partition_str(alpha), w, dimension((alpha, beta)))
                 for (alpha, beta), w in
@@ -95,13 +78,11 @@ def cmd_weights(args) -> int:
 # -- trace -------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    n, r1, r2 = _or_exit(_row_bounds, args)
+    n, r1, r2 = _row_bounds(args)
     if n < 1:
-        return _error("trace needs --n >= 1")
-    point = _point_or_exit(args.q, args.Q, n, r1, r2)
-    w = _or_exit(parse_word, args.word, n)
-    value = markov_trace_B(w, n, r1, r2, point)
-    print(str(value))
+        raise ValueError("trace needs --n >= 1")
+    point = ParameterPoint(args.q, args.Q, guard_bound(n, r1, r2))
+    print(markov_trace_B(parse_word(args.word, n), n, r1, r2, point))
     return 0
 
 
@@ -227,7 +208,7 @@ SUITES = {
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.n < 1 or args.points < 1:
-        return _error("verify needs --n >= 1 and --points >= 1")
+        raise ValueError("verify needs --n >= 1 and --points >= 1")
     reports = [report for name in names
                for report in SUITES[name](args.n, args.seed, args.points)]
     # Written out, the bytes of json.dumps(indent=2) of the document: params
@@ -312,12 +293,13 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    """Run argv's command; a ValueError prints as one error line, exit 2."""
     try:
-        func, args = _or_exit(parse_args,
-                              list(sys.argv[1:] if argv is None else argv))
+        func, args = parse_args(list(sys.argv[1:] if argv is None else argv))
         return func(args)
-    except SystemExit as exc:  # raised by _or_exit
-        return exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():  # pragma: no cover

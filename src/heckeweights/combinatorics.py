@@ -9,16 +9,15 @@ Conventions fixed here (and relied on everywhere else for reproducibility):
 * ``partitions(n)`` lists partitions in reverse lexicographic order;
 * ``double_partitions(n)`` lists pairs (alpha, beta) with |alpha| descending,
   each component in ``partitions`` order; both are tuples, cached per n;
-* a tableau stores the map entry -> box, where a box is ``(component, row,
-  column)`` with 1-based row/column and component 0 (first) or 1 (second);
-* the canonical order on tableaux of one shape is lexicographic on the
-  tuple of boxes for entries 1, 2, ..., n;
+* a tableau is the tuple of boxes of entries 1..n, a box being
+  ``(component, row, column)`` with 1-based row/column and component 0
+  (first) or 1 (second);
+* tableaux of one shape are ordered lexicographically as tuples;
 * a shape is printed as ``[a,b,...]|[c,...]``; no input format reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -67,31 +66,19 @@ def n_stat(alpha) -> int:
     return sum(i * part for i, part in enumerate(trim(alpha)))
 
 
-def addable_corners(alpha) -> list:
-    """1-based (row, col) positions where a box may be added."""
+def one_box_more(alpha) -> list:
+    """The partitions one box larger than alpha, by the row of the new box."""
     alpha = trim(alpha)
-    corners = []
-    for r in range(1, len(alpha) + 2):
-        here = alpha[r - 1] if r <= len(alpha) else 0
-        above = alpha[r - 2] if r >= 2 else None
-        if above is None or above > here:
-            corners.append((r, here + 1))
-    return corners
-
-
-def add_box(alpha, row: int) -> Partition:
-    alpha = trim(alpha)
-    parts = list(alpha) + [0] * (row - len(alpha))
-    parts[row - 1] += 1
-    return trim(parts)
+    return [alpha[:r] + (part + 1,) + alpha[r + 1:]
+            for r, part in enumerate(alpha)
+            if r == 0 or alpha[r - 1] > part] + [alpha + (1,)]
 
 
 def one_box_successors(shape) -> list:
-    """All double partitions obtained from shape by adding one box."""
-    alpha, beta = shape
-    out = [(add_box(alpha, r), trim(beta)) for r, _ in addable_corners(alpha)]
-    out += [(trim(alpha), add_box(beta, r)) for r, _ in addable_corners(beta)]
-    return out
+    """The shapes one box larger: ``one_box_more`` of alpha, then of beta."""
+    alpha, beta = trim(shape[0]), trim(shape[1])
+    return [(a, beta) for a in one_box_more(alpha)] \
+        + [(alpha, b) for b in one_box_more(beta)]
 
 
 def embed_double(shape, m: int, r1: int) -> Partition:
@@ -107,18 +94,9 @@ def embed_double(shape, m: int, r1: int) -> Partition:
 
 # -- tableaux ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleTableau:
-    """A standard filling of a double partition; entry k sits in
-    ``boxes[k-1]`` = (component, row, column)."""
-
-    shape: tuple
-    boxes: tuple
-
-
 def standard_tableaux(shape) -> list:
-    """All standard tableaux of the double partition, in increasing order of
-    their box sequences, which is the order the search tries (comp, row)."""
+    """All standard tableaux of the double partition as box tuples, in
+    increasing order, which is the order the search tries (comp, row)."""
     alpha, beta = trim(shape[0]), trim(shape[1])
     n = sum(alpha) + sum(beta)
     target = (alpha, beta)
@@ -126,7 +104,7 @@ def standard_tableaux(shape) -> list:
 
     def grow(k, cur, boxes):
         if k > n:
-            out.append(DoubleTableau(shape=(alpha, beta), boxes=tuple(boxes)))
+            out.append(tuple(boxes))
             return
         for comp in (0, 1):
             goal = target[comp]
@@ -164,21 +142,19 @@ def dimension(shape) -> int:
         // prod(hook_lengths(alpha) + hook_lengths(beta))
 
 
-def apply_transposition(t: DoubleTableau, i: int):
-    """Swap entries i and i+1 if the result is standard, else None.
+def apply_transposition(t: tuple, i: int):
+    """t with entries i and i+1 swapped if that is standard, else None.
 
     The swap breaks standardness exactly when the two boxes share a row or
     a column of the same component (in which case they are adjacent).
     """
-    n = len(t.boxes)
+    n = len(t)
     if not 1 <= i <= n - 1:
         raise ValueError(f"index {i} out of range 1..{n - 1}")
-    b1, b2 = t.boxes[i - 1], t.boxes[i]
+    b1, b2 = t[i - 1], t[i]
     if b1[0] == b2[0] and (b1[1] == b2[1] or b1[2] == b2[2]):
         return None
-    boxes = list(t.boxes)
-    boxes[i - 1], boxes[i] = b2, b1
-    return DoubleTableau(shape=t.shape, boxes=tuple(boxes))
+    return t[:i - 1] + (b2, b1) + t[i + 1:]
 
 
 def axial_parameter(box1, box2, point):

@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 from .combinatorics import dimension, double_partitions, embed_double, \
-    one_box_successors, pad, partitions, shape_str, trim
+    one_box_more, one_box_successors, pad, partitions, shape_str
 from .reps import T_LETTER, full_twist_scalar, g_letter, relation_residuals, \
     relation_str, relations, skew_rep, stacks, tprime_letter, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point
@@ -53,9 +53,7 @@ class Report:
 
 
 def _show(value) -> str:
-    """A value as p/q text; a list or set as its members' texts."""
-    if isinstance(value, set):
-        value = sorted(value)
+    """A value as p/q text; a list as its members' texts."""
     return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
@@ -255,10 +253,9 @@ def pieri(qs, rs, sizes):
         for r in rs:
             for k in sizes:
                 for mu in partitions(k):
-                    succ = {trim(s[0]) for s in one_box_successors((mu, ()))
-                            if s[1] == ()}
                     yield (schur_normalized(mu, r, q),
-                           sum(schur_normalized(nu, r, q) for nu in succ),
+                           sum(schur_normalized(nu, r, q)
+                               for nu in one_box_more(mu)),
                            lambda: f"Schur value of {mu} = sum over its "
                                    f"successors, r = {r} at q = {q}")
 

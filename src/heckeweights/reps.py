@@ -286,20 +286,19 @@ PLAN_CACHE_SIZE = 256
 def _seminormal_plan(shape):
     """The point-free part of the generators of a trimmed, nonempty double
     partition: its dimension, the component of entry 1 in each standard
-    tableau, and for each g_i its blocks (s, s2, box of i, box of i+1): a
-    tableau s with no standard swap (s2 None) or the earlier of a swap pair."""
+    tableau (a box tuple), and for each g_i its blocks (s, s2, box of i, box
+    of i+1): s with no standard swap (s2 None) or the earlier of a pair."""
     basis = standard_tableaux(shape)
-    index = {t.boxes: s for s, t in enumerate(basis)}
+    index = {t: s for s, t in enumerate(basis)}
     generators = []
-    for i in range(1, len(basis[0].boxes)):
+    for i in range(1, len(basis[0])):
         blocks = []
         for s, t in enumerate(basis):
-            t2 = apply_transposition(t, i)
-            s2 = None if t2 is None else index[t2.boxes]
+            s2 = index.get(apply_transposition(t, i))
             if s2 is None or s < s2:
-                blocks.append((s, s2, t.boxes[i - 1], t.boxes[i]))
+                blocks.append((s, s2, t[i - 1], t[i]))
         generators.append(tuple(blocks))
-    return len(basis), tuple(t.boxes[0][0] for t in basis), tuple(generators)
+    return len(basis), tuple(t[0][0] for t in basis), tuple(generators)
 
 
 def _build(shape, point, axial, t_eigenvalues):

@@ -1,11 +1,12 @@
 """Helpers that only the tests use: scalar and matrix shorthands, the
-conversion of a (num, den) matrix to Rat entries, removable corners, the
-coset representatives of the size-(n-1) algebra, the linear extension of a
-word's value to a linear combination of words, the type-A Markov trace, a
-shape-by-shape type-B Markov trace, the reprint of a printed weight table,
-the Rat-entry seminormal generators that the integer build of ``typeB_rep``
-and ``skew_rep`` is checked against, and the Rat-entry relation residuals
-that ``relation_residuals`` is checked against."""
+conversion of a (num, den) matrix to Rat entries, the coset representatives
+of the size-(n-1) algebra, the linear extension of a word's value to a
+linear combination of words, the type-A Markov trace, a shape-by-shape
+type-B Markov trace, the reprint of a printed weight table, the Rat-entry
+seminormal generators that the integer build of ``typeB_rep`` and
+``skew_rep`` is checked against (a tableau is its box tuple, as
+``standard_tableaux`` lists it), and the Rat-entry relation residuals that
+``relation_residuals`` is checked against."""
 
 import csv
 import io
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from heckeweights.combinatorics import apply_transposition, \
-    double_partitions, partitions, standard_tableaux, trim
+    double_partitions, partitions, standard_tableaux
 from heckeweights.reps import T_LETTER, U_LETTER, character, g_letter, \
     relations, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
@@ -44,17 +45,6 @@ def to_rat(num, den):
 
 def mat_eq(a, b) -> bool:
     return a.shape == b.shape and is_zero_matrix(a - b)
-
-
-def removable_corners(alpha) -> list:
-    """1-based (row, col) positions where a box may be removed."""
-    alpha = trim(alpha)
-    corners = []
-    for r in range(1, len(alpha) + 1):
-        below = alpha[r] if r < len(alpha) else 0
-        if alpha[r - 1] > below:
-            corners.append((r, alpha[r - 1]))
-    return corners
 
 
 def coset_representatives(n: int) -> list:
@@ -132,8 +122,8 @@ def seminormal_generators(shape, q, axial, t_eigenvalue) -> dict:
     tableau.  In a swap pair the earlier tableau in canonical order carries
     (1 - q x) / (1 - x), the later (q - x) / (1 - x)."""
     basis = standard_tableaux(shape)
-    index = {t.boxes: s for s, t in enumerate(basis)}
-    d, n = len(basis), len(basis[0].boxes)
+    index = {t: s for s, t in enumerate(basis)}
+    d, n = len(basis), len(basis[0])
 
     def diag(x):
         return x * (1 - q) / (1 - x)
@@ -148,7 +138,7 @@ def seminormal_generators(shape, q, axial, t_eigenvalue) -> dict:
             if t2 is None:
                 m[s, s] = diag(x)
                 continue
-            s2 = index[t2.boxes]
+            s2 = index[t2]
             if s > s2:
                 continue
             m[s, s] = diag(x)
@@ -167,12 +157,12 @@ def typeB_generators(shape, point) -> dict:
     q, Q = point.q, point.Q
 
     def axial(t, i):
-        (c1, row1, col1), (c2, row2, col2) = t.boxes[i - 1], t.boxes[i]
+        (c1, row1, col1), (c2, row2, col2) = t[i - 1], t[i]
         x = q ** ((col2 - row2) - (col1 - row1))
         return x if c1 == c2 else -x / Q if c1 == 0 else -Q * x
 
     return seminormal_generators(
-        shape, q, axial, lambda t: Q if t.boxes[0][0] == 0 else Rat(-1))
+        shape, q, axial, lambda t: Q if t[0][0] == 0 else Rat(-1))
 
 
 def skew_generators(shape, m: int, r1: int, q) -> dict:
@@ -195,9 +185,8 @@ def skew_generators(shape, m: int, r1: int, q) -> dict:
     eigenvalues = [-twist(nu) / twist(gamma)
                    for nu in ((m + 1,) + (m,) * (r1 - 1), gamma)]
     return seminormal_generators(
-        shape, q, lambda t, i: q ** (content(t.boxes[i])
-                                      - content(t.boxes[i - 1])),
-        lambda t: eigenvalues[t.boxes[0][0]])
+        shape, q, lambda t, i: q ** (content(t[i]) - content(t[i - 1])),
+        lambda t: eigenvalues[t[0][0]])
 
 
 def rat_residuals(generators, point, kind: str) -> list:

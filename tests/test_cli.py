@@ -310,6 +310,17 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().err == "error: trace needs --n >= 1\n"
 
 
+def test_value_error_in_a_command_is_one_error_line(capsys, monkeypatch):
+    # main reports a ValueError raised anywhere below it, not only in the
+    # parsing of argv
+    def fail(*_args):
+        raise ValueError("no trace here")
+
+    monkeypatch.setattr(cli, "markov_trace_B", fail)
+    assert run(capsys, ["trace", "--word", "t", "--n", "1", "--q", "2",
+                        "--Q", "5"]) == (2, "", "error: no trace here\n")
+
+
 def test_help_lists_the_grammar(capsys):
     for argv in (["-h"], ["--help"], ["weights", "-h"], ["verify", "--help"]):
         code, out, _ = run(capsys, argv)

@@ -1,14 +1,15 @@
 """Generated argvs over the CLI grammar: every one returns 0 or 1, or exits 2
-with ``error:`` on stderr, none ends in an exception, a command followed by
-pairs of its own options and values never reports an unknown option or a
-missing value (whatever the value looks like, -1/2 included), and every
-weight table printed is normalized (Eq. (9)) and reprints byte for byte
-through the json or csv module."""
+with nothing on stdout and one ``error:`` line on stderr, none ends in an
+exception, a command followed by pairs of its own options and values never
+reports an unknown option or a missing value (whatever the value looks
+like, -1/2 included), and every weight table printed is normalized
+(Eq. (9)) and reprints byte for byte through the json or csv module."""
 
 import contextlib
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -96,7 +97,8 @@ def test_every_argv_exits_cleanly(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
-        assert "error:" in err.getvalue(), argv
+        assert out.getvalue() == "", argv
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), argv
     if values_follow_options(argv):
         # the token after an option is its value, even one such as -1/2
         assert "has no option" not in err.getvalue(), argv

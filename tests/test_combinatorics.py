@@ -2,12 +2,11 @@ import math
 
 import pytest
 
-from heckeweights.combinatorics import DoubleTableau, add_box, addable_corners, \
-    apply_transposition, axial_parameter, dimension, double_partitions, \
-    embed_double, mu_content, n_stat, one_box_successors, pad, partition_str, \
-    partitions, shape_str, standard_tableaux, trim
+from heckeweights.combinatorics import apply_transposition, \
+    axial_parameter, dimension, double_partitions, embed_double, mu_content, \
+    n_stat, one_box_more, one_box_successors, pad, partition_str, partitions, \
+    shape_str, standard_tableaux, trim
 from heckeweights.scalars import Rat
-from helpers import removable_corners
 
 
 def hook_count(alpha):
@@ -52,12 +51,22 @@ def test_n_stat():
 
 
 def test_corners():
-    assert addable_corners((2, 1)) == [(1, 3), (2, 2), (3, 1)]
-    assert removable_corners((2, 1)) == [(1, 2), (2, 1)]
-    assert addable_corners(()) == [(1, 1)]
-    assert removable_corners(()) == []
-    assert add_box((2, 1), 3) == (2, 1, 1)
-    assert add_box((), 1) == (1,)
+    assert one_box_more(()) == [(1,)]
+    assert one_box_more((2, 1)) == [(3, 1), (2, 2), (2, 1, 1)]
+    # equal parts: no box goes below a row of the same length
+    assert one_box_more((2, 2, 1)) == [(3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]
+    assert one_box_more((3, 0)) == [(4,), (3, 1)]
+    # every partition one box larger, each once, by the row of the new box
+    for n in range(7):
+        for alpha in partitions(n):
+            more = one_box_more(alpha)
+            gains = {nu: [b - a for a, b in zip(pad(alpha, n + 1),
+                                                pad(nu, n + 1))]
+                     for nu in partitions(n + 1)}
+            assert sorted(more) == sorted(
+                nu for nu, gain in gains.items() if min(gain) >= 0)
+            rows = [gains[nu].index(1) for nu in more]
+            assert rows == sorted(rows), alpha
 
 
 def test_one_box_successors():
@@ -99,10 +108,10 @@ def test_tableaux_sorted_and_standard():
     for n in range(7):
         for shape in double_partitions(n):
             ts = standard_tableaux(shape)
-            assert ts == sorted(ts, key=lambda t: t.boxes), shape
+            assert ts == sorted(ts), shape
             for t in ts:
                 filled = set()
-                for comp, row, col in t.boxes:
+                for comp, row, col in t:
                     if row > 1:
                         assert (comp, row - 1, col) in filled
                     if col > 1:
@@ -115,12 +124,11 @@ def test_worked_double_tableau():
     boxes = {1: (0, 1, 1), 2: (0, 2, 1), 3: (1, 1, 1), 4: (0, 3, 1),
              5: (1, 2, 1), 6: (0, 1, 2), 7: (1, 1, 2), 8: (1, 2, 2),
              9: (1, 1, 3)}
-    t = DoubleTableau(shape=((2, 1, 1), (3, 2)),
-                      boxes=tuple(boxes[k] for k in range(1, 10)))
+    t = tuple(boxes[k] for k in range(1, 10))
     assert t in standard_tableaux(((2, 1, 1), (3, 2)))
     # entry 6 sits in the first component at content 1, entry 5 in the
     # second at content -1
-    assert t.boxes[5] == (0, 1, 2) and t.boxes[4] == (1, 2, 1)
+    assert t[5] == (0, 1, 2) and t[4] == (1, 2, 1)
 
 
 def test_apply_transposition():
@@ -129,7 +137,7 @@ def test_apply_transposition():
         for i in (1, 2):
             t2 = apply_transposition(t, i)
             if t2 is None:
-                b1, b2 = t.boxes[i - 1], t.boxes[i]
+                b1, b2 = t[i - 1], t[i]
                 assert b1[0] == b2[0] and (b1[1] == b2[1] or b1[2] == b2[2])
             else:
                 assert apply_transposition(t2, i) == t
@@ -140,7 +148,7 @@ def test_apply_transposition():
 
 def _axial(t, i, point):
     """x(t, i) as a Rat, from the pair (u, v) of the boxes of i and i+1."""
-    return Rat(*axial_parameter(t.boxes[i - 1], t.boxes[i], point))
+    return Rat(*axial_parameter(t[i - 1], t[i], point))
 
 
 def test_axial_parameter_same_component(point):
@@ -154,8 +162,8 @@ def test_axial_parameter_same_component(point):
 def test_axial_parameter_cross_component(point):
     q, Q = point.q, point.Q
     ts = standard_tableaux(((1,), (1,)))
-    t_ab = next(t for t in ts if t.boxes[0][0] == 0)
-    t_ba = next(t for t in ts if t.boxes[0][0] == 1)
+    t_ab = next(t for t in ts if t[0][0] == 0)
+    t_ba = next(t for t in ts if t[0][0] == 1)
     assert _axial(t_ab, 1, point) == -1 / Q
     assert _axial(t_ba, 1, point) == -Q
     assert _axial(t_ab, 1, point) * _axial(t_ba, 1, point) == 1
