@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 from types import SimpleNamespace
 
 from . import homcheck
 from .combinatorics import dimension, partition_str, shape_str
-from .reps import g_letter, parse_word, random_word, tprime_letter, word
+from .reps import parse_word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
     parse_rational
 from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
@@ -88,8 +87,9 @@ def cmd_trace(args) -> int:
 
 # -- verify ------------------------------------------------------------------
 #
-# A suite draws its cases (points, sizes, random words) and hands them to the
-# check catalogue in ``homcheck``; it compares nothing itself.
+# A suite picks points, sizes and row bounds and hands them, with the seed, to
+# the check catalogue in ``homcheck``, which draws its own words; it compares
+# nothing itself.
 
 def _points(n, r1, r2, seed, count):
     return [admissible_point(n, r1, r2, seed + 1000 * i) for i in range(count)]
@@ -107,29 +107,15 @@ def suite_relations(n, seed, points):
 
 
 def suite_markov(n, seed, points):
-    rng = random.Random(seed)
     pts = _points(n, n + 1, n + 1, seed, points)
     r = n + 1
-    # each distinct h once; h lives in the size-(n-1) algebra, which is
-    # trivial at n = 1
-    hs = [(p, list(dict.fromkeys(random_word(n - 1, rng) for _ in range(5))))
-          for p in pts] if n >= 2 else []
     return [
-        homcheck.markov_property(n, r, r, hs, name=f"markov-property-n{n}"),
-        homcheck.tprime_property(n, r, r, hs, name=f"tprime-property-n{n}"),
-        homcheck.double_coset_reduction(n, r, r, pts,
-                                        _double_coset_products(n)),
+        homcheck.markov_property(n, r, r, pts, seed,
+                                 name=f"markov-property-n{n}"),
+        homcheck.tprime_property(n, r, r, pts, seed,
+                                 name=f"tprime-property-n{n}"),
+        homcheck.double_coset_reduction(n, r, r, pts),
     ]
-
-
-def _double_coset_products(n):
-    """All products d_1 ... d_n with d_i in {1, g_{i-1}, t'_{i-1}}."""
-    out = [()]
-    for i in range(1, n + 1):
-        choices = [()] + ([(g_letter(i - 1),)] if i >= 2 else []) \
-            + [(tprime_letter(i - 1),)]
-        out = [letters + c for letters in out for c in choices]
-    return [word(letters, n) for letters in out]
 
 
 def suite_branching(n, seed, points):
@@ -142,15 +128,16 @@ def suite_branching(n, seed, points):
                                       name=f"weight-normalization-n{n}"),
         homcheck.weight_two_forms(r, r, pts, [n],
                                   name=f"weight-two-forms-n{n}"),
+        # the weights of ``weights --type A``: Wenzl's s_alpha / s_[1]^n
+        homcheck.weight_two_forms(2 * n + 2, 0, [q1_point(p.q) for p in pts],
+                                  [n], name=f"weight-two-forms-typeA-n{n}"),
     ]
 
 
 def suite_schur(n, seed, points):
     qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
-    rectangles = [(m, r1, r2) for m in range(1, 4) for r1 in range(1, 4)
-                  for r2 in range(0, 3)]
     return [
-        homcheck.rectangle_closed_form(qs, rectangles),
+        homcheck.rectangle_closed_form(qs),
         homcheck.schur_factorization(n, n + 1, n + 1, (n + 1, n + 2), qs,
                                      name=f"schur-factorization-n{n}"),
         homcheck.pieri(qs, (2, 3, 4), range(n), name=f"pieri-n{n}"),
@@ -176,19 +163,14 @@ def suite_hom(n, seed, points):
 def suite_typeD(n, seed, points):
     pts = _points(n, n + 1, n + 1, seed, points)
     qs = [p.q for p in pts]
-    rng = random.Random(seed)
     # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
     r1, r2 = n + 1, n + 2
-    # each distinct h once: at n = 2 every drawn word is the empty one
-    hs = [(q, list(dict.fromkeys(random_word(n - 1, rng, kind="D")
-                                 for _ in range(5))))
-          for q in qs] if n >= 2 else []
     return [
         homcheck.typeD_inclusion_weights(n, r1, r2, qs,
                                          name=f"typeD-inclusion-weights-n{n}"),
         homcheck.typeD_normalization(n, r1, r2, qs,
                                      name=f"typeD-normalization-n{n}"),
-        homcheck.typeD_markov_property(n, r1, r2, hs,
+        homcheck.typeD_markov_property(n, r1, r2, qs, seed,
                                        name=f"typeD-markov-property-n{n}"),
         homcheck.relations_report("typeD", pts, range(1, n + 1),
                                   name=f"relations-typeD-n{n}"),

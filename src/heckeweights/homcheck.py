@@ -1,14 +1,15 @@
 """The catalogue of exact checks: one function per identity of the paper.
 
-Each check takes its cases from the caller (sizes, points, words, row
-bounds) and returns a ``Report``: name, paper reference, the number of cases
-compared and the first failure, which names the shape or word, the point and
-both exact values as ``p/q``.  ``heckeweights verify --suite all`` runs
-every check here, and the acceptance gate in ``tests/test_acceptance.py``
-runs the same functions at larger sizes.  Most checks are written as
-generators of (lhs, rhs, describe) cases and turned into report-returning
-functions by ``identity``.  ``relations_report`` checks ``reps.relations`` on
-the type-B modules, one stack per dimension (``reps.stacks``), which covers
+Each check takes sizes, row bounds, points (or q's) and, if it samples
+words, a seed; it draws its own words, products and rectangles, and returns
+a ``Report``: name, paper reference, the number of cases compared and the
+first failure, which names the shape or word, the point and both exact
+values as ``p/q``.  ``heckeweights verify --suite all`` runs every check
+here, and the acceptance gate in ``tests/test_acceptance.py`` runs the same
+functions at larger sizes.  Most checks are written as generators of
+(lhs, rhs, describe) cases and turned into report-returning functions by
+``identity``.  ``relations_report`` checks ``reps.relations`` on the
+type-B modules, one stack per dimension (``reps.stacks``), which covers
 every two-sided multiple of a relation at once: type B at p and at
 Q = -q^(r1+m), and (D1)-(D5) at Q = 1.  ``character_match_report`` checks
 Theorem 3.3 on the generators: at Q = -q^(r1+m) the skew and generic
@@ -21,16 +22,19 @@ letter matrices, and AB and BA have equal traces.
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 from dataclasses import dataclass
 
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_more, one_box_successors, pad, partitions, shape_str
-from .reps import T_LETTER, full_twist_scalar, g_letter, relation_residuals, \
-    relation_str, relations, skew_rep, stacks, tprime_letter, typeB_rep, word
+from .reps import T_LETTER, full_twist_scalar, g_letter, random_word, \
+    relation_residuals, relation_str, relations, skew_rep, stacks, \
+    tprime_letter, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point
 from .schur import rectangle_schur, schur_normalized, schur_principal
-from .traces import markov_params, markov_trace_B, markov_trace_D, q1_point, \
-    weight_B, weight_B_schur_form, weight_D, weight_table
+from .traces import markov_params, markov_trace_B, q1_point, weight_B, \
+    weight_B_schur_form, weight_D, weight_table
 
 
 @dataclass
@@ -123,37 +127,51 @@ def relations_report(family: str, points, sizes, name=None) -> Report:
 
 # -- traces ------------------------------------------------------------------
 
+def _last_letter(n, r1, r2, points, seed, words, kind, letter):
+    """tr(h x) = c tr(h) at each point for ``words`` random type-``kind``
+    words h of size n - 1, drawn from ``random.Random(seed)`` point by point,
+    each distinct h once and none at n = 1: x = g_{n-1} and c = z for
+    ``letter`` "g", x = t'_{n-1} and c = y for "tprime"."""
+    rng = random.Random(seed)
+    for p in points if n >= 2 else ():
+        z, y = markov_params(r1, r2, p)
+        x, c, c_name = (g_letter(n - 1), z, "z") if letter == "g" \
+            else (tprime_letter(n - 1), y, "y")
+        for h in dict.fromkeys(random_word(n - 1, rng, kind=kind)
+                               for _ in range(words)):
+            yield (markov_trace_B(word(h.letters + (x,), n), n, r1, r2, p),
+                   c * markov_trace_B(h, n - 1, r1, r2, p),
+                   lambda: f"tr({h} {word((x,), n)}) = {c_name} tr({h}) "
+                           f"at {p}")
+
+
 @identity("Section 4 definition; Lemma 5.2")
-def markov_property(n, r1, r2, cases):
-    """tr(h g_{n-1}) = z tr(h) for h in the size-(n-1) algebra; cases are
-    (point, words h) pairs."""
-    for p, hs in cases:
-        z, _ = markov_params(r1, r2, p)
-        for h in hs:
-            yield (markov_trace_B(word(h.letters + (g_letter(n - 1),), n),
-                                  n, r1, r2, p),
-                   z * markov_trace_B(h, n - 1, r1, r2, p),
-                   lambda: f"tr({h} g{n - 1}) = z tr({h}) at {p}")
+def markov_property(n, r1, r2, points, seed, words=5):
+    """tr(h g_{n-1}) = z tr(h) for random words h of size n - 1."""
+    return _last_letter(n, r1, r2, points, seed, words, "B", "g")
 
 
 @identity("Prop 4.1")
-def tprime_property(n, r1, r2, cases):
-    """tr(h t'_{n-1}) = y tr(h) for h in the size-(n-1) algebra; cases are
-    (point, words h) pairs."""
-    for p, hs in cases:
-        _, y = markov_params(r1, r2, p)
-        for h in hs:
-            yield (markov_trace_B(word(h.letters + (tprime_letter(n - 1),), n),
-                                  n, r1, r2, p),
-                   y * markov_trace_B(h, n - 1, r1, r2, p),
-                   lambda: f"tr({h} t'{n - 1}) = y tr({h}) at {p}")
+def tprime_property(n, r1, r2, points, seed, words=5):
+    """tr(h t'_{n-1}) = y tr(h) for random words h of size n - 1."""
+    return _last_letter(n, r1, r2, points, seed, words, "B", "tprime")
+
+
+def _double_coset_products(n):
+    """All products d_1 ... d_n with d_i in {1, g_{i-1}, t'_{i-1}}."""
+    out = [()]
+    for i in range(1, n + 1):
+        choices = [()] + ([(g_letter(i - 1),)] if i >= 2 else []) \
+            + [(tprime_letter(i - 1),)]
+        out = [letters + c for letters in out for c in choices]
+    return [word(letters, n) for letters in out]
 
 
 @identity("Section 4; Lemma 5.4")
-def double_coset_reduction(n, r1, r2, points, words):
-    """tr(d_1 ... d_n) = z^a y^b for d_i in {1, g_{i-1}, t'_{i-1}}, where a
-    and b count the g and t' letters of the word; the words t'_0 ... t'_{k-1}
-    are Lemma 5.4's tr = y^k."""
+def double_coset_reduction(n, r1, r2, points):
+    """tr(d_1 ... d_n) = z^a y^b for every d_i in {1, g_{i-1}, t'_{i-1}}, a and
+    b the word's g and t' letters; t'_0 ... t'_{k-1} is Lemma 5.4's y^k."""
+    words = _double_coset_products(n)
     for p in points:
         z, y = markov_params(r1, r2, p)
         for w in words:
@@ -204,11 +222,11 @@ def weight_two_forms(r1, r2, points, sizes):
 # -- Schur values ------------------------------------------------------------
 
 @identity("Section 5 rectangle display")
-def rectangle_closed_form(qs, rectangles):
+def rectangle_closed_form(qs):
     """rectangle_schur(m, r1, r2) is the normalized Schur value of [m^r1]
-    in r1 + r2 variables; rectangles are (m, r1, r2) triples."""
+    in r1 + r2 variables, for m, r1 in 1..3 and r2 in 0..2."""
     for q in qs:
-        for m, r1, r2 in rectangles:
+        for m, r1, r2 in itertools.product(range(1, 4), range(1, 4), range(3)):
             yield (rectangle_schur(m, r1, r2, q),
                    schur_normalized((m,) * r1, r1 + r2, q),
                    lambda: f"closed form of [{m}^{r1}] with r2 = {r2} at "
@@ -384,14 +402,7 @@ def typeD_normalization(n, r1, r2, qs):
 
 
 @identity("Section 6 (Geck)")
-def typeD_markov_property(n, r1, r2, cases):
-    """tr_D(h g_{n-1}) = z tr_D(h) for type-D words h of size n-1; cases are
-    (q, words h) pairs."""
-    for q, hs in cases:
-        z, _ = markov_params(r1, r2, q1_point(q))
-        for h in hs:
-            yield (markov_trace_D(word(h.letters + (g_letter(n - 1),), n),
-                                  n, r1, r2, q),
-                   z * markov_trace_D(h, n - 1, r1, r2, q),
-                   lambda: f"tr({h} g{n - 1}) = z tr({h}) at q = {q}, Q = 1")
-
+def typeD_markov_property(n, r1, r2, qs, seed, words=5):
+    """tr_D(h g_{n-1}) = z tr_D(h) for random type-D words h of size n - 1."""
+    return _last_letter(n, r1, r2, [q1_point(q) for q in qs], seed, words,
+                        "D", "g")

@@ -6,7 +6,6 @@ budget.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
-import random
 import time
 
 from heckeweights.combinatorics import dimension, double_partitions, \
@@ -18,10 +17,10 @@ from heckeweights.homcheck import character_match_report, \
     typeD_normalization, weight_branching, weight_normalization, \
     weight_ratio_report, weight_two_forms
 from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
-    random_word, tprime_letter, typeA_rep, word
+    typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity
 from heckeweights.traces import markov_params, q1_point, weight_B
-from helpers import mat_eq, to_rat, typeA_markov_trace
+from helpers import mat_eq, to_rat
 
 
 def criterion(num, label, limit_s, body):
@@ -63,31 +62,27 @@ def test_criterion_01_defining_relations():
 
 def test_criterion_02_markov_property():
     def body():
-        rng = random.Random(2024)
-        reports = []
-        for n in range(2, 6):
-            cases = [(p, [random_word(n - 1, rng) for _ in range(20)])
-                     for p in five_points(n, n + 1, n + 1)]
-            reports.append(markov_property(n, n + 1, n + 1, cases))
-        assert_reports(reports, 400)
+        # 20 words h per point, each distinct h once: at n = 2 the words use
+        # only t and t'_0, so 35 of 100 are distinct
+        assert_reports([markov_property(n, n + 1, n + 1,
+                                        five_points(n, n + 1, n + 1), 2024,
+                                        words=20)
+                        for n in range(2, 6)], 290)
     criterion(2, "Markov property tr(h g_{n-1}) = z tr(h) on random words, "
                  "sizes 2..5", 120, body)
 
 
 def test_criterion_03_tprime_property_and_powers():
     def body():
-        rng = random.Random(31)
-        reports = []
-        for n in range(2, 5):
-            cases = [(p, [random_word(n - 1, rng) for _ in range(10)])
-                     for p in five_points(n, n + 1, n + 1)[:3]]
-            reports.append(tprime_property(n, n + 1, n + 1, cases))
-        powers = [word(tuple(tprime_letter(j) for j in range(k)), 4)
-                  for k in range(1, 5)]
+        reports = [tprime_property(n, n + 1, n + 1,
+                                   five_points(n, n + 1, n + 1)[:3], 31,
+                                   words=10)
+                   for n in range(2, 5)]
+        # 61 distinct h, and all 54 products d_1 ... d_4 at each point,
+        # Lemma 5.4's t'_0 ... t'_{k-1} among them
         reports.append(double_coset_reduction(4, 5, 5,
-                                              five_points(4, 5, 5)[:3],
-                                              powers))
-        assert_reports(reports, 102)
+                                              five_points(4, 5, 5)[:3]))
+        assert_reports(reports, 223)
     criterion(3, "trace eats a trailing t'_{n-1} as a factor y; products "
                  "t'_0..t'_{k-1} trace to y^k", 120, body)
 
@@ -173,7 +168,6 @@ def test_criterion_10_dimension_bookkeeping():
 
 def test_criterion_11_type_d():
     def body():
-        rng = random.Random(61)
         qs = (Rat(2), Rat(1, 2), Rat(5, 3))
         reports = []
         for q in qs:
@@ -182,9 +176,8 @@ def test_criterion_11_type_d():
                 r1, r2 = n + 1, n + 2
                 reports += [typeD_inclusion_weights(n, r1, r2, [q]),
                             typeD_normalization(n, r1, r2, [q])]
-            # the Markov property on type-D words h, in g_1, G_1 and u
-            hs = [random_word(2, rng, kind="D") for _ in range(5)]
-            reports.append(typeD_markov_property(3, 4, 4, [(q, hs)]))
+        # the Markov property on type-D words h, in g_1, G_1 and u
+        reports.append(typeD_markov_property(3, 4, 4, qs, 61))
         # (D1)-(D5) on every type-B module at Q = 1
         reports.append(relations_report("typeD", map(q1_point, qs), (2, 3)))
         assert_reports(reports, 96)
@@ -196,19 +189,13 @@ def test_criterion_11_type_d():
 
 def test_criterion_12_type_a_trace():
     def body():
-        rng = random.Random(77)
         qs = (Rat(2), Rat(1, 2), Rat(4, 3))
+        # the one-parameter trace is the two-parameter one at r2 = 0 and
+        # Q = 1, where t and every t'_i act as 1 on the modules of nonzero
+        # weight, so words h of H(B_{n-1}) stand for their type-A images
         assert_reports([typeA_normalization(
-            qs, [(n, r) for n in range(1, 6) for r in (2, 3, n + 1)])], 45)
-        for q in qs:
-            for n in range(2, 6):
-                r = n + 1
-                z = q**r * (1 - q) / (1 - q**r)
-                for _ in range(10):
-                    h = random_word(n - 1, rng, kind="A")
-                    base = typeA_markov_trace(h, n - 1, r, q)
-                    hg = word(h.letters + (g_letter(n - 1),), n)
-                    assert typeA_markov_trace(hg, n, r, q) == z * base, \
-                        (n, q, h.letters)
+            qs, [(n, r) for n in range(1, 6) for r in (2, 3, n + 1)])]
+            + [markov_property(n, n + 1, 0, list(map(q1_point, qs)), 77,
+                               words=20) for n in range(2, 6)], 199)
     criterion(12, "one-parameter trace: normalized Schur weights sum to 1 "
                   "and satisfy the Markov property, sizes to 5", 120, body)

@@ -362,7 +362,7 @@ def test_verify_all_suites_listed(capsys):
     assert code == 0
     doc = json.loads(out)
     names = [c["name"] for c in doc["checks"]]
-    assert len(names) == len(set(names)) == 20
+    assert len(names) == len(set(names)) == 21
 
 
 def test_every_check_runs_in_verify(capsys, monkeypatch):

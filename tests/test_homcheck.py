@@ -5,14 +5,38 @@ import pytest
 from heckeweights import homcheck
 from heckeweights.combinatorics import double_partitions, embed_double
 from heckeweights.homcheck import character_match_report, \
-    rho_eigenvalue_report, schur_factorization, skew_dimension_report, \
+    double_coset_reduction, markov_property, rho_eigenvalue_report, \
+    schur_factorization, skew_dimension_report, tprime_property, \
     weight_ratio_report
 from heckeweights.reps import g_letter
-from heckeweights.scalars import Rat, identity, specialized_point
+from heckeweights.scalars import Rat, admissible_point, identity, \
+    specialized_point
 from heckeweights.schur import schur_normalized
 
 # the q's of the three-digit points of test_traces.py, on both sides of 1
 THREE_DIGIT_QS = [Rat(347, 512), Rat(911, 127), Rat(100, 999)]
+
+
+def test_double_coset_reduction_takes_every_product():
+    """d_i ranges over {1, t'_0} at i = 1 and {1, g_{i-1}, t'_{i-1}} after,
+    so 2 * 3^(n-1) products per point."""
+    for n in range(1, 5):
+        points = [admissible_point(n, n + 1, n + 1, seed) for seed in (0, 1)]
+        report = double_coset_reduction(n, n + 1, n + 1, points)
+        assert report.passed, report.failure
+        assert report.cases == 2 * 2 * 3 ** (n - 1)
+
+
+def test_markov_and_tprime_draw_the_same_words():
+    """Both checks draw their words h from ``random.Random(seed)``, so at
+    one seed and one set of points they compare as many distinct h."""
+    for n in range(1, 5):
+        points = [admissible_point(n, n + 1, n + 1, seed) for seed in (3, 4)]
+        g = markov_property(n, n + 1, n + 1, points, 7, words=8)
+        t = tprime_property(n, n + 1, n + 1, points, 7, words=8)
+        assert g.passed and t.passed, (g.failure, t.failure)
+        assert g.cases == t.cases
+        assert (g.cases == 0) == (n == 1)
 
 
 @pytest.mark.parametrize("q", [Rat(2), Rat(1, 2), Rat(3, 2)])
