@@ -127,16 +127,15 @@ def relations_report(family: str, points, sizes, name=None) -> Report:
 
 # -- traces ------------------------------------------------------------------
 
-def _last_letter(n, r1, r2, points, seed, words, kind, letter):
+def _last_letter(n, r1, r2, points, seed, words, kind, make, i, c_name):
     """tr(h x) = c tr(h) at each point for ``words`` random type-``kind``
     words h of size n - 1, drawn from ``random.Random(seed)`` point by point,
-    each distinct h once and none at n = 1: x = g_{n-1} and c = z for
-    ``letter`` "g", x = t'_{n-1} and c = y for "tprime"."""
+    each distinct h once and none at n = 1: x = make(n - 1) and c is entry i
+    of ``markov_params``, (z, y)."""
     rng = random.Random(seed)
+    x = make(n - 1)
     for p in points if n >= 2 else ():
-        z, y = markov_params(r1, r2, p)
-        x, c, c_name = (g_letter(n - 1), z, "z") if letter == "g" \
-            else (tprime_letter(n - 1), y, "y")
+        c = markov_params(r1, r2, p)[i]
         for h in dict.fromkeys(random_word(n - 1, rng, kind=kind)
                                for _ in range(words)):
             yield (markov_trace_B(word(h.letters + (x,), n), n, r1, r2, p),
@@ -148,13 +147,14 @@ def _last_letter(n, r1, r2, points, seed, words, kind, letter):
 @identity("Section 4 definition; Lemma 5.2")
 def markov_property(n, r1, r2, points, seed, words=5):
     """tr(h g_{n-1}) = z tr(h) for random words h of size n - 1."""
-    return _last_letter(n, r1, r2, points, seed, words, "B", "g")
+    return _last_letter(n, r1, r2, points, seed, words, "B", g_letter, 0, "z")
 
 
 @identity("Prop 4.1")
 def tprime_property(n, r1, r2, points, seed, words=5):
     """tr(h t'_{n-1}) = y tr(h) for random words h of size n - 1."""
-    return _last_letter(n, r1, r2, points, seed, words, "B", "tprime")
+    return _last_letter(n, r1, r2, points, seed, words, "B", tprime_letter, 1,
+                        "y")
 
 
 def _double_coset_products(n):
@@ -405,4 +405,4 @@ def typeD_normalization(n, r1, r2, qs):
 def typeD_markov_property(n, r1, r2, qs, seed, words=5):
     """tr_D(h g_{n-1}) = z tr_D(h) for random type-D words h of size n - 1."""
     return _last_letter(n, r1, r2, [q1_point(q) for q in qs], seed, words,
-                        "D", "g")
+                        "D", g_letter, 0, "z")

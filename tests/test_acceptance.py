@@ -5,6 +5,7 @@ rational equality (zero tolerance) and every criterion carries a wall-clock
 budget.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import itertools
 import math
 import time
 
@@ -17,10 +18,10 @@ from heckeweights.homcheck import character_match_report, \
     typeD_normalization, weight_branching, weight_normalization, \
     weight_ratio_report, weight_two_forms
 from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
-    typeA_rep, word
+    ginv_letter, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity
 from heckeweights.traces import markov_params, q1_point, weight_B
-from helpers import mat_eq, to_rat
+from helpers import mat_eq, to_rat, typeA_markov_trace
 
 
 def criterion(num, label, limit_s, body):
@@ -197,5 +198,24 @@ def test_criterion_12_type_a_trace():
             qs, [(n, r) for n in range(1, 6) for r in (2, 3, n + 1)])]
             + [markov_property(n, n + 1, 0, list(map(q1_point, qs)), 77,
                                words=20) for n in range(2, 6)], 199)
+        # the type-A oracle, built shape by shape from typeA_rep, on every
+        # word of length <= 2 in g_i and G_i of size n - 1: 1, 7, 21 and 43
+        # words at n = 2..5
+        compared = 0
+        for q in qs:
+            for n in range(2, 6):
+                r = n + 1
+                z = q**r * (1 - q) / (1 - q**r)
+                letters = [f(i) for i in range(1, n - 1)
+                           for f in (g_letter, ginv_letter)]
+                for length in range(3):
+                    for hl in itertools.product(letters, repeat=length):
+                        h = word(hl, n - 1)
+                        hg = word(hl + (g_letter(n - 1),), n)
+                        assert typeA_markov_trace(hg, n, r, q) \
+                            == z * typeA_markov_trace(h, n - 1, r, q), \
+                            (n, q, hl)
+                        compared += 1
+        assert compared == 216
     criterion(12, "one-parameter trace: normalized Schur weights sum to 1 "
                   "and satisfy the Markov property, sizes to 5", 120, body)

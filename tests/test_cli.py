@@ -162,7 +162,8 @@ def test_typeD_markov_property_counts_each_h_once(capsys):
 
 def test_markov_suite_counts_each_h_once(capsys):
     """The suite draws five words h per point from ``random.Random(seed)``;
-    the Markov and t' checks compare each distinct h once."""
+    the Markov and t' checks compare each distinct h once, and none at
+    n = 1."""
     n, seed, points = 2, 9, 2
     rng = random.Random(seed)
     distinct = sum(len({random_word(n - 1, rng) for _ in range(5)})
@@ -174,6 +175,12 @@ def test_markov_suite_counts_each_h_once(capsys):
     cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
     assert cases["markov-property-n2"] == distinct
     assert cases["tprime-property-n2"] == distinct
+    # at n = 1 there is no g_0 to append, so no h is drawn
+    code, out, _ = run(capsys, ["verify", "--suite", "markov", "--n", "1",
+                                "--seed", str(seed), "--points", str(points)])
+    assert code == 0
+    cases = {c["name"]: c["cases"] for c in json.loads(out)["checks"]}
+    assert cases["markov-property-n1"] == cases["tprime-property-n1"] == 0
 
 
 def test_weights_requires_Q_for_type_B(capsys):
