@@ -409,14 +409,16 @@ def evaluate(rep, element):
     """Matrix of a word in a representation, as a pair (num, den) of an
     integer array and a positive integer: the product of its letter
     matrices, numerators multiplied by ``@`` and denominators as ints,
-    nothing reduced.  The empty word is (identity, 1), whose (d, d) array
-    broadcasts against a stack's (k, d, d) letters; a one-letter word
-    returns the letter's own numerator, which is read-only."""
+    nothing reduced.  The empty word is (identity, 1) in the shape of the
+    store's letters, (d, d) for a module and (k, d, d) for a stack; a
+    one-letter word returns the letter's own numerator, which is
+    read-only."""
     if element.ambient_n > rep.size:
         raise ValueError(f"element lives in size {element.ambient_n}, "
                          f"representation in size {rep.size}")
     if not element.letters:
-        return identity(rep.dimension), 1
+        one = identity(rep.dimension)
+        return (one[None].repeat(len(rep.shapes), 0) if rep.shapes else one), 1
     return _product([rep.letter_matrix(letter) for letter in element.letters])
 
 

@@ -75,12 +75,26 @@ class ParameterPoint:
             s = k if (c, d) == (a**k, b**k) else -k
             raise ValueError(f"Q = -q^{s} is excluded")
 
+    def _key(self) -> tuple:
+        # both Rat backends keep lowest terms with a positive denominator,
+        # so equal points have equal integers
+        q, Q = self.q, self.Q
+        return q.numerator, q.denominator, Q.numerator, Q.denominator, \
+            self.guard_bound
+
+    def __eq__(self, other):
+        # every cache hit compares its point with the cached one: on
+        # integers, not through Fraction.__eq__
+        if not isinstance(other, ParameterPoint):
+            return NotImplemented
+        return self._key() == other._key()
+
     def __hash__(self):
-        # every cache lookup hashes its point, and a Fraction's hash takes a
-        # modular inverse: the fields are hashed on the first lookup only
+        # every cache lookup hashes its point: the integers, on the first
+        # lookup only, never a Fraction (whose hash takes a modular inverse)
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.q, self.Q, self.guard_bound))
+            h = hash(self._key())
             object.__setattr__(self, "_hash", h)
         return h
 

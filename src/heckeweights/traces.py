@@ -9,28 +9,34 @@ Weights are computed in integers, in two steps.  Per size and type,
 ``_weight_plan`` walks each shape's factors once and puts each class of
 shapes over one denominator of atoms Phi_k(b, a), 1 + Q q^x, a and b: a
 shape alone for type B; for type D {(alpha, beta), (beta, alpha)} or a split
-(alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per point the
-distinct atom powers are evaluated once and a class weighs one Rat.
-``weight_table`` reads the type-B rows and ``weight_D`` the type-D ones;
-``weight_B`` and ``trace_table`` read the table.
+(alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per point only
+the atoms the plan names are evaluated, each distinct atom power once, and a
+class weighs one Rat.  ``weight_table`` reads the type-B rows and
+``weight_D`` the type-D ones; ``weight_B`` and ``trace_table`` read the
+table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
-each group a ``reps.stacks`` stack of the modules of its shapes;
-``markov_trace_B`` is one table lookup, one ``evaluate`` and one integer dot
-per group, and one Rat.  Types A and D live at the one point
-``q1_point(q)``, whatever the size.  ``weight_B_schur_form`` is the
-independent oracle for the table: integers and one Rat too, no shared code.
+each group a ``reps.stacks`` stack of the modules of its shapes.  Since
+tr(P L) = sum_ij P_ij L_ji, a group folds its weights into a word's last
+letter L once per table; ``markov_trace_B`` is then one table lookup, one
+``evaluate`` of the word's prefix P and one flat integer dot per group, and
+one Rat.  Types A and D live at the one point ``q1_point(q)``, whatever the
+size.  ``weight_B_schur_form`` is the independent oracle for the table:
+integers and one Rat too, no shared code.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from types import MappingProxyType
 
 from .combinatorics import dimension, double_partitions, pad, trim
-from .reps import evaluate, stacks
+from .reps import evaluate, stacks, word
 from .scalars import ParameterPoint, Rat, vector
 from .schur import schur_principal
 
@@ -181,7 +187,7 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
 def _weights(n: int, r1: int, r2: int, kind: str, point: ParameterPoint):
     """A plan's rows and a side's value at a point, each power once."""
     rows, powers = _weight_plan(n, r1, r2, kind)
-    atoms = _atoms(n + r1 + r2, point)
+    atoms = _atoms(n + r1 + r2, point, powers)
     values = [atoms[i] ** k for i, k in powers]
     return rows, lambda part: math.prod(map(values.__getitem__, part))
 
@@ -202,28 +208,41 @@ def weight_table(n: int, r1: int, r2: int,
         for shape, _, _, entry in rows})
 
 
-def _atoms(m: int, point: ParameterPoint) -> list:
-    """The atoms for m = n + r1 + r2 at a point; Phi_k(b, a) by exact sieve."""
+def _atoms(m: int, point: ParameterPoint, powers) -> list:
+    """The atoms for m = n + r1 + r2 at a point, by index, that a plan's
+    sorted ``powers`` names: Phi_k(b, a) by exact sieve up to the largest k
+    named, C(x) from the least to the largest x named, a and b; None at
+    every other index."""
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
-    pa, pb = ([x ** k for k in range(m + 1)] for x in (a, b))
-    atoms = [y - x for x, y in zip(pa, pb)]
-    for j in range(1, m // 2 + 1):
-        for k in range(2 * j, m + 1, j):
+    cut, end = bisect(powers, (m + 1,)), bisect(powers, (3 * m + 2,))
+    top = powers[cut - 1][0] if cut else 0
+    lo, hi = (powers[cut][0] - 2 * m - 1, powers[end - 1][0] - 2 * m - 1) \
+        if cut < end else (0, -1)
+    pa, pb = (list(accumulate(repeat(x, max(top, -lo, hi)), mul, initial=1))
+              for x in (a, b))
+    atoms = [y - x for x, y in zip(pa[:top + 1], pb)]
+    for j in range(1, top // 2 + 1):
+        for k in range(2 * j, top + 1, j):
             atoms[k] //= atoms[j]
-    # d C(x) a^max(-x, 0) b^max(x, 0) from x = -m up to m
-    atoms += [d * pa[x] + c * pb[x] for x in range(m, 0, -1)]
-    return atoms + [d * pb[x] + c * pa[x] for x in range(m + 1)] + [a, b]
+    # d C(x) a^max(-x, 0) b^max(x, 0) at 2m + 1 + x
+    atoms += [None] * (2 * m + lo - top)
+    atoms += [d * pa[x] + c * pb[x] for x in range(-lo, 0, -1)]
+    atoms += [d * pb[x] + c * pa[x] for x in range(max(lo, 0), hi + 1)]
+    return atoms + [None] * (m - hi) + [a, b]
 
 
-# Bounded like weight_table; a table's stacks hold only the letters used.
+# Bounded like weight_table; a table's stacks and pairings hold only the
+# letters used.
 @lru_cache(maxsize=64)
 def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
     """The Markov trace at (n, r1, r2, point) as data: the nonzero weights'
     numerators over one common denominator, grouped by the dimension of
     their shapes.  Returns ``(groups, den)`` with ``groups`` a tuple of
-    pairs (read-only integer array of numerators, ``Representation`` stack
-    of the matching shapes)."""
+    triples (read-only integer array of numerators, ``Representation``
+    stack of the matching shapes, and the group's map letter -> pairing
+    that ``markov_trace_B`` fills: a letter's weighted transpose, flat and
+    read-only, over the letter's denominator)."""
     weights = {shape: w for shape, w in weight_table(n, r1, r2, point).items()
                if w != 0}
     den = math.lcm(*(w.denominator for w in weights.values()))
@@ -232,21 +251,41 @@ def trace_table(n: int, r1: int, r2: int, point: ParameterPoint):
         nums = vector([weights[s].numerator * (den // weights[s].denominator)
                        for s in group.shapes])
         nums.flags.writeable = False
-        groups.append((nums, group))
+        groups.append((nums, group, {}))
     return tuple(groups), den
+
+
+def _pairing(group, letter):
+    """The last letter L of a group's trace, paired once: tr(P L) = sum_ij
+    P_ij L_ji, so sum_k w_k tr(P_k L_k) is the flat dot of P with W[k, i, j]
+    = w_k L_k[j, i].  Returns (W flat and read-only, L's denominator)."""
+    nums, stack, pairings = group
+    if letter not in pairings:
+        num, den = stack.letter_matrix(letter)
+        flat = (nums[:, None, None] * num.transpose(0, 2, 1)).ravel()
+        flat.flags.writeable = False
+        pairings[letter] = flat, den
+    return pairings[letter]
 
 
 def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
     """Weighted character sum over all double partitions of n, one dimension
-    at a time: per group of ``trace_table`` one evaluation of the element on
-    the stack, its integer traces dotted with the weights' numerators, then
-    one Rat over the common denominator."""
+    at a time.  The empty word weighs sum_k w_k d over the groups of
+    ``trace_table``; a longer word pairs, in each group, the evaluation of
+    its prefix on the stack with the group's pairing of its last letter in
+    one integer dot, and all groups share one Rat over the common
+    denominator."""
     groups, den = trace_table(n, r1, r2, point)
-    values = [(nums, evaluate(stack, element)) for nums, stack in groups]
-    common = math.lcm(*(d for _, (_, d) in values))
-    # the empty word's (d, d) identity broadcasts its trace d over the group
-    return Rat(sum((nums * num.trace(axis1=-2, axis2=-1)).sum() * (common // d)
-                   for nums, (num, d) in values), den * common)
+    if not element.letters:
+        return Rat(sum(stack.dimension * nums.sum()
+                       for nums, stack, _ in groups), den)
+    prefix = word(element.letters[:-1], element.ambient_n)
+    last = element.letters[-1]
+    values = [(evaluate(group[1], prefix), _pairing(group, last))
+              for group in groups]
+    common = math.lcm(*(d * e for (_, d), (_, e) in values))
+    return Rat(sum((num.ravel() @ flat) * (common // (d * e))
+                   for (num, d), (flat, e) in values), den * common)
 
 
 def q1_point(q) -> ParameterPoint:

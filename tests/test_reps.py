@@ -421,7 +421,7 @@ def test_letters_out_of_range(point):
     # in one module and in a stack of several, and nothing is cached for it
     n = 3
     groups, _ = trace_table(n, 4, 4, point)
-    stack = max((s for _, s in groups), key=lambda s: len(s.shapes))
+    stack = max((s for _, s, _ in groups), key=lambda s: len(s.shapes))
     assert len(stack.shapes) > 1
     for store in (typeB_rep(((2,), (1,)), point), stack):
         for letter in (("g", 0), ("g", -1), ("g", n), ("ginv", 0),

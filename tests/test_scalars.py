@@ -99,34 +99,44 @@ def test_admissible_point_respects_guard():
 
 
 def test_point_hash_is_cached_and_unchanged():
-    # a point hashes as the tuple of its fields and compares as before:
-    # equal fields, equal points, across every field
+    # a point hashes and compares as the integers of its fields, q and Q in
+    # lowest terms: equal fields, equal points, across every field
     points = [ParameterPoint(Rat(2), Rat(5), 4),
               ParameterPoint(Rat(347, 512), Rat(-613, 229), 10),
               ParameterPoint(Rat(3, 2), Rat(1), 0),
               admissible_point(3, 4, 4, 17)]
     for p in points:
-        assert hash(p) == hash((p.q, p.Q, p.guard_bound))
+        assert hash(p) == hash((p.q.numerator, p.q.denominator,
+                                p.Q.numerator, p.Q.denominator,
+                                p.guard_bound))
         twin = dataclasses.replace(p)
         assert twin == p and twin is not p and hash(twin) == hash(p)
         for field, value in (("q", p.q + 1), ("Q", p.Q + 1),
                              ("guard_bound", p.guard_bound + 1)):
             assert dataclasses.replace(p, **{field: value}) != p
+        # never equal to a tuple of its fields or of its integers
+        assert p != (p.q, p.Q, p.guard_bound)
+        assert p != (p.q.numerator, p.q.denominator, p.Q.numerator,
+                     p.Q.denominator, p.guard_bound)
     assert len({*points, *map(dataclasses.replace, points)}) == len(points)
+    # Q and -Q differ
+    for q, Q in ((Rat(2), Rat(5)), (Rat(347, 512), Rat(613, 229))):
+        assert ParameterPoint(q, Q, 4) != ParameterPoint(q, -Q, 4)
 
     class Counted(Fraction):
-        hashes = 0
+        reads = 0
 
-        def __hash__(self):
-            Counted.hashes += 1
-            return super().__hash__()
+        @property
+        def numerator(self):
+            Counted.reads += 1
+            return super().numerator
 
-    # the first lookup hashes the fields, and no later one does again
+    # the first lookup reads the integers, and no later one does again
     p = ParameterPoint(Counted(3, 2), Counted(-7, 5), 4)
-    assert hash(p) == hash((Fraction(3, 2), Fraction(-7, 5), 4))
-    before = Counted.hashes
+    assert hash(p) == hash((3, 2, -7, 5, 4))
+    before = Counted.reads
     assert {p: 1}[p] == 1 and hash(p) == hash(p)
-    assert Counted.hashes == before
+    assert Counted.reads == before
 
 
 def test_specialized_point():

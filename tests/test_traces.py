@@ -178,11 +178,13 @@ def test_cyclotomic_atoms():
     for q in (Rat(2), Rat(1, 2), Rat(347, 512), Rat(911, 127), Rat(100, 999)):
         a, b = q.numerator, q.denominator
         for m in range(1, 24):
-            atoms = _atoms(m, q1_point(q))
+            atoms = _atoms(m, q1_point(q), [(k, 1) for k in range(1, m + 1)])
             for k in range(1, m + 1):
                 assert math.prod(atoms[j] for j in range(1, k + 1)
                                  if k % j == 0) == b ** k - a ** k, (q, m, k)
-            assert all(x > 0 for x in atoms[2:m + 1]), (q, m)
+                # named alone, Phi_k sieves only up to k
+                assert _atoms(m, q1_point(q), [(k, 1)])[k] == atoms[k]
+            assert all(atoms[k] > 0 for k in range(2, m + 1)), (q, m)
 
 
 def _check_powers(rows, powers):
@@ -270,10 +272,43 @@ def test_markov_trace_matches_shape_by_shape():
     assert cases == 4 * 4 * 3 * 5 + 2 * 3 * 2 + 3 * 3 * 3
 
 
+def test_markov_trace_pairs_every_last_letter():
+    """A trace pairs the word's prefix with its last letter: against the
+    shape-by-shape oracle on the empty word, every one-letter word and a
+    two-letter word ending in each letter kind, with row bounds that empty
+    some dimension groups, at points with Q < 0."""
+    cases = 0
+    for n in range(1, 5):
+        # g_1's off-diagonal pair is not symmetric, so it tells a letter
+        # from its transpose
+        first = g_letter(1) if n >= 2 else T_LETTER
+        lasts = [T_LETTER, tprime_letter(n - 1)]
+        lasts += [U_LETTER, g_letter(n - 1), ginv_letter(1)] * (n >= 2)
+        alone = [T_LETTER] + [g_letter(i) for i in range(1, n)] \
+            + derived_letters(n)
+        words = [word((), n)] + [word((x,), n) for x in alone] \
+            + [word((first, x), n) for x in lasts]
+        for r1, r2 in ((n + 1, n + 1), (0, 3), (3, 0)):
+            for p in THREE_DIGIT:
+                for w in words:
+                    assert markov_trace_B(w, n, r1, r2, p) \
+                        == markov_trace_by_shape(w, n, r1, r2, p), \
+                        (str(w), n, r1, r2, str(p))
+                    cases += 1
+    for x in (U_LETTER, ginv_letter(4), tprime_letter(4)):
+        w = word((g_letter(2), tprime_letter(3), x), 5)
+        for p in THREE_DIGIT:
+            assert markov_trace_B(w, 5, 6, 6, p) \
+                == markov_trace_by_shape(w, 5, 6, 6, p), (str(w), str(p))
+            cases += 1
+    # 5, 12, 15 and 18 words at n = 1..4
+    assert cases == 3 * 3 * (5 + 12 + 15 + 18) + 3 * 3
+
+
 def test_trace_table_groups_by_dimension(point):
     def sizes(r1, r2):
         groups, _ = trace_table(3, r1, r2, point)
-        return sorted((s.dimension, len(s.shapes)) for _, s in groups)
+        return sorted((s.dimension, len(s.shapes)) for _, s, _ in groups)
 
     assert sizes(4, 4) == [(1, 4), (2, 2), (3, 4)]
     # at (1, 1) only shapes with one row in each component have weight
@@ -289,9 +324,14 @@ def test_trace_table_cache_is_bounded():
 
 
 def test_trace_table_is_read_only(point):
+    # the numerators, the stacks' letters and, after a trace ending in a
+    # letter, the groups' pairing of that letter
     for n, r1, r2 in ((3, 4, 4), (2, 3, 3)):
         groups, _ = trace_table(n, r1, r2, point)
-        for nums, stack in groups:
+        for letter in (T_LETTER, g_letter(1), ginv_letter(1),
+                       tprime_letter(1), U_LETTER):
+            markov_trace_B(word((g_letter(1), letter), n), n, r1, r2, point)
+        for nums, stack, pairings in groups:
             with pytest.raises(ValueError):
                 nums[0] = 7
             for letter in (T_LETTER, g_letter(1), ginv_letter(1),
@@ -302,8 +342,11 @@ def test_trace_table_is_read_only(point):
                 num, _ = evaluate(stack, word((letter,), n))
                 with pytest.raises(ValueError):
                     num[0, 0, 0] = 7
+                flat, _ = pairings[letter]
+                with pytest.raises(ValueError):
+                    flat[0] = 7
     # a stack of one is a view of its representation's own matrix
-    (stack,) = [s for _, s in trace_table(2, 3, 3, point)[0]
+    (stack,) = [s for _, s, _ in trace_table(2, 3, 3, point)[0]
                 if len(s.shapes) == 1]
     rep = typeB_rep(stack.shapes[0], point)
     assert stack.letter_matrix(g_letter(1))[0].base \
@@ -323,7 +366,7 @@ def test_stacked_derived_letters_match_each_shape():
     group_sizes = set()
     for p in THREE_DIGIT:
         for n in range(1, 5):
-            for _, stack in trace_table(n, n + 1, n + 1, p)[0]:
+            for _, stack, _ in trace_table(n, n + 1, n + 1, p)[0]:
                 k, d = len(stack.shapes), stack.dimension
                 group_sizes.add(min(k, 2))
                 for letter in derived_letters(n):
@@ -348,7 +391,7 @@ def test_trace_derives_letters_on_the_stacks_only():
                tprime_letter(2), U_LETTER}
     generators = {T_LETTER, g_letter(1), g_letter(2)}
     shapes = 0
-    for _, stack in trace_table(n, 4, 4, p)[0]:
+    for _, stack, _ in trace_table(n, 4, 4, p)[0]:
         assert derived <= stack.letters.keys()
         for shape in stack.shapes:
             assert typeB_rep(shape, p).letters.keys() == generators, shape
