@@ -81,7 +81,7 @@ def cmd_trace(args) -> int:
     if n < 1:
         raise ValueError("trace needs --n >= 1")
     point = ParameterPoint(args.q, args.Q, guard_bound(n, r1, r2))
-    print(markov_trace_B(parse_word(args.word, n), n, r1, r2, point))
+    print(markov_trace_B(parse_word(args.word), n, r1, r2, point))
     return 0
 
 

@@ -138,9 +138,9 @@ def _last_letter(n, r1, r2, points, seed, words, kind, make, i, c_name):
         c = markov_params(r1, r2, p)[i]
         for h in dict.fromkeys(random_word(n - 1, rng, kind=kind)
                                for _ in range(words)):
-            yield (markov_trace_B(word(h.letters + (x,), n), n, r1, r2, p),
+            yield (markov_trace_B(word(h.letters + (x,)), n, r1, r2, p),
                    c * markov_trace_B(h, n - 1, r1, r2, p),
-                   lambda: f"tr({h} {word((x,), n)}) = {c_name} tr({h}) "
+                   lambda: f"tr({h} {word((x,))}) = {c_name} tr({h}) "
                            f"at {p}")
 
 
@@ -164,7 +164,7 @@ def _double_coset_products(n):
         choices = [()] + ([(g_letter(i - 1),)] if i >= 2 else []) \
             + [(tprime_letter(i - 1),)]
         out = [letters + c for letters in out for c in choices]
-    return [word(letters, n) for letters in out]
+    return [word(letters) for letters in out]
 
 
 @identity("Section 4; Lemma 5.4")
@@ -335,7 +335,7 @@ def character_match_report(n: int, m: int, r1: int, qs,
                 diff = _first_difference(skew.letter_matrix(letter),
                                          generic.letter_matrix(letter))
                 report.check(diff is None, lambda: (
-                    f"skew = generic {word((letter,), n)} on "
+                    f"skew = generic {word((letter,))} on "
                     f"{shape_str(shape)} at {point}: {diff}"))
     return report
 

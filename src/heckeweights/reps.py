@@ -22,12 +22,13 @@ denominator of the entries, standing for num / den.  ``_build`` writes the
 generators' entries at a point as integers over one denominator, from a
 point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
 
-Words use letters ("t", 0), ("g", i), ("ginv", i), ("tprime", i) and, for
-the type-D front end, ("u", 0).  A ``Representation`` is the one store of
-letter matrices, of one module or of a stack of modules of one dimension
-as ``stacks`` groups them for ``traces.trace_table`` and
+A word is its letters, ("t", 0), ("g", i), ("ginv", i), ("tprime", i)
+and, for the type-D front end, ("u", 0), and carries no size: it is of the
+size of the algebra that evaluates it.  A ``Representation`` is the one
+store of letter matrices, of one module or of a stack of modules of one
+dimension as ``stacks`` groups them for ``traces.trace_table`` and
 ``homcheck.relations_report``; ``Representation.letter_matrix`` defines
-what each letter means;
+what each letter means and is the one check that its algebra holds it;
 ``evaluate`` multiplies a word's letter matrices in integers, numerators by
 ``@`` and denominators as ints, and ``character`` makes the one division.
 ``expand_word`` rewrites the same letters over {t, g} independently, as a
@@ -71,32 +72,9 @@ def tprime_letter(i: int):
 
 @dataclass(frozen=True)
 class HeckeWord:
-    """A word in the generators of the size-``ambient_n`` algebra."""
+    """A word in the letters of the tower of algebras, of no size."""
 
     letters: tuple
-    ambient_n: int
-
-    def __post_init__(self):
-        n = self.ambient_n
-        if n < 1:
-            raise ValueError("ambient_n must be >= 1")
-        for kind, i in self.letters:
-            if kind in ("t", "u") and i != 0:
-                raise ValueError(f"{kind} takes index 0 (got {i})")
-            if kind == "t":
-                continue
-            if kind == "u":
-                if n < 2:
-                    raise ValueError(f"u = t g1 t needs n >= 2 (got n = {n})")
-                continue
-            if kind == "tprime":
-                if not 0 <= i <= n - 1:
-                    raise ValueError(f"t'{i} out of range for n = {n}")
-            elif kind in ("g", "ginv"):
-                if not 1 <= i <= n - 1:
-                    raise ValueError(f"index {i} out of range for n = {n}")
-            else:
-                raise ValueError(f"unknown letter kind {kind!r}")
 
     def __str__(self):
         """The word in ``parse_word`` tokens."""
@@ -110,8 +88,9 @@ def _letters_str(letters) -> str:
     return " ".join(_TOKENS[kind].format(i) for kind, i in letters)
 
 
-def word(letters, n: int) -> HeckeWord:
-    return HeckeWord(letters=tuple(letters), ambient_n=n)
+def word(letters) -> HeckeWord:
+    """The word of ``letters``, unchecked until an algebra evaluates it."""
+    return HeckeWord(tuple(letters))
 
 
 @dataclass
@@ -120,11 +99,12 @@ class HeckeElement:
     ``expand_word`` stores no zero coefficient."""
 
     terms: dict
-    ambient_n: int
 
 
-def parse_word(text: str, n: int) -> HeckeWord:
-    """Parse whitespace-separated tokens: t, u, g3, G3 (inverse), t'2."""
+def parse_word(text: str) -> HeckeWord:
+    """Parse whitespace-separated tokens: t, u, g3, G3 (inverse), t'2.
+    Only the token's form is checked; whether the letter exists is the
+    algebra's to say when it evaluates the word."""
     letters = []
     for token in text.split():
         try:
@@ -142,7 +122,7 @@ def parse_word(text: str, n: int) -> HeckeWord:
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad word token {token!r}") from None
-    return word(letters, n)
+    return word(letters)
 
 
 def expand_word(w: HeckeWord, point: ParameterPoint) -> HeckeElement:
@@ -175,8 +155,7 @@ def expand_word(w: HeckeWord, point: ParameterPoint) -> HeckeElement:
 
     for letter in w.letters:
         plain = _mul_terms(plain, dict(pieces(letter)))
-    terms = {word(ls, w.ambient_n): c for ls, c in plain.items() if c != 0}
-    return HeckeElement(terms, w.ambient_n)
+    return HeckeElement({word(ls): c for ls, c in plain.items() if c != 0})
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -412,10 +391,8 @@ def evaluate(rep, element):
     nothing reduced.  The empty word is (identity, 1) in the shape of the
     store's letters, (d, d) for a module and (k, d, d) for a stack; a
     one-letter word returns the letter's own numerator, which is
-    read-only."""
-    if element.ambient_n > rep.size:
-        raise ValueError(f"element lives in size {element.ambient_n}, "
-                         f"representation in size {rep.size}")
+    read-only.  A letter the representation's algebra does not hold raises
+    ``letter_matrix``'s ValueError."""
     if not element.letters:
         one = identity(rep.dimension)
         return (one[None].repeat(len(rep.shapes), 0) if rep.shapes else one), 1
@@ -520,4 +497,4 @@ def random_word(n: int, rng: random.Random, max_len: int = 4,
         else:
             i = rng.randint(1, n - 1)
             letters.append(g_letter(i) if drawn == "g" else ginv_letter(i))
-    return word(letters, n)
+    return word(letters)

@@ -279,8 +279,8 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
     if not element.letters:
         return Rat(sum(stack.dimension * nums.sum()
                        for nums, stack, _ in groups), den)
-    prefix = word(element.letters[:-1], element.ambient_n)
-    last = element.letters[-1]
+    *prefix, last = element.letters
+    prefix = word(prefix)
     values = [(evaluate(group[1], prefix), _pairing(group, last))
               for group in groups]
     common = math.lcm(*(d * e for (_, d), (_, e) in values))

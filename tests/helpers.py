@@ -52,11 +52,11 @@ def coset_representatives(n: int) -> list:
     the size-n algebra, as words."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    reps = [word((), n), word((tprime_letter(n - 1),), n)]
+    reps = [word(()), word((tprime_letter(n - 1),))]
     for k in range(1, n):
         chain = tuple(g_letter(j) for j in range(n - 1, n - k - 1, -1))
-        reps.append(word(chain, n))
-        reps.append(word(chain + (tprime_letter(n - k - 1),), n))
+        reps.append(word(chain))
+        reps.append(word(chain + (tprime_letter(n - k - 1),)))
     return reps
 
 

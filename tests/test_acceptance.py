@@ -148,7 +148,7 @@ def test_criterion_09_full_twist():
                 for nu in partitions(f):
                     rep = typeA_rep(nu, p)
                     cycle = tuple(g_letter(j) for j in range(f - 1, 0, -1))
-                    got = to_rat(*evaluate(rep, word(cycle * f, f)))
+                    got = to_rat(*evaluate(rep, word(cycle * f)))
                     want = identity(rep.dimension) * full_twist_scalar(nu, p.q)
                     assert mat_eq(got, want), (nu, p)
     criterion(9, "full twist acts by the predicted scalar on every "
@@ -210,8 +210,8 @@ def test_criterion_12_type_a_trace():
                            for f in (g_letter, ginv_letter)]
                 for length in range(3):
                     for hl in itertools.product(letters, repeat=length):
-                        h = word(hl, n - 1)
-                        hg = word(hl + (g_letter(n - 1),), n)
+                        h = word(hl)
+                        hg = word(hl + (g_letter(n - 1),))
                         assert typeA_markov_trace(hg, n, r, q) \
                             == z * typeA_markov_trace(h, n - 1, r, q), \
                             (n, q, hl)

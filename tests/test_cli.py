@@ -270,13 +270,13 @@ def test_trace_bad_token(capsys):
 
 
 def test_trace_index_out_of_range(capsys):
-    code, _, err = run(capsys, ["trace", "--word", "g5", "--n", "2",
-                                "--q", "2", "--Q", "5"])
-    assert code == 2
-    code, _, err = run(capsys, ["trace", "--word", "u", "--n", "1",
-                                "--q", "2", "--Q", "5"])
-    assert code == 2
-    assert "u = t g1 t needs n >= 2" in err
+    # one error line names the letter the algebra lacks, in the prefix or last
+    for text, letter in (("g5 t", "('g', 5)"), ("t u", "('u', 0)")):
+        code, _, err = run(capsys, ["trace", "--word", text, "--n", "1",
+                                    "--q", "2", "--Q", "5"])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert letter in err
 
 
 def test_usage_errors(capsys):

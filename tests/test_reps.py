@@ -27,33 +27,15 @@ def _matrix(rep, element):
     return linear(lambda w: to_rat(*evaluate(rep, w)), element)
 
 
-def test_word_validation():
-    word((g_letter(2), T_LETTER), 3)
-    with pytest.raises(ValueError):
-        word((g_letter(3),), 3)
-    with pytest.raises(ValueError):
-        word((tprime_letter(3),), 3)
-    with pytest.raises(ValueError):
-        word((("x", 1),), 3)
-    for letter in (("t", 1), ("u", 2)):
-        with pytest.raises(ValueError, match="takes index 0"):
-            word((letter,), 3)
-    word((U_LETTER,), 2)
-    with pytest.raises(ValueError, match="u = t g1 t needs n >= 2"):
-        word((U_LETTER,), 1)
-    with pytest.raises(ValueError):
-        word((), 0)
-
-
 def test_parse_word():
-    w = parse_word("t g1 G2 t'0 t'2", 3)
+    w = parse_word("t g1 G2 t'0 t'2")
     assert w.letters == (T_LETTER, g_letter(1), ginv_letter(2),
                          tprime_letter(0), tprime_letter(2))
     assert str(w) == "t g1 G2 t'0 t'2"
-    assert parse_word("", 2).letters == ()
+    assert parse_word("").letters == ()
     for bad in ("h1", "g", "t'x", "g1g2"):
         with pytest.raises(ValueError, match="bad word token"):
-            parse_word(bad, 3)
+            parse_word(bad)
 
 
 def test_typeB_relations(points):
@@ -84,10 +66,11 @@ def _relation_family(relation):
     return {2: "commutation", 3: "braid", 4: "t g1 t g1"}[len(lhs)]
 
 
-def test_relation_list():
+def test_relation_list(point):
     # a dropped relation passes every module check, so the list is pinned:
     # the count of each family for n = 1..6, and the whole list at n = 3
     for n in range(1, 7):
+        module = typeB_rep(((n,), ()), point)
         far = max(n - 2, 0) * max(n - 3, 0) // 2
         base = {"braid": max(n - 2, 0), "commutation": far,
                 "quadratic": n - 1}
@@ -102,10 +85,9 @@ def test_relation_list():
         for kind, more in extra.items():
             rels = relations(n, kind)
             assert len(set(rels)) == len(rels), (n, kind)
-            for lhs, rhs in rels:  # each side is a word of size n
-                word(lhs, n)
-                if not isinstance(rhs, str):
-                    word(rhs, n)
+            for lhs, rhs in rels:  # every letter is one of size n
+                for letter in lhs + (() if isinstance(rhs, str) else rhs):
+                    module.letter_matrix(letter)
             want = Counter(base) + Counter(more)
             assert Counter(map(_relation_family, rels)) == want, (n, kind)
         assert sum(_relation_family(r) == "commutation"
@@ -256,12 +238,12 @@ def test_ginv_is_inverse(points):
         + [tprime_letter(i) for i in range(n)]
     rng = random.Random(17)
     for p in points:
-        words = [word((letter,), n) for letter in letters] \
+        words = [word((letter,)) for letter in letters] \
             + [random_word(n, rng) for _ in range(10)]
         for shape in double_partitions(n):
             rep = typeB_rep(shape, p)
             for i in range(1, n):
-                gg = evaluate(rep, word((g_letter(i), ginv_letter(i)), n))
+                gg = evaluate(rep, word((g_letter(i), ginv_letter(i))))
                 assert mat_eq(to_rat(*gg), identity(rep.dimension))
             for w in words:
                 assert mat_eq(to_rat(*evaluate(rep, w)),
@@ -284,7 +266,7 @@ def test_tprime_family(points):
                     chain = tuple(g_letter(j) for j in range(i, 0, -1)) \
                         + (T_LETTER,) \
                         + tuple(ginv_letter(j) for j in range(1, i + 1))
-                    direct = _matrix(rep, expand_word(word(chain, n), p))
+                    direct = _matrix(rep, expand_word(word(chain), p))
                     assert mat_eq(m, direct)
 
 
@@ -302,9 +284,9 @@ def test_u_letter_is_t_g1_t(points):
         for shape in double_partitions(2):
             rep = typeB_rep(shape, p)
             tg1t = to_rat(*evaluate(rep, word((T_LETTER, g_letter(1),
-                                                T_LETTER), 2)))
-            assert mat_eq(to_rat(*evaluate(rep, word((U_LETTER,), 2))), tg1t)
-            e = HeckeElement({word((U_LETTER, g_letter(1)), 2): Rat(3)}, 2)
+                                                T_LETTER))))
+            assert mat_eq(to_rat(*evaluate(rep, word((U_LETTER,)))), tg1t)
+            e = HeckeElement({word((U_LETTER, g_letter(1))): Rat(3)})
             assert mat_eq(_matrix(rep, e),
                           tg1t.dot(to_rat(*rep.letter_matrix(g_letter(1))))
                           * 3)
@@ -349,7 +331,7 @@ def test_coset_products_span(points):
     vectors = []
     for l1 in level1:
         for l2 in level2:
-            w = word(l1 + l2, n)
+            w = word(l1 + l2)
             vec = []
             for rep in reps:
                 m = _matrix(rep, expand_word(w, p))
@@ -388,7 +370,7 @@ def test_full_twist_direct_evaluation(points):
         for nu in partitions(f):
             rep = typeA_rep(nu, p)
             cycle = tuple(g_letter(j) for j in range(f - 1, 0, -1))
-            m = to_rat(*evaluate(rep, word(cycle * f, f)))
+            m = to_rat(*evaluate(rep, word(cycle * f)))
             expected = identity(rep.dimension) * full_twist_scalar(nu, p.q)
             assert mat_eq(m, expected)
 
@@ -400,7 +382,7 @@ def test_character_conjugation_invariance(points):
     for _ in range(10):
         w = random_word(3, rng)
         for i in (1, 2):
-            conj = word((g_letter(i),) + w.letters + (ginv_letter(i),), 3)
+            conj = word((g_letter(i),) + w.letters + (ginv_letter(i),))
             assert linear(lambda v: character(rep, v), expand_word(conj, p)) \
                 == linear(lambda v: character(rep, v), expand_word(w, p))
 
@@ -409,10 +391,10 @@ def test_cached_matrices_read_only(points):
     rep = typeB_rep(((1,), (1,)), points[0])
     for letter in (g_letter(1), T_LETTER, ginv_letter(1), tprime_letter(1),
                    U_LETTER):
-        num, _ = evaluate(rep, word((letter,), 2))
+        num, _ = evaluate(rep, word((letter,)))
         with pytest.raises(ValueError):
             num[0, 0] = 7
-    assert evaluate(rep, word((g_letter(1),), 2))[0] \
+    assert evaluate(rep, word((g_letter(1),)))[0] \
         is rep.letter_matrix(g_letter(1))[0]
 
 
@@ -457,7 +439,7 @@ def test_evaluate_size_check(points):
     p = points[0]
     rep = typeB_rep(((1,), (1,)), p)
     with pytest.raises(ValueError):
-        evaluate(rep, word((g_letter(2),), 3))
+        evaluate(rep, word((g_letter(2),)))
 
 
 def fraction_letter(rep, letter):
@@ -510,7 +492,7 @@ def test_integer_product_matches_fraction_product():
                     if kind == "B" and n >= 2:
                         k = rng.randint(0, len(letters))
                         letters = letters[:k] + (U_LETTER,) + letters[k:]
-                    w = word(letters, n)
+                    w = word(letters)
                     assert mat_eq(to_rat(*evaluate(rep, w)),
                                   fraction_product(rep, w)), (p, str(w))
                     cases += 1
@@ -551,7 +533,7 @@ def test_character_of_empty_word_is_dimension(points):
     for n in range(1, 5):
         for shape in double_partitions(n):
             rep = typeB_rep(shape, points[0])
-            assert character(rep, word((), n)) == rep.dimension
+            assert character(rep, word(())) == rep.dimension
 
 
 def test_rep_caches_are_bounded():

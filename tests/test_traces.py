@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -228,10 +229,10 @@ def _oracle_words(n, rng):
     kinds = [T_LETTER, tprime_letter(n - 1)]
     if n >= 2:
         kinds += [g_letter(1), ginv_letter(n - 1), U_LETTER]
-    every = word(kinds, n)
-    words = (word((), n), every, random_word(n, rng, max_len=5),
+    every = word(kinds)
+    words = (word(()), every, random_word(n, rng, max_len=5),
              random_word(n, rng, max_len=5))
-    return [HeckeElement({w: Rat(1)}, n) for w in words] \
+    return [HeckeElement({w: Rat(1)}) for w in words] \
         + [expand_word(every, THREE_DIGIT[0])]
 
 
@@ -252,17 +253,17 @@ def test_markov_trace_matches_shape_by_shape():
                         lambda w: markov_trace_by_shape(w, n, r1, r2, p), e), \
                         (e, n, r1, r2, str(p))
                     cases += 1
-                assert markov_trace_B(word((), n), n, r1, r2, p) == 1
+                assert markov_trace_B(word(()), n, r1, r2, p) == 1
     for r1, r2 in ((6, 6), (3, 0)):
         for p in THREE_DIGIT:
-            for w in (word((U_LETTER, g_letter(4), tprime_letter(3)), 5),
+            for w in (word((U_LETTER, g_letter(4), tprime_letter(3))),
                       random_word(5, rng, max_len=5)):
                 assert markov_trace_B(w, 5, r1, r2, p) \
                     == markov_trace_by_shape(w, 5, r1, r2, p), (w, str(p))
                 cases += 1
     for n in range(2, 5):
-        words = [word((), n), word((U_LETTER, g_letter(1), U_LETTER), n),
-                 word((g_letter(n - 1), U_LETTER, ginv_letter(1)), n)]
+        words = [word(()), word((U_LETTER, g_letter(1), U_LETTER)),
+                 word((g_letter(n - 1), U_LETTER, ginv_letter(1)))]
         for p in THREE_DIGIT:
             p1 = q1_point(p.q)
             for w in words:
@@ -286,8 +287,8 @@ def test_markov_trace_pairs_every_last_letter():
         lasts += [U_LETTER, g_letter(n - 1), ginv_letter(1)] * (n >= 2)
         alone = [T_LETTER] + [g_letter(i) for i in range(1, n)] \
             + derived_letters(n)
-        words = [word((), n)] + [word((x,), n) for x in alone] \
-            + [word((first, x), n) for x in lasts]
+        words = [word(())] + [word((x,)) for x in alone] \
+            + [word((first, x)) for x in lasts]
         for r1, r2 in ((n + 1, n + 1), (0, 3), (3, 0)):
             for p in THREE_DIGIT:
                 for w in words:
@@ -296,7 +297,7 @@ def test_markov_trace_pairs_every_last_letter():
                         (str(w), n, r1, r2, str(p))
                     cases += 1
     for x in (U_LETTER, ginv_letter(4), tprime_letter(4)):
-        w = word((g_letter(2), tprime_letter(3), x), 5)
+        w = word((g_letter(2), tprime_letter(3), x))
         for p in THREE_DIGIT:
             assert markov_trace_B(w, 5, 6, 6, p) \
                 == markov_trace_by_shape(w, 5, 6, 6, p), (str(w), str(p))
@@ -330,7 +331,7 @@ def test_trace_table_is_read_only(point):
         groups, _ = trace_table(n, r1, r2, point)
         for letter in (T_LETTER, g_letter(1), ginv_letter(1),
                        tprime_letter(1), U_LETTER):
-            markov_trace_B(word((g_letter(1), letter), n), n, r1, r2, point)
+            markov_trace_B(word((g_letter(1), letter)), n, r1, r2, point)
         for nums, stack, pairings in groups:
             with pytest.raises(ValueError):
                 nums[0] = 7
@@ -339,7 +340,7 @@ def test_trace_table_is_read_only(point):
                 num, _ = stack.letter_matrix(letter)
                 with pytest.raises(ValueError):
                     num[0, 0, 0] = 7
-                num, _ = evaluate(stack, word((letter,), n))
+                num, _ = evaluate(stack, word((letter,)))
                 with pytest.raises(ValueError):
                     num[0, 0, 0] = 7
                 flat, _ = pairings[letter]
@@ -385,7 +386,7 @@ def test_trace_derives_letters_on_the_stacks_only():
     # table still holds only its generators
     p = ParameterPoint(Rat(419, 283), Rat(-271, 613), 8)
     n = 3
-    w = parse_word("G1 t'2 u g2 t", n)
+    w = parse_word("G1 t'2 u g2 t")
     markov_trace_B(w, n, 4, 4, p)
     derived = {ginv_letter(1), ginv_letter(2), tprime_letter(1),
                tprime_letter(2), U_LETTER}
@@ -403,9 +404,18 @@ def test_trace_of_identity_and_t(points):
     for p in points:
         for n in (1, 2, 3):
             r1 = r2 = n + 1
-            assert markov_trace_B(word((), n), n, r1, r2, p) == 1
+            assert markov_trace_B(word(()), n, r1, r2, p) == 1
             _, y = markov_params(r1, r2, p)
-            assert markov_trace_B(word((T_LETTER,), n), n, r1, r2, p) == y
+            assert markov_trace_B(word((T_LETTER,)), n, r1, r2, p) == y
+
+
+def test_traced_size_checks_the_word(point):
+    # a word carries no size: the algebra that traces it checks its letters
+    w = word((g_letter(2),))
+    with pytest.raises(ValueError, match=re.escape(repr(g_letter(2)))):
+        markov_trace_B(w, 2, 3, 3, point)
+    assert markov_trace_B(w, 3, 4, 4, point) \
+        == markov_trace_by_shape(w, 3, 4, 4, point)
 
 
 def test_markov_property(points):
@@ -415,20 +425,19 @@ def test_markov_property(points):
             r1 = r2 = n + 1
             z, y = markov_params(r1, r2, p)
 
-            def trace(w):  # the trace of the word's expansion
-                m = w.ambient_n
+            def trace(w, m):  # the size-m trace of the word's expansion
                 return linear(lambda v: markov_trace_B(v, m, r1, r2, p),
                               expand_word(w, p))
             for _ in range(8):
                 h = random_word(n - 1, rng)
-                base = trace(h)
-                hg = word(h.letters + (g_letter(n - 1),), n)
-                assert trace(hg) == z * base
-                ht = word(h.letters + (tprime_letter(n - 1),), n)
-                assert trace(ht) == y * base
-                hginv = word(h.letters + (ginv_letter(n - 1),), n)
+                base = trace(h, n - 1)
+                hg = word(h.letters + (g_letter(n - 1),))
+                assert trace(hg, n) == z * base
+                ht = word(h.letters + (tprime_letter(n - 1),))
+                assert trace(ht, n) == y * base
+                hginv = word(h.letters + (ginv_letter(n - 1),))
                 zbar = z / p.q + (1 / p.q - 1)
-                assert trace(hginv) == zbar * base
+                assert trace(hginv, n) == zbar * base
 
 
 def test_trace_symmetry(points):
@@ -437,8 +446,8 @@ def test_trace_symmetry(points):
     n, r1, r2 = 3, 4, 4
     for _ in range(6):
         a, b = random_word(n, rng), random_word(n, rng)
-        ab = expand_word(word(a.letters + b.letters, n), p)
-        ba = expand_word(word(b.letters + a.letters, n), p)
+        ab = expand_word(word(a.letters + b.letters), p)
+        ba = expand_word(word(b.letters + a.letters), p)
         assert linear(lambda w: markov_trace_B(w, n, r1, r2, p), ab) \
             == linear(lambda w: markov_trace_B(w, n, r1, r2, p), ba)
 
@@ -448,14 +457,14 @@ def test_typeA_trace(points):
     q = points[0].q
     for n in (2, 3):
         for r in (n, n + 2):
-            assert typeA_markov_trace(word((), n), n, r, q) == 1
+            assert typeA_markov_trace(word(()), n, r, q) == 1
             z = q**r * (1 - q) / (1 - q**r)
             for _ in range(6):
                 h = random_word(n - 1, rng, kind="A")
                 p0 = q1_point(q)
                 base = linear(lambda w: typeA_markov_trace(w, n - 1, r, q),
                               expand_word(h, p0))
-                hg = word(h.letters + (g_letter(n - 1),), n)
+                hg = word(h.letters + (g_letter(n - 1),))
                 assert linear(lambda w: typeA_markov_trace(w, n, r, q),
                               expand_word(hg, p0)) == z * base
 
@@ -556,13 +565,13 @@ def test_u_quadratic_trace_identity():
     rng = random.Random(3)
     q = Rat(3, 2)
     n, r1, r2 = 3, 4, 4
-    uu = word((U_LETTER,), n)
+    uu = word((U_LETTER,))
     for _ in range(6):
         a = random_word(n, rng, kind="D")
         b = random_word(n, rng, kind="D")
-        lhs = word(a.letters + uu.letters + uu.letters + b.letters, n)
-        mid = word(a.letters + uu.letters + b.letters, n)
-        one = word(a.letters + b.letters, n)
+        lhs = word(a.letters + uu.letters + uu.letters + b.letters)
+        mid = word(a.letters + uu.letters + b.letters)
+        one = word(a.letters + b.letters)
         assert markov_trace_D(lhs, n, r1, r2, q) \
             == (q - 1) * markov_trace_D(mid, n, r1, r2, q) \
             + q * markov_trace_D(one, n, r1, r2, q)
