@@ -6,7 +6,7 @@ from .scalars import ParameterPoint, Rat, admissible_point, parse_rational, \
 from .combinatorics import double_partitions, embed_double, partition_str, \
     partitions, shape_str, standard_tableaux
 from .schur import rectangle_schur, schur_normalized, schur_principal
-from .reps import HeckeWord, character, evaluate, full_twist_scalar, \
+from .reps import HeckeWord, character, evaluate, full_twist_exponent, \
     parse_word, relation_residuals, skew_rep, typeA_rep, typeB_rep, word
 from .traces import markov_params, markov_trace_B, markov_trace_D, weight_B, \
     weight_D, weight_table
@@ -18,7 +18,7 @@ __all__ = [
     "specialized_point", "double_partitions", "embed_double", "partition_str",
     "partitions", "shape_str", "standard_tableaux",
     "rectangle_schur", "schur_normalized", "schur_principal", "HeckeWord",
-    "character", "evaluate", "full_twist_scalar", "parse_word",
+    "character", "evaluate", "full_twist_exponent", "parse_word",
     "relation_residuals", "skew_rep", "typeA_rep", "typeB_rep", "word",
     "markov_params", "markov_trace_B", "markov_trace_D", "weight_B",
     "weight_D", "weight_table",

@@ -1,6 +1,6 @@
-"""Partitions, double partitions, standard tableaux, the box statistics the
-seminormal matrices read (contents, hook lengths), and the printed form of
-shapes.
+"""Partitions, double partitions, standard tableaux, hook lengths, the
+content of a box inside the glued diagram that the skew modules read, and
+the printed form of shapes.
 
 Conventions fixed here (and relied on everywhere else for reproducibility):
 
@@ -140,41 +140,6 @@ def dimension(shape) -> int:
     alpha, beta = trim(shape[0]), trim(shape[1])
     return factorial(sum(alpha) + sum(beta)) \
         // prod(hook_lengths(alpha) + hook_lengths(beta))
-
-
-def apply_transposition(t: tuple, i: int):
-    """t with entries i and i+1 swapped if that is standard, else None.
-
-    The swap breaks standardness exactly when the two boxes share a row or
-    a column of the same component (in which case they are adjacent).
-    """
-    n = len(t)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range 1..{n - 1}")
-    b1, b2 = t[i - 1], t[i]
-    if b1[0] == b2[0] and (b1[1] == b2[1] or b1[2] == b2[2]):
-        return None
-    return t[:i - 1] + (b2, b1) + t[i + 1:]
-
-
-def axial_parameter(box1, box2, point):
-    """The scalar x driving the seminormal action of the i-th generator on
-    the basis vector of a tableau with i in box1 and i+1 in box2, as
-    integers (u, v) with x = u / v.
-
-    Within one component it is q to the content difference of the boxes of
-    i+1 and i.  Across components the content difference is corrected by
-    -1/Q (first to second) or -Q (second to first); at Q = -q^(r1+m) this
-    reduces to the plain content-difference rule inside the glued diagram.
-    """
-    (c1, row1, col1), (c2, row2, col2) = box1, box2
-    base = point.q ** ((col2 - row2) - (col1 - row1))
-    u, v, Q = base.numerator, base.denominator, point.Q
-    if c1 == c2:
-        return u, v
-    if c1 == 0:
-        return -u * Q.denominator, v * Q.numerator
-    return -u * Q.numerator, v * Q.denominator
 
 
 def mu_content(box, m: int, r1: int) -> int:

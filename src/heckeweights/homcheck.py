@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .combinatorics import dimension, double_partitions, embed_double, \
     one_box_more, one_box_successors, pad, partitions, shape_str
-from .reps import T_LETTER, full_twist_scalar, g_letter, random_word, \
+from .reps import T_LETTER, full_twist_exponent, g_letter, random_word, \
     relation_residuals, relation_str, relations, skew_rep, stacks, \
     tprime_letter, typeB_rep, word
 from .scalars import Rat, is_zero_matrix, specialized_point
@@ -299,11 +299,11 @@ def rho_eigenvalue_report(m: int, r1: int, qs):
     q^(r1+m): t acts on the skew modules by -q^(r1+m) = Q and by -1."""
     if m < 2 or r1 < 2:
         raise ValueError("need m >= 2 and r1 >= 2")
-    gamma = (m,) * r1 + (1,)
-    beta = (m + 1,) + (m,) * (r1 - 1)
+    e = full_twist_exponent((m + 1,) + (m,) * (r1 - 1)) \
+        - full_twist_exponent((m,) * r1 + (1,))
     for q in map(Rat, qs):
-        yield (-full_twist_scalar(beta, q) / full_twist_scalar(gamma, q),
-               -(q ** (r1 + m)), lambda: f"full-twist ratio at q = {q}")
+        yield (-(q ** e), -(q ** (r1 + m)),
+               lambda: f"full-twist ratio at q = {q}")
 
 
 def _first_difference(a, b) -> str | None:

@@ -7,8 +7,8 @@ Two families of representations share one seminormal construction:
   beta-empty case, the g_i acting on ``typeB_rep((mu, ()), p)`` as on the
   module of mu and t as Q (``typeA_rep`` is that alias);
 * ``skew_rep``    -- the same modules realized on skew fillings of a glued
-  diagram at the specialization Q = -q^(r1+m), built from absolute contents
-  inside the big diagram (an independent code path from typeB_rep).
+  diagram at Q = -q^(r1+m), from exponents of its own, absolute contents in
+  the big diagram and full twists (an independent code path from typeB_rep).
 
 The off-diagonal pair of each 2x2 swap block is ((1 - q x) / (1 - x),
 (q - x) / (1 - x)).  Only its product (q - x)(1 - q x) / (1 - x)^2 is fixed
@@ -20,7 +20,8 @@ object array of integers, built by a constructor of ``scalars`` (numpy is
 loaded with the first), and one positive integer, the least common
 denominator of the entries, standing for num / den.  ``_build`` writes the
 generators' entries at a point as integers over one denominator, from a
-point-free plan per shape that a bounded cache keeps (``_seminormal_plan``).
+point-free plan per shape that a bounded cache keeps (``_seminormal_plan``):
+its swap blocks and their exponents (e, kind) of the ratio q^e (-1/Q)^kind.
 
 A word is its letters, ("t", 0), ("g", i), ("ginv", i), ("tprime", i)
 and, for the type-D front end, ("u", 0), and carries no size: it is of the
@@ -47,10 +48,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .combinatorics import apply_transposition, axial_parameter, dimension, \
-    mu_content, standard_tableaux, trim
+from .combinatorics import dimension, mu_content, standard_tableaux, trim
 from .scalars import ParameterPoint, Rat, diagonal, identity, \
     specialized_point, stack, zeros
 
@@ -217,13 +217,23 @@ class Representation:
         elif letter == U_LETTER and n >= 2:
             t = self.letter_matrix(T_LETTER)
             m = _product([t, self.letter_matrix(g_letter(1)), t])
-        else:
-            raise ValueError(f"no letter {letter!r} in a representation of "
-                             f"size {n}")
+        else:  # named by its token if one parses to it, else by its tuple
+            name = _letters_str([letter]) if kind in _TOKENS else ""
+            name = name if parse_word(name).letters == (letter,) else letter
+            raise ValueError(f"no letter {name} in a representation of size "
+                             f"{n}")
         m = _reduced(*m)
         m[0].flags.writeable = False
         self.letters[letter] = m
         return m
+
+    @cached_property
+    def one(self):
+        """The read-only identity (num, 1) in the shape of the letters."""
+        one = identity(self.dimension)
+        one = one[None].repeat(len(self.shapes), 0) if self.shapes else one
+        one.flags.writeable = False
+        return one, 1
 
 
 def stacks(shapes, n: int, point: ParameterPoint) -> list:
@@ -263,39 +273,55 @@ PLAN_CACHE_SIZE = 256
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _seminormal_plan(shape):
-    """The point-free part of the generators of a trimmed, nonempty double
+    """The point-free part of the generators of a nonempty double
     partition: its dimension, the component of entry 1 in each standard
-    tableau (a box tuple), and for each g_i its blocks (s, s2, box of i, box
-    of i+1): s with no standard swap (s2 None) or the earlier of a pair."""
-    basis = standard_tableaux(shape)
-    index = {t: s for s, t in enumerate(basis)}
-    generators = []
-    for i in range(1, len(basis[0])):
-        blocks = []
-        for s, t in enumerate(basis):
-            s2 = index.get(apply_transposition(t, i))
-            if s2 is None or s < s2:
-                blocks.append((s, s2, t[i - 1], t[i]))
-        generators.append(tuple(blocks))
-    return len(basis), tuple(t[0][0] for t in basis), tuple(generators)
-
-
-def _build(shape, point, axial, t_eigenvalues):
-    """The module of a trimmed double partition at ``point``: t acts by
-    ``t_eigenvalues[c]`` on a tableau with entry 1 in component c, and g_i
-    by the seminormal rule at x = u / v, (u, v) = axial(box of i, box of
-    i+1): in a swap pair the earlier tableau's column carries (1 - q x) /
-    (1 - x), the later's (q - x) / (1 - x).  With q = a/b every entry of a
-    block is an integer over b (v - u)."""
+    tableau (a box tuple), for each g_i its blocks (s, s2, box of i, box of
+    i+1), s with no standard swap (s2 None) or the earlier of a pair, their
+    exponents (e, kind), the content of the box of i+1 less that of i and 0
+    within a component, +1 from the first to the second, -1 back, and the
+    largest |e|."""
+    shape = (trim(shape[0]), trim(shape[1]))
     if shape == ((), ()):
         raise ValueError("no module of size 0: the double partition is empty")
-    d, components, generators = _seminormal_plan(shape)
+    basis = standard_tableaux(shape)
+    index = {t: s for s, t in enumerate(basis)}
+    generators, exponents = [], []
+    for i in range(1, len(basis[0])):
+        blocks, pairs = [], []
+        for s, t in enumerate(basis):
+            # None when swapping i and i+1 leaves no standard tableau
+            s2 = index.get(t[:i - 1] + (t[i], t[i - 1]) + t[i + 1:])
+            if s2 is None or s < s2:
+                (c1, row1, col1), (c2, row2, col2) = t[i - 1], t[i]
+                blocks.append((s, s2, t[i - 1], t[i]))
+                pairs.append((col2 - row2 - col1 + row1, c2 - c1))
+        generators.append(tuple(blocks))
+        exponents.append(tuple(pairs))
+    top = max((abs(e) for pairs in exponents for e, _ in pairs), default=0)
+    return len(basis), tuple(t[0][0] for t in basis), tuple(generators), \
+        tuple(exponents), top
+
+
+def _build(plan, point, exponents, top, t_eigenvalues):
+    """The module of a ``_seminormal_plan`` at ``point``: g_i acts by the
+    seminormal rule at the axial ratio x = q^e (-1/Q)^kind of its block's
+    (e, kind) in ``exponents``, |e| <= ``top``: in a swap pair the earlier
+    tableau's column carries (1 - q x) / (1 - x), the later's (q - x) /
+    (1 - x).  t acts by the ratio of the pair ``t_eigenvalues[c]`` on a
+    tableau with entry 1 in component c.  With q = a/b and Q = c/d, x = u / v
+    off one list of powers of a and b, a block's entries over b (v - u)."""
+    dim, components, generators, _, _ = plan
     a, b = point.q.numerator, point.q.denominator
+    c, d = point.Q.numerator, point.Q.denominator
+    # q^e = pw[e] / pw[-e] for |e| <= top, (-1/Q)^kind = qu[kind] / qv[kind]
+    pw, qu, qv = [1] * (2 * top + 1), (1, -d, -c), (1, c, d)
+    for k in range(1, top + 1):
+        pw[k], pw[-k] = pw[k - 1] * a, pw[1 - k] * b
     letters = {}
-    for i, blocks in enumerate(generators, 1):
-        xs = [axial(box1, box2) for _, _, box1, box2 in blocks]
+    for i, (blocks, ex) in enumerate(zip(generators, exponents), 1):
+        xs = [(pw[e] * qu[kind], pw[-e] * qv[kind]) for e, kind in ex]
         den = b * math.lcm(*(v - u for u, v in xs))
-        num = zeros(d, d)
+        num = zeros(dim, dim)
         for (s, s2, _, _), (u, v) in zip(blocks, xs):
             k = den // (b * (v - u))
             num[s, s] = u * (b - a) * k
@@ -304,13 +330,12 @@ def _build(shape, point, axial, t_eigenvalues):
                 num[s, s2] = (a * v - b * u) * k
                 num[s2, s2] = -v * (b - a) * k
         letters[g_letter(i)] = _reduced(num, den)
-    eigenvalues = [t_eigenvalues[c] for c in components]
-    den = math.lcm(*(e.denominator for e in eigenvalues))
-    letters[T_LETTER] = diagonal(
-        [e.numerator * (den // e.denominator) for e in eigenvalues]), den
+    den = math.lcm(*[t_eigenvalues[comp][1] for comp in set(components)])
+    ts = [u * (den // v) for u, v in t_eigenvalues]
+    letters[T_LETTER] = diagonal([ts[comp] for comp in components]), den
     for num, _ in letters.values():
         num.flags.writeable = False
-    return Representation(d, len(generators) + 1, point, letters)
+    return Representation(dim, len(generators) + 1, point, letters)
 
 
 # Bounded: a long-lived process meets unboundedly many points.  128 holds
@@ -324,10 +349,9 @@ REP_CACHE_SIZE = 128
 def typeB_rep(shape, point: ParameterPoint) -> Representation:
     """Seminormal representation indexed by a double partition; t acts
     diagonally by Q or -1 according to the component holding entry 1."""
-    shape = (trim(shape[0]), trim(shape[1]))
-    return _build(shape, point,
-                  lambda box1, box2: axial_parameter(box1, box2, point),
-                  (point.Q, Rat(-1)))
+    plan = _seminormal_plan(shape)
+    return _build(plan, point, plan[3], plan[4],
+                  ((point.Q.numerator, point.Q.denominator), (-1, 1)))
 
 
 # maxsize 0: no second cache, but the calls and cache_info() the tracer reads
@@ -339,63 +363,51 @@ def typeA_rep(mu, point: ParameterPoint) -> Representation:
 
 @lru_cache(maxsize=REP_CACHE_SIZE)
 def skew_rep(shape, m: int, r1: int, q) -> Representation:
-    """Skew realization on tableaux of the double partition, with axial
-    scalars taken from absolute contents inside the glued diagram and t
-    acting by full-twist scalar ratios."""
-    shape = (trim(shape[0]), trim(shape[1]))
+    """Skew realization on tableaux of the double partition at
+    Q = -q^(r1+m): the axial ratio of a block is q to the difference of the
+    absolute contents of its boxes inside the glued diagram, and t acts by
+    minus the ratio q^E of the full twists of beta = [m+1, m^(r1-1)] and
+    gamma = [m^r1, 1] on the first component and by -1 on the second."""
     n = sum(shape[0]) + sum(shape[1])
     if not (m > n and r1 > n):
         raise ValueError(f"need m > n and r1 > n (got m={m}, r1={r1}, n={n})")
-    point, t_eigenvalues = _skew_point(m, r1, q)
-    a, b = point.q.numerator, point.q.denominator
-
-    def axial(box1, box2):  # q^e in lowest terms, as a and b are coprime
-        e = mu_content(box2, m, r1) - mu_content(box1, m, r1)
-        return (a ** e, b ** e) if e >= 0 else (b ** -e, a ** -e)
-
-    return _build(shape, point, axial, t_eigenvalues)
-
-
-# Bounded, as a long-lived process meets unboundedly many q; skew_rep's own,
-# so that it shares no code with typeB_rep, which the skew modules check.
-@lru_cache(maxsize=64)
-def _skew_point(m: int, r1: int, q):
-    """The point Q = -q^(r1+m) of ``skew_rep`` and the eigenvalues of t on
-    a tableau with 1 in the first or the second component: minus the full
-    twists of beta = [m+1, m^(r1-1)] and gamma = [m^r1, 1] over gamma's."""
+    plan = _seminormal_plan(shape)
+    exponents = [[(mu_content(box2, m, r1) - mu_content(box1, m, r1), 0)
+                  for _, _, box1, box2 in blocks] for blocks in plan[2]]
+    top = max((abs(e) for pairs in exponents for e, _ in pairs), default=0)
+    e = full_twist_exponent((m + 1,) + (m,) * (r1 - 1)) \
+        - full_twist_exponent((m,) * r1 + (1,))
     point = specialized_point(q, m, r1)
-    q = point.q
-    gamma = (m,) * r1 + (1,)
-    beta_shape = (m + 1,) + (m,) * (r1 - 1)
-    alpha_gamma = full_twist_scalar(gamma, q)
-    return point, tuple(-full_twist_scalar(nu, q) / alpha_gamma
-                        for nu in (beta_shape, gamma))
+    a, b = point.q.numerator, point.q.denominator
+    twist = (-a ** e, b ** e) if e >= 0 else (-b ** -e, a ** -e)
+    return _build(plan, point, exponents, top, (twist, (-1, 1)))
 
 
-def full_twist_scalar(nu, q):
-    """Scalar by which the full twist (g_{f-1} ... g_1)^f acts on the
-    irreducible module of the partition nu of f."""
-    nu = trim(nu)
+def full_twist_exponent(nu) -> int:
+    """The exponent f(f-1) - cross of the scalar q^exponent by which the
+    full twist (g_{f-1} ... g_1)^f acts on the irreducible module of the
+    partition nu of f, cross the sum of (nu_i + 1) nu_j over i < j."""
     f = sum(nu)
     if f < 1:
         raise ValueError("need a nonempty partition")
-    cross = sum((nu[i] + 1) * nu[j]
-                for i in range(len(nu)) for j in range(i + 1, len(nu)))
-    return q ** (f * (f - 1) - cross)
+    cross = above = 0  # above: the sum of nu_i + 1 over the rows so far
+    for part in nu:
+        cross += above * part
+        above += part + 1
+    return f * (f - 1) - cross
 
 
 def evaluate(rep, element):
     """Matrix of a word in a representation, as a pair (num, den) of an
     integer array and a positive integer: the product of its letter
     matrices, numerators multiplied by ``@`` and denominators as ints,
-    nothing reduced.  The empty word is (identity, 1) in the shape of the
-    store's letters, (d, d) for a module and (k, d, d) for a stack; a
-    one-letter word returns the letter's own numerator, which is
-    read-only.  A letter the representation's algebra does not hold raises
-    ``letter_matrix``'s ValueError."""
+    nothing reduced.  The empty word is the store's ``one``, (identity, 1)
+    in the shape of its letters, (d, d) for a module and (k, d, d) for a
+    stack, built once; it and a one-letter word return a numerator of the
+    store, which is read-only.  A letter the representation's algebra does
+    not hold raises ``letter_matrix``'s ValueError."""
     if not element.letters:
-        one = identity(rep.dimension)
-        return (one[None].repeat(len(rep.shapes), 0) if rep.shapes else one), 1
+        return rep.one
     return _product([rep.letter_matrix(letter) for letter in element.letters])
 
 

@@ -55,21 +55,22 @@ class ParameterPoint:
     guard_bound: int
 
     def __post_init__(self):
+        # on the integers of q = a/b and Q = c/d in lowest terms, b, d > 0
         q, Q = self.q, self.Q
-        if q <= 0 or q == 1:
+        a, b, c, d = q.numerator, q.denominator, Q.numerator, Q.denominator
+        if a <= 0 or a == b:
             raise ValueError(f"q = {q} is excluded (need q > 0, q != 1)")
-        if Q == 0:
+        if c == 0:
             raise ValueError("Q = 0 is excluded")
         if self.guard_bound < 0:
             raise ValueError("guard_bound must be nonnegative")
-        if Q > 0:
+        if c > 0:
             return  # -q^s < 0 for every s, since q > 0
-        # With q = a/b and -Q = c/d in lowest terms, -Q = q^s exactly when
-        # (c, d) is (a^s, b^s) or, for s < 0, (b^-s, a^-s); either way
-        # max(c, d) = max(a, b)^|s|.  The logarithm only proposes |s|, the
-        # integer comparison decides, and max(a, b) >= 2 since q != 1.
-        r = -Q
-        a, b, c, d = q.numerator, q.denominator, r.numerator, r.denominator
+        # -Q = -c/d = q^s exactly when (-c, d) is (a^s, b^s) or, for s < 0,
+        # (b^-s, a^-s); either way max(-c, d) = max(a, b)^|s|.  The
+        # logarithm only proposes |s|, the integer comparison decides, and
+        # max(a, b) >= 2 since q != 1.
+        c = -c
         k = round(math.log(max(c, d)) / math.log(max(a, b)))
         if k <= self.guard_bound and (c, d) in ((a**k, b**k), (b**k, a**k)):
             s = k if (c, d) == (a**k, b**k) else -k
@@ -133,10 +134,8 @@ def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
 def specialized_point(q, m: int, r1: int) -> ParameterPoint:
     """The point (q, Q = -q^(r1+m)) linking type B to the reduced type-A
     picture; admissible for algebra sizes n < r1 + m."""
-    q = Rat(q)
-    if q <= 0 or q == 1:
-        raise ValueError(f"q = {q} is excluded (need q > 0, q != 1)")
-    return ParameterPoint(q, -(q ** (r1 + m)), r1 + m - 1)
+    q, k = Rat(q), r1 + m  # ParameterPoint rejects q <= 0 and q = 1
+    return ParameterPoint(q, Rat(-q.numerator ** k, q.denominator ** k), k - 1)
 
 
 # -- dense matrices -----------------------------------------------------------
@@ -154,8 +153,9 @@ def identity(n: int):
 
 
 def diagonal(entries):
-    import numpy as np
-    return np.diag(np.array(entries, dtype=object))
+    out = zeros(len(entries), len(entries))
+    out.flat[::len(entries) + 1] = entries
+    return out
 
 
 def vector(entries):

@@ -5,7 +5,8 @@ linear combination of words, the type-A Markov trace, a shape-by-shape
 type-B Markov trace, the reprint of a printed weight table, the Rat-entry
 seminormal generators that the integer build of ``typeB_rep`` and
 ``skew_rep`` is checked against (a tableau is its box tuple, as
-``standard_tableaux`` lists it), and the Rat-entry relation residuals that
+``standard_tableaux`` lists it) with the swap of entries i and i+1 that
+they read, and the Rat-entry relation residuals that
 ``relation_residuals`` is checked against."""
 
 import csv
@@ -15,8 +16,8 @@ import math
 
 import numpy as np
 
-from heckeweights.combinatorics import apply_transposition, \
-    double_partitions, partitions, standard_tableaux
+from heckeweights.combinatorics import double_partitions, partitions, \
+    standard_tableaux
 from heckeweights.reps import T_LETTER, U_LETTER, character, g_letter, \
     relations, tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import Rat, is_zero_matrix
@@ -113,6 +114,21 @@ def integer_form(m):
     num = np.array([[e.numerator * (den // e.denominator) for e in row]
                     for row in m], dtype=object)
     return num, den
+
+
+def apply_transposition(t: tuple, i: int):
+    """t with entries i and i+1 swapped if that is standard, else None.
+
+    The swap breaks standardness exactly when the two boxes share a row or
+    a column of the same component (in which case they are adjacent).
+    """
+    n = len(t)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index {i} out of range 1..{n - 1}")
+    b1, b2 = t[i - 1], t[i]
+    if b1[0] == b2[0] and (b1[1] == b2[1] or b1[2] == b2[2]):
+        return None
+    return t[:i - 1] + (b2, b1) + t[i + 1:]
 
 
 def seminormal_generators(shape, q, axial, t_eigenvalue) -> dict:

@@ -17,7 +17,7 @@ from heckeweights.homcheck import character_match_report, \
     typeA_normalization, typeD_inclusion_weights, typeD_markov_property, \
     typeD_normalization, weight_branching, weight_normalization, \
     weight_ratio_report, weight_two_forms
-from heckeweights.reps import evaluate, full_twist_scalar, g_letter, \
+from heckeweights.reps import evaluate, full_twist_exponent, g_letter, \
     ginv_letter, typeA_rep, word
 from heckeweights.scalars import Rat, admissible_point, identity
 from heckeweights.traces import markov_params, q1_point, weight_B
@@ -149,7 +149,8 @@ def test_criterion_09_full_twist():
                     rep = typeA_rep(nu, p)
                     cycle = tuple(g_letter(j) for j in range(f - 1, 0, -1))
                     got = to_rat(*evaluate(rep, word(cycle * f)))
-                    want = identity(rep.dimension) * full_twist_scalar(nu, p.q)
+                    want = identity(rep.dimension) \
+                        * p.q ** full_twist_exponent(nu)
                     assert mat_eq(got, want), (nu, p)
     criterion(9, "full twist acts by the predicted scalar on every "
                  "irreducible module of size to 4", 60, body)

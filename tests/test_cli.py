@@ -270,13 +270,15 @@ def test_trace_bad_token(capsys):
 
 
 def test_trace_index_out_of_range(capsys):
-    # one error line names the letter the algebra lacks, in the prefix or last
-    for text, letter in (("g5 t", "('g', 5)"), ("t u", "('u', 0)")):
-        code, _, err = run(capsys, ["trace", "--word", text, "--n", "1",
+    # one error line names the letter the algebra lacks by the token typed,
+    # in the prefix or last
+    for text, n, letter in (("g5 t", 1, "g5"), ("t u", 1, "u"),
+                            ("t'-1", 2, "t'-1"), ("g1 G2", 2, "G2")):
+        code, _, err = run(capsys, ["trace", "--word", text, "--n", str(n),
                                     "--q", "2", "--Q", "5"])
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert letter in err
+        assert err == f"error: no letter {letter} in a representation of " \
+                      f"size {n}\n"
 
 
 def test_usage_errors(capsys):

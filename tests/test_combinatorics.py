@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from heckeweights.combinatorics import apply_transposition, \
-    axial_parameter, dimension, double_partitions, embed_double, mu_content, \
-    n_stat, one_box_more, one_box_successors, pad, partition_str, partitions, \
-    shape_str, standard_tableaux, trim
-from heckeweights.scalars import Rat
+from heckeweights.combinatorics import dimension, double_partitions, \
+    embed_double, mu_content, n_stat, one_box_more, one_box_successors, pad, \
+    partition_str, partitions, shape_str, standard_tableaux, trim
+from heckeweights.reps import _seminormal_plan
+from helpers import apply_transposition
 
 
 def hook_count(alpha):
@@ -146,36 +146,64 @@ def test_apply_transposition():
         apply_transposition(ts[0], 5)
 
 
-def _axial(t, i, point):
-    """x(t, i) as a Rat, from the pair (u, v) of the boxes of i and i+1."""
-    return Rat(*axial_parameter(t[i - 1], t[i], point))
+def _exponents(shape):
+    """The blocks of each g_i of the shape's plan beside their (e, kind),
+    after checking the plan's largest |e|."""
+    _, _, generators, exponents, top = _seminormal_plan(shape)
+    assert top == max((abs(e) for pairs in exponents for e, _ in pairs),
+                      default=0)
+    return [list(zip(blocks, pairs))
+            for blocks, pairs in zip(generators, exponents)]
 
 
-def test_axial_parameter_same_component(point):
-    # row neighbors give q, column neighbors give 1/q
-    (t_row,) = standard_tableaux(((2,), ()))
-    assert _axial(t_row, 1, point) == point.q
-    (t_col,) = standard_tableaux(((1, 1), ()))
-    assert _axial(t_col, 1, point) == 1 / point.q
+def test_axial_parameter_same_component():
+    # the axial ratio q^e (-1/Q)^kind: row neighbours give q, column
+    # neighbours 1/q, each one block with no standard swap
+    assert _exponents(((2,), ())) == [[((0, None, (0, 1, 1), (0, 1, 2)),
+                                        (1, 0))]]
+    assert _exponents(((1, 1), ())) == [[((0, None, (0, 1, 1), (0, 2, 1)),
+                                          (-1, 0))]]
 
 
-def test_axial_parameter_cross_component(point):
-    q, Q = point.q, point.Q
+def test_axial_parameter_cross_component():
+    # a cross pair is one block, held by its earlier tableau, the one with i
+    # in the first component: kind +1, the ratio -q^e / Q; the later
+    # tableau's ratio is its inverse -q^-e Q, of kind -1.  So every cross
+    # block of sizes 2..4 is of kind +1
     ts = standard_tableaux(((1,), (1,)))
-    t_ab = next(t for t in ts if t[0][0] == 0)
-    t_ba = next(t for t in ts if t[0][0] == 1)
-    assert _axial(t_ab, 1, point) == -1 / Q
-    assert _axial(t_ba, 1, point) == -Q
-    assert _axial(t_ab, 1, point) * _axial(t_ba, 1, point) == 1
+    assert [t[0][0] for t in ts] == [0, 1]
+    assert _exponents(((1,), (1,))) == [[((0, 1, (0, 1, 1), (1, 1, 1)),
+                                          (0, 1))]]
+    kinds = {kind for n in range(2, 5) for shape in double_partitions(n)
+             for blocks in _exponents(shape) for _, (_, kind) in blocks}
+    assert kinds == {0, 1}
 
 
-def test_axial_reciprocity(point):
-    for shape in double_partitions(3):
-        for t in standard_tableaux(shape):
-            for i in (1, 2):
-                t2 = apply_transposition(t, i)
-                if t2 is not None:
-                    assert _axial(t2, i, point) == 1 / _axial(t, i, point)
+def test_axial_reciprocity():
+    # each block's (e, kind) is read off the boxes of i and i+1 of its
+    # tableau; the later tableau of a swap pair holds them exchanged, so its
+    # ratio is the inverse: q^-e (-1/Q)^-kind
+    def content(box):
+        return box[2] - box[1]
+
+    for n in range(2, 5):
+        for shape in double_partitions(n):
+            basis = standard_tableaux(shape)
+            for i, blocks in enumerate(_exponents(shape), 1):
+                later = []
+                for (s, s2, box1, box2), (e, kind) in blocks:
+                    assert basis[s][i - 1:i + 1] == (box1, box2)
+                    assert (e, kind) == (content(box2) - content(box1),
+                                         box2[0] - box1[0])
+                    # s2 is the standard swap of i and i+1, if there is one
+                    swapped = apply_transposition(basis[s], i)
+                    assert s2 == (swapped and basis.index(swapped))
+                    if s2 is not None:
+                        assert basis[s2][i - 1:i + 1] == (box2, box1)
+                        later.append(s2)
+                # every tableau is in one block or the later of a pair
+                assert sorted([s for (s, *_), _ in blocks] + later) \
+                    == list(range(len(basis)))
 
 
 def test_mu_content():

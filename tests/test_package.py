@@ -6,7 +6,9 @@ from heckeweights import combinatorics, reps, traces
 REMOVED = {"parse_partition": combinatorics, "parse_shape": combinatorics,
            "BoxStat": combinatorics, "box_stat": combinatorics,
            "WeightTable": traces, "HeckeElement": None,
-           "DoubleTableau": combinatorics}
+           "DoubleTableau": combinatorics, "full_twist_scalar": reps,
+           "axial_parameter": combinatorics,
+           "apply_transposition": combinatorics}
 
 
 def test_package_exports():

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -10,8 +9,8 @@ from heckeweights.combinatorics import dimension, double_partitions, \
     partitions
 from heckeweights.homcheck import relations_report
 from heckeweights.reps import PLAN_CACHE_SIZE, REP_CACHE_SIZE, HeckeElement, \
-    T_LETTER, U_LETTER, _seminormal_plan, _skew_point, character, evaluate, \
-    expand_word, full_twist_scalar, g_letter, ginv_letter, parse_word, \
+    T_LETTER, U_LETTER, _seminormal_plan, character, evaluate, expand_word, \
+    full_twist_exponent, g_letter, ginv_letter, parse_word, \
     random_word, relation_residuals, relation_str, relations, skew_rep, \
     tprime_letter, typeA_rep, typeB_rep, word
 from heckeweights.scalars import ParameterPoint, Rat, identity, \
@@ -355,12 +354,12 @@ def test_skew_rep_validation():
 
 def test_full_twist_scalar_values():
     q = Rat(2)
-    assert full_twist_scalar((1,), q) == 1
-    assert full_twist_scalar((2,), q) == q**2
-    assert full_twist_scalar((1, 1), q) == 1
-    assert full_twist_scalar((2, 1), q) == q**3
+    assert q ** full_twist_exponent((1,)) == 1
+    assert q ** full_twist_exponent((2,)) == q**2
+    assert q ** full_twist_exponent((1, 1)) == 1
+    assert q ** full_twist_exponent((2, 1)) == q**3
     with pytest.raises(ValueError):
-        full_twist_scalar((), q)
+        full_twist_exponent(())
 
 
 def test_full_twist_direct_evaluation(points):
@@ -371,7 +370,8 @@ def test_full_twist_direct_evaluation(points):
             rep = typeA_rep(nu, p)
             cycle = tuple(g_letter(j) for j in range(f - 1, 0, -1))
             m = to_rat(*evaluate(rep, word(cycle * f)))
-            expected = identity(rep.dimension) * full_twist_scalar(nu, p.q)
+            expected = identity(rep.dimension) \
+                * p.q ** full_twist_exponent(nu)
             assert mat_eq(m, expected)
 
 
@@ -396,23 +396,36 @@ def test_cached_matrices_read_only(points):
             num[0, 0] = 7
     assert evaluate(rep, word((g_letter(1),)))[0] \
         is rep.letter_matrix(g_letter(1))[0]
+    # the empty word is the store's one identity, built once
+    num, den = evaluate(rep, word(()))
+    assert den == 1 and num.tolist() == identity(rep.dimension).tolist()
+    with pytest.raises(ValueError):
+        num[0, 0] = 7
+    assert evaluate(rep, word(()))[0] is num
 
 
 def test_letters_out_of_range(point):
     # every letter a store cannot build is a ValueError naming the letter,
-    # in one module and in a stack of several, and nothing is cached for it
+    # in one module and in a stack of several, and nothing is cached for it:
+    # by the token that parses to it, or by its tuple if no token does
     n = 3
     groups, _ = trace_table(n, 4, 4, point)
     stack = max((s for _, s, _ in groups), key=lambda s: len(s.shapes))
     assert len(stack.shapes) > 1
     for store in (typeB_rep(((2,), (1,)), point), stack):
-        for letter in (("g", 0), ("g", -1), ("g", n), ("ginv", 0),
-                       ("ginv", -1), ("ginv", n), ("tprime", -1),
-                       ("tprime", n), ("t", 1), ("u", 1), ("x", 1)):
-            with pytest.raises(ValueError, match=re.escape(repr(letter))):
+        for letter, name in (
+                (("g", 0), "g0"), (("g", -1), "g-1"), (("g", n), "g3"),
+                (("ginv", 0), "G0"), (("ginv", -1), "G-1"),
+                (("ginv", n), "G3"), (("tprime", -1), "t'-1"),
+                (("tprime", n), "t'3"), (("t", 1), "('t', 1)"),
+                (("u", 1), "('u', 1)"), (("x", 1), "('x', 1)")):
+            with pytest.raises(ValueError) as error:
                 store.letter_matrix(letter)
+            assert str(error.value) \
+                == f"no letter {name} in a representation of size {n}"
             assert letter not in store.letters
-    with pytest.raises(ValueError, match=re.escape(repr(U_LETTER))):
+    with pytest.raises(ValueError, match="no letter u in a representation "
+                                         "of size 1$"):
         typeB_rep(((1,), ()), point).letter_matrix(U_LETTER)
 
 
@@ -503,14 +516,14 @@ def test_generators_match_rat_oracle():
     # every generator and t of typeB_rep and skew_rep, numerator and
     # denominator, is the Rat-entry seminormal matrix over the least common
     # denominator of its entries: every shape of size <= 4, at a point with
-    # Q < 0, one with q > 1 and one with three-digit values, and skew_rep at
-    # each point's q with m = r1 = n + 1
+    # Q < 0 (and there of size 5 too), one with q > 1 and one with
+    # three-digit values, and skew_rep at each point's q with m = r1 = n + 1
     pts = [ParameterPoint(Rat(2, 3), Rat(-5, 7), 10),
            ParameterPoint(Rat(7, 2), Rat(3), 10),
            ParameterPoint(Rat(347, 512), Rat(613, 229), 10)]
     cases = 0
     for p in pts:
-        for n in range(1, 5):
+        for n in range(1, 6 if p.Q < 0 else 5):
             for shape in double_partitions(n):
                 for rep, oracle in (
                         (typeB_rep(shape, p), typeB_generators(shape, p)),
@@ -526,7 +539,7 @@ def test_generators_match_rat_oracle():
                             == (want.tolist(), want_den), \
                             (shape, letter, str(rep.point))
                         cases += 1
-    assert cases == 2 * 3 * (2 + 5 * 2 + 10 * 3 + 20 * 4)
+    assert cases == 2 * 3 * (2 + 5 * 2 + 10 * 3 + 20 * 4) + 2 * 36 * 5
 
 
 def test_character_of_empty_word_is_dimension(points):
@@ -549,9 +562,6 @@ def test_rep_caches_are_bounded():
         info = cached.cache_info()
         assert info.maxsize == REP_CACHE_SIZE
         assert info.currsize <= info.maxsize
-    # so is skew_rep's cache of its point and t-eigenvalues per q
-    info = _skew_point.cache_info()
-    assert info.currsize <= info.maxsize < REP_CACHE_SIZE + 5
     # the type-A alias holds no module of its own
     assert typeA_rep.cache_info().currsize == 0
 
