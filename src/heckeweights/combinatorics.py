@@ -96,33 +96,21 @@ def embed_double(shape, m: int, r1: int) -> Partition:
 
 def standard_tableaux(shape) -> list:
     """All standard tableaux of the double partition as box tuples, in
-    increasing order, which is the order the search tries (comp, row)."""
+    increasing order.  In a standard tableau the entry n sits in a removable
+    corner, and the entries 1..n-1 fill a standard tableau of the shape less
+    that corner."""
     alpha, beta = trim(shape[0]), trim(shape[1])
-    n = sum(alpha) + sum(beta)
-    target = (alpha, beta)
+    if not alpha and not beta:
+        return [()]
     out = []
-
-    def grow(k, cur, boxes):
-        if k > n:
-            out.append(tuple(boxes))
-            return
-        for comp in (0, 1):
-            goal = target[comp]
-            rows = cur[comp]
-            for r in range(1, len(goal) + 1):
-                filled = rows[r - 1]
-                if filled >= goal[r - 1]:
-                    continue
-                if r > 1 and rows[r - 2] <= filled:
-                    continue
-                rows[r - 1] += 1
-                boxes.append((comp, r, filled + 1))
-                grow(k + 1, cur, boxes)
-                boxes.pop()
-                rows[r - 1] -= 1
-
-    grow(1, ([0] * len(alpha), [0] * len(beta)), [])
-    return out
+    for comp, lam in enumerate((alpha, beta)):
+        for r, part in enumerate(lam):
+            if r + 1 == len(lam) or lam[r + 1] < part:
+                less = lam[:r] + (part - 1,) + lam[r + 1:]
+                corner = ((comp, r + 1, part),)
+                out += [t + corner for t in standard_tableaux(
+                    (less, beta) if comp == 0 else (alpha, less))]
+    return sorted(out)
 
 
 def hook_lengths(alpha) -> list:

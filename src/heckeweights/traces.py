@@ -6,14 +6,14 @@ and character evaluation is unconditionally correct once the representation
 matrices satisfy the defining relations.
 
 Weights are computed in integers, in two steps.  Per size and type,
-``_weight_plan`` walks each shape's factors once and puts each class of
-shapes over one denominator of atoms Phi_k(b, a), 1 + Q q^x, a and b: a
-shape alone for type B; for type D {(alpha, beta), (beta, alpha)} or a split
-(alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per point only
-the atoms the plan names are evaluated, each distinct atom power once, and a
-class weighs one Rat.  ``weight_table`` reads the type-B rows and
-``weight_D`` the type-D ones; ``weight_B`` and ``trace_table`` read the
-table.
+``_weight_plan`` walks the paper's product over every pair of rows of each
+shape once and puts each class of shapes over one denominator of atoms
+Phi_k(b, a), 1 + Q q^x, a and b: a shape alone for type B; for type D
+{(alpha, beta), (beta, alpha)} or a split (alpha, alpha), weighing the sum
+of its shapes' (Prop 6.1).  Per point only the atoms the plan names are
+evaluated, each distinct atom power once, and a class weighs one Rat.
+``weight_table`` reads the type-B rows and ``weight_D`` the type-D ones;
+``weight_B`` and ``trace_table`` read the table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``reps.stacks`` stack of the modules of its shapes.  Since
@@ -31,7 +31,7 @@ import math
 from bisect import bisect
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, product, repeat
 from operator import mul
 from types import MappingProxyType
 
@@ -103,16 +103,11 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     and ``powers``, its sorted distinct pairs (atom, exponent > 0); a type-D
     class is {(alpha, beta), (beta, alpha)} or (alpha, alpha) in halves 1, 2.
 
-    The product formula runs over every pair of rows up to the row bounds,
-    times ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).  Take
-    rows from 1, C(x) = 1 + Q q^x, and a component with parts lam, l
-    nonempty rows and row bound rho (r1 for alpha, r2 for beta).  The
-    factors between its row i <= l and the empty rows telescope to one
-    factor per box k of the row: (1 - q^(rho-i+k)) / (1 - q^(l-i+k)), and
-    C(r2-i+k) / C(l2-i+k) for a row of alpha or C(i-r1-k) / C(i-l1-k) for a
-    row of beta.  Pairs of nonempty rows keep their factors
-    (1 - q^(lam_i-lam_j+j-i)) / (1 - q^(j-i)) and
-    C(alpha_i-beta_j+j-i) / C(j-i); pairs of empty rows have none.
+    The weight is the paper's product over every pair of rows up to the row
+    bounds, rows padded with zeros: (1 - q^(lam_i-lam_j+j-i)) / (1 - q^(j-i))
+    for rows i < j of one component lam, C(alpha_i-beta_j+j-i) / C(j-i) for
+    every row i of alpha and j of beta, with C(x) = 1 + Q q^x, times
+    ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|).
 
     With q = a/b and Q = c/d, 1 - q^k is (b^k - a^k) / b^k, and C(x) is
     (d b^x + c a^x) / (d b^x) for x >= 0 and (d a^-x + c b^-x) / (d a^-x)
@@ -126,45 +121,37 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     r = r1 + r2
     m, nets = n + r, {}
     for alpha, beta in double_partitions(n):
-        l1, l2 = len(alpha), len(beta)
-        if l1 > r1 or l2 > r2:
+        if len(alpha) > r1 or len(beta) > r2:
             continue
-        # ((1 - q) / (1 - q^r))^n and, row by row, q^(n(alpha) + n(beta))
-        # and q^(r1 |beta|)
-        e = Counter({1: n})
+        lam1 = alpha + (0,) * (r1 - len(alpha))
+        lam2 = beta + (0,) * (r2 - len(beta))
+        # ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|)
+        e = [0] * (3 * m + 4)
+        e[1] = n
         e[r] -= n
-        ea, eb = 0, (r - 1) * n
-        # the nonempty rows of one component and their pairs
-        for parts, l, rho, shift in ((alpha, l1, r1, 0), (beta, l2, r2, r1)):
-            for i, p in enumerate(parts, 1):
-                for k in range(1, p + 1):
-                    e[rho - i + k] += 1
-                    e[l - i + k] -= 1
-                ea += (i - 1 + shift) * p
-                eb += p * (l - rho - i + 1 - shift)
-                for j in range(i + 1, l + 1):
-                    e[p - parts[j - 1] + j - i] += 1
-                    e[j - i] -= 1
-                    eb += parts[j - 1] - p
+        ea = sum(i * p for i, p in enumerate(lam1 + lam2))
+        eb = (r - 1) * n - ea
+        # (1 - q^(lam_i - lam_j + j - i)) / (1 - q^(j - i)), rows i < j of
+        # one component
+        for lam in (lam1, lam2):
+            for i, j in combinations(range(len(lam)), 2):
+                e[lam[i] - lam[j] + j - i] += 1
+                e[j - i] -= 1
+                eb += lam[j] - lam[i]
         # b^k - a^k is the product of the Phi_j(b, a) with j | k; going up,
         # j reads each e[k] before k's own turn
         for j in range(1, m // 2 + 1):
             e[j] += sum(e[k] for k in range(2 * j, m + 1, j))
-        # the cross ratios C(x) / C(y)
-        ratios = [(r2 - i + k, l2 - i + k)
-                  for i, p in enumerate(alpha, 1) for k in range(1, p + 1)]
-        ratios += [(j - r1 - k, j - l1 - k)
-                   for j, p in enumerate(beta, 1) for k in range(1, p + 1)]
-        ratios += [(p - s + j - i, j - i)
-                   for i, p in enumerate(alpha, 1)
-                   for j, s in enumerate(beta, 1)]
-        for x, y in ratios:
+        # C(alpha_i - beta_j + j - i) / C(j - i), every row i of alpha and
+        # j of beta
+        for (i, p), (j, s) in product(enumerate(lam1), enumerate(lam2)):
+            x, y = p - s + j - i, j - i
             e[2 * m + 1 + x] += 1
             e[2 * m + 1 + y] -= 1
             ea += min(x, 0) - min(y, 0)
             eb += max(y, 0) - max(x, 0)
         e[3 * m + 2], e[3 * m + 3] = ea, eb
-        nets[alpha, beta] = e
+        nets[alpha, beta] = Counter({i: k for i, k in enumerate(e) if k})
     classes = {}
     for s in double_partitions(n):
         classes.setdefault(min(s, s[::-1]) if kind == "D" else s, []).append(s)

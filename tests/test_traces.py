@@ -105,6 +105,18 @@ def test_weight_oracle_is_independent():
     for f in (weight_table, _weight_plan):
         table = _names(f.__wrapped__.__code__)
         assert not [name for name in table if "schur" in name], f
+    # the plan pads its rows itself: the Schur form's helpers are its own
+    assert not _names(_weight_plan.__wrapped__.__code__) & {"pad", "n_stat"}
+
+
+# a 3-digit point with negative Q, guarded for n <= 6 and r1 + r2 <= 16
+WIDE = ParameterPoint(Rat(347, 512), Rat(-613, 229), 16)
+
+
+def _wide_frames(n):
+    """Row bounds up to n + 2, one of them n + 2, where the weight plan's
+    pairs run mostly over padded rows."""
+    return sorted({f for k in range(n + 3) for f in ((k, n + 2), (n + 2, k))})
 
 
 def test_weight_table_every_frame():
@@ -119,6 +131,15 @@ def test_weight_table_every_frame():
                 assert report.passed, report.failure
                 cases += report.cases
     assert cases == 15 * 3 * 74  # 74 shapes of sizes 0..5
+    # and wide frames at one point
+    cases = 0
+    for n in range(7):
+        for r1, r2 in _wide_frames(n):
+            report = weight_two_forms(r1, r2, [WIDE], [n])
+            assert report.passed, report.failure
+            cases += report.cases
+    # (2n + 5) frames times the shapes of size n, n = 0..6
+    assert cases == 2079
 
 
 def test_weight_table_swap_symmetry():
@@ -496,29 +517,38 @@ def test_weight_D_structure():
         weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2), 0))
 
 
+def _weight_D_sums(n, r1, r2, point1) -> int:
+    """Checks every type-D row of (n, r1, r2) at a Q = 1 point against the
+    two-parameter weights it sums; returns the number of rows."""
+    rows = weight_D(n, r1, r2, point1)
+    for (alpha, beta), split, w, d in rows:
+        want = weight_B((alpha, beta), r1, r2, point1)
+        if split is None:
+            want += weight_B((beta, alpha), r1, r2, point1)
+        assert (w, d) == (want, dimension((alpha, beta))
+                          // (1 if split is None else 2)), \
+            (alpha, beta, split, n, r1, r2, point1.q)
+    covered = {s for (alpha, beta), _, _, _ in rows
+               for s in ((alpha, beta), (beta, alpha))}
+    assert covered == set(double_partitions(n))
+    return len(rows)
+
+
 def test_weight_D_rows_are_weight_B_sums():
     # every row against the two-parameter weights it sums, at row bounds
     # that put no shape, one shape or both shapes of a class beyond them
     cases = 0
     for q in (p.q for p in THREE_DIGIT):
-        point1 = q1_point(q)
         for n in range(1, 7):
             for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (0, 3), (3, 0),
                            (1, 5), (2, 2)):
-                rows = weight_D(n, r1, r2, point1)
-                for (alpha, beta), split, w, d in rows:
-                    want = weight_B((alpha, beta), r1, r2, point1)
-                    if split is None:
-                        want += weight_B((beta, alpha), r1, r2, point1)
-                    assert (w, d) == (want, dimension((alpha, beta))
-                                      // (1 if split is None else 2)), \
-                        (alpha, beta, split, n, r1, r2, q)
-                    cases += 1
-                covered = {s for (alpha, beta), _, _, _ in rows
-                           for s in ((alpha, beta), (beta, alpha))}
-                assert covered == set(double_partitions(n))
+                cases += _weight_D_sums(n, r1, r2, q1_point(q))
     # 1 + 4 + 5 + 13 + 18 + 37 rows for n = 1..6
     assert cases == 3 * 6 * 78
+    # and wide frames at one point: (2n + 5) of them at each size
+    assert sum(_weight_D_sums(n, r1, r2, q1_point(WIDE.q))
+               for n in range(1, 7) for r1, r2 in _wide_frames(n)) \
+        == 7 + 9 * 4 + 11 * 5 + 13 * 13 + 15 * 18 + 17 * 37
     # the plan puts each merged class over one denominator with positive
     # exponents
     merged = empty = 0
