@@ -25,8 +25,9 @@ def _row_bounds(args):
     """n, r1, r2, each row bound n + 1 unless given."""
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    r1, r2 = (args.n + 1 if r is None else r for r in (args.r1, args.r2))
-    if min(r1, r2) < 0 or r1 + r2 < 1:
+    r1 = args.n + 1 if args.r1 is None else args.r1
+    r2 = args.n + 1 if args.r2 is None else args.r2
+    if r1 < 0 or r2 < 0 or r1 + r2 < 1:
         raise ValueError("--r1 and --r2 must be nonnegative with r1 + r2 >= 1")
     return args.n, r1, r2
 
@@ -228,6 +229,15 @@ COMMANDS = {
 }
 
 
+# per command, built once: its options "--name" -> (name, converter or
+# choices), and the defaults that each parse copies
+_OPTIONS = {command: ({f"--{name}": (name, kind)
+                       for name, (kind, *_) in spec.items()},
+                      {name: default[0]
+                       for name, (_, *default) in spec.items() if default})
+            for command, (_, spec) in COMMANDS.items()}
+
+
 def cmd_help(_args) -> int:
     """Print one usage line per command, optional options in brackets."""
     for command, (_, spec) in COMMANDS.items():
@@ -251,25 +261,23 @@ def parse_args(argv):
         raise ValueError(f"expected a command, one of {', '.join(COMMANDS)} "
                          f"(heckeweights -h prints usage)")
     func, spec = COMMANDS[command]
-    values = {name: default[0]
-              for name, (_, *default) in spec.items() if default}
-    tokens = iter(tokens)
+    options, defaults = _OPTIONS[command]
+    values, tokens = defaults.copy(), iter(tokens)
     for token in tokens:
         option, joined, text = token.partition("=")
-        name = option[2:]
-        if option[:2] != "--" or name not in spec:
+        if (entry := options.get(option)) is None:
             raise ValueError(f"{command} has no option {option!r}")
         if not joined and (text := next(tokens, None)) is None:
             raise ValueError(f"{option} needs a value")
-        kind = spec[name][0]
+        name, kind = entry
         if isinstance(kind, tuple) and text not in kind:
             raise ValueError(f"{option} takes {'|'.join(kind)}, not {text!r}")
         try:
             values[name] = text if isinstance(kind, tuple) else kind(text)
         except ValueError as exc:
             raise ValueError(f"{option} {text!r}: {exc}") from None
-    missing = [f"--{name}" for name in spec if name not in values]
-    if missing:
+    if len(values) < len(spec):
+        missing = [f"--{name}" for name in spec if name not in values]
         raise ValueError(f"{command} requires {', '.join(missing)}")
     return func, SimpleNamespace(**values)
 

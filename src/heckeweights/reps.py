@@ -108,16 +108,14 @@ def parse_word(text: str) -> HeckeWord:
     letters = []
     for token in text.split():
         try:
-            if token == "t":
-                letters.append(T_LETTER)
-            elif token == "u":
-                letters.append(U_LETTER)
-            elif token.startswith("t'"):
-                letters.append(tprime_letter(int(token[2:])))
-            elif token.startswith("g"):
-                letters.append(g_letter(int(token[1:])))
-            elif token.startswith("G"):
-                letters.append(ginv_letter(int(token[1:])))
+            if token == "t" or token == "u":
+                letters.append((token, 0))
+            elif token[:2] == "t'":
+                letters.append(("tprime", int(token[2:])))
+            elif token[0] == "g":
+                letters.append(("g", int(token[1:])))
+            elif token[0] == "G":
+                letters.append(("ginv", int(token[1:])))
             else:
                 raise ValueError
         except ValueError:

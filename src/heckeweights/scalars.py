@@ -32,12 +32,13 @@ def parse_rational(text):
     Raises ValueError on malformed input.
     """
     text = text.strip()
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Rat(num, den)
-    return Rat(int(text))
+    num, slash, den = text.partition("/")
+    if not slash:
+        return Rat(int(num))
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Rat(num, den)
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,15 @@ class ParameterPoint:
     guard_bound: int
 
     def __post_init__(self):
-        # on the integers of q = a/b and Q = c/d in lowest terms, b, d > 0
+        # on the integers of q = a/b and Q = c/d in lowest terms, b, d > 0,
+        # read once: with the guard bound, the key that every cache lookup
+        # hashes and every hit compares, never a Fraction (whose hash takes
+        # a modular inverse); equal points have equal keys
         q, Q = self.q, self.Q
         a, b, c, d = q.numerator, q.denominator, Q.numerator, Q.denominator
+        key = (a, b, c, d, self.guard_bound)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
         if a <= 0 or a == b:
             raise ValueError(f"q = {q} is excluded (need q > 0, q != 1)")
         if c == 0:
@@ -76,28 +83,13 @@ class ParameterPoint:
             s = k if (c, d) == (a**k, b**k) else -k
             raise ValueError(f"Q = -q^{s} is excluded")
 
-    def _key(self) -> tuple:
-        # both Rat backends keep lowest terms with a positive denominator,
-        # so equal points have equal integers
-        q, Q = self.q, self.Q
-        return q.numerator, q.denominator, Q.numerator, Q.denominator, \
-            self.guard_bound
-
     def __eq__(self, other):
-        # every cache hit compares its point with the cached one: on
-        # integers, not through Fraction.__eq__
         if not isinstance(other, ParameterPoint):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        # every cache lookup hashes its point: the integers, on the first
-        # lookup only, never a Fraction (whose hash takes a modular inverse)
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __str__(self):
         return f"q = {self.q}, Q = {self.Q}"

@@ -267,12 +267,15 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
         return Rat(sum(stack.dimension * nums.sum()
                        for nums, stack, _ in groups), den)
     *prefix, last = element.letters
-    prefix = word(prefix)
-    values = [(evaluate(group[1], prefix), _pairing(group, last))
-              for group in groups]
-    common = math.lcm(*(d * e for (_, d), (_, e) in values))
-    return Rat(sum((num.ravel() @ flat) * (common // (d * e))
-                   for (num, d), (flat, e) in values), den * common)
+    prefix, dots, dens = word(prefix), [], []
+    for group in groups:
+        num, d = evaluate(group[1], prefix)
+        flat, e = _pairing(group, last)
+        dots.append(num.ravel().dot(flat))
+        dens.append(d * e)
+    common = math.lcm(*dens)
+    return Rat(sum(x * (common // d) for x, d in zip(dots, dens)),
+               den * common)
 
 
 def q1_point(q) -> ParameterPoint:

@@ -476,7 +476,12 @@ def test_weights_deterministic(capsys):
 
 def test_commands_back_to_back_match_single_runs(capsys):
     """weights, trace and verify run in one process, one after another and
-    twice over, print what each prints alone in a fresh process."""
+    twice over, print what each prints alone in a fresh process.  A command
+    run without options right after a run of it that sets them (row bounds,
+    format, points) shows that each parse starts from its own copy of the
+    defaults."""
+    weights = ["weights", "--type", "B", "--n", "2", "--q", "3/2", "--Q", "5"]
+    trace = ["trace", "--word", "t g1", "--n", "2", "--q", "3/2", "--Q", "5"]
     argvs = [
         ["weights", "--type", "D", "--n", "3", "--q", "5/4", "--format", "csv"],
         ["trace", "--word", "t g1 G2 t'1", "--n", "3", "--q", "2",
@@ -485,6 +490,13 @@ def test_commands_back_to_back_match_single_runs(capsys):
          "--points", "1"],
         ["weights", "--type", "B", "--n", "3", "--r1", "1", "--q", "3/7",
          "--Q", "-5/2"],
+        weights + ["--r1", "0", "--r2", "2", "--format", "csv"],
+        weights,
+        trace + ["--r1", "1", "--r2", "2"],
+        trace,
+        ["verify", "--suite", "schur", "--n", "1", "--seed", "3",
+         "--points", "1"],
+        ["verify", "--suite", "schur"],
     ]
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).parents[1]))

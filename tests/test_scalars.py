@@ -131,10 +131,10 @@ def test_point_hash_is_cached_and_unchanged():
             Counted.reads += 1
             return super().numerator
 
-    # the first lookup reads the integers, and no later one does again
+    # construction reads the integers, and no hash or lookup reads them again
     p = ParameterPoint(Counted(3, 2), Counted(-7, 5), 4)
-    assert hash(p) == hash((3, 2, -7, 5, 4))
     before = Counted.reads
+    assert hash(p) == hash((3, 2, -7, 5, 4))
     assert {p: 1}[p] == 1 and hash(p) == hash(p)
     assert Counted.reads == before
 
