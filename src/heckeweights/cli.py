@@ -16,7 +16,7 @@ from . import homcheck
 from .combinatorics import dimension, partition_str, shape_str
 from .reps import parse_word
 from .scalars import ParameterPoint, admissible_point, guard_bound, \
-    parse_rational
+    parse_int, parse_rational
 from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
     weight_table
 
@@ -213,19 +213,19 @@ def cmd_verify(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+# the size and row bounds that ``_row_bounds`` reads
+_SIZE = {"n": (parse_int,), "r1": (parse_int, None), "r2": (parse_int, None)}
 COMMANDS = {
     # command: (function, {option: (converter or choices, default)}); an
     # option given no default is required
     "weights": (cmd_weights, {
-        "type": (("A", "B", "D"),), "n": (int,), "r1": (int, None),
-        "r2": (int, None), "q": (parse_rational,),
+        "type": (("A", "B", "D"),), **_SIZE, "q": (parse_rational,),
         "Q": (parse_rational, None), "format": (("json", "csv"), "json")}),
-    "trace": (cmd_trace, {
-        "word": (str,), "n": (int,), "r1": (int, None), "r2": (int, None),
-        "q": (parse_rational,), "Q": (parse_rational,)}),
+    "trace": (cmd_trace, {"word": (str,), **_SIZE, "q": (parse_rational,),
+                          "Q": (parse_rational,)}),
     "verify": (cmd_verify, {
-        "suite": ((*SUITES, "all"),), "n": (int, 3), "seed": (int, 0),
-        "points": (int, 5)}),
+        "suite": ((*SUITES, "all"),), "n": (parse_int, 3),
+        "seed": (parse_int, 0), "points": (parse_int, 5)}),
 }
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .combinatorics import dimension, mu_content, standard_tableaux, trim
-from .scalars import ParameterPoint, Rat, diagonal, identity, \
+from .scalars import ParameterPoint, Rat, diagonal, identity, parse_int, \
     specialized_point, stack, zeros
 
 T_LETTER = ("t", 0)
@@ -105,17 +105,19 @@ def parse_word(text: str) -> HeckeWord:
     """Parse whitespace-separated tokens: t, u, g3, G3 (inverse), t'2.
     Only the token's form is checked; whether the letter exists is the
     algebra's to say when it evaluates the word."""
-    letters = []
+    # int reads ASCII tokens without "_" or "+" as parse_int does
+    letters, number = [], int if text.isascii() and "_" not in text \
+        and "+" not in text else parse_int
     for token in text.split():
         try:
             if token == "t" or token == "u":
                 letters.append((token, 0))
             elif token[:2] == "t'":
-                letters.append(("tprime", int(token[2:])))
+                letters.append(("tprime", number(token[2:])))
             elif token[0] == "g":
-                letters.append(("g", int(token[1:])))
+                letters.append(("g", number(token[1:])))
             elif token[0] == "G":
-                letters.append(("ginv", int(token[1:])))
+                letters.append(("ginv", number(token[1:])))
             else:
                 raise ValueError
         except ValueError:

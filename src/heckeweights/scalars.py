@@ -26,6 +26,14 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 
+def parse_int(text: str) -> int:
+    """ASCII digits, "-" first or not, as an int; ``int`` alone would also
+    take "_", "+", spaces and the digits of other scripts."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def parse_rational(text):
     """Parse 'p/q' or an integer string into a Rat.
 
@@ -34,8 +42,8 @@ def parse_rational(text):
     text = text.strip()
     num, slash, den = text.partition("/")
     if not slash:
-        return Rat(int(num))
-    num, den = int(num), int(den)
+        return Rat(parse_int(num))
+    num, den = parse_int(num), parse_int(den)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Rat(num, den)

@@ -10,8 +10,8 @@ Weights are computed in integers, in two steps.  Per size and type,
 shape once and puts each class of shapes over one denominator of atoms
 Phi_k(b, a), 1 + Q q^x, a and b: a shape alone for type B; for type D
 {(alpha, beta), (beta, alpha)} or a split (alpha, alpha), weighing the sum
-of its shapes' (Prop 6.1).  Per point only the atoms the plan names are
-evaluated, each distinct atom power once, and a class weighs one Rat.
+of its shapes' (Prop 6.1).  Per point each atom power is evaluated once,
+each node of the plan's shared product trie is one multiply, a class one Rat.
 ``weight_table`` reads the type-B rows and ``weight_D`` the type-D ones;
 ``weight_B`` and ``trace_table`` read the table.
 
@@ -100,8 +100,9 @@ def markov_params(r1: int, r2: int, point: ParameterPoint):
 def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     """The point-free half of ``weight_table`` (kind "B") and ``weight_D``
     ("D"): read-only rows (shape, splits, dimension, entry), one a class,
-    and ``powers``, its sorted distinct pairs (atom, exponent > 0); a type-D
-    class is {(alpha, beta), (beta, alpha)} or (alpha, alpha) in halves 1, 2.
+    ``powers``, its sorted distinct pairs (atom, exponent > 0), and
+    ``program``; a type-D class is {(alpha, beta), (beta, alpha)} or
+    (alpha, alpha) in halves 1, 2.
 
     The weight is the paper's product over every pair of rows up to the row
     bounds, rows padded with zeros: (1 - q^(lam_i-lam_j+j-i)) / (1 - q^(j-i))
@@ -115,9 +116,11 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
     Phi_k(b, a) at index k, the numerator of C(x) at 2m + 1 + x for |x| <=
     m, and a and b at 3m + 2 and 3m + 3.  With ei the net exponents of the
     class's i-th shape within the row bounds and low = min(e1, ...), the
-    class weighs prod G (prod T1 + ...) / prod L, entry (G, L, T1, ...) of
-    indices into ``powers``, G = max(low, 0), L = max(-low, 0) and Ti =
-    ei - low; None with no such shape, (G, L, ()) for type B."""
+    class weighs prod G (prod T1 + ...) / prod L, G = max(low, 0), L =
+    max(-low, 0) and Ti = ei - low.  A part, its powers most used first
+    (ties by index), is a path in one trie from its root 0; ``program``
+    lists nodes 1, 2, ... as (parent, power index) and entry (G, L, T1, ...)
+    names each part's node; None with no such shape, (G, L, 0) for type B."""
     r = r1 + r2
     m, nets = n + r, {}
     for alpha, beta in double_partitions(n):
@@ -165,18 +168,28 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
                      [part.items() for part
                       in (+low, -low, *(e - low for e in es))]
                      if es else None))
-    powers = tuple(sorted({x for *_, e in rows if e for p in e for x in p}))
-    index = {x: i for i, x in enumerate(powers)}.__getitem__
-    return tuple((*row, e and tuple(tuple(map(index, p)) for p in e))
-                 for *row, e in rows), powers
+    uses = Counter(x for *_, e in rows if e for p in e for x in p)
+    powers = tuple(sorted(uses))
+    index, trie = {x: i for i, x in enumerate(powers)}.__getitem__, {}
+
+    def node(part):  # trie: (parent node, power index) -> node
+        at = 0
+        for x in sorted(part, key=lambda x: (-uses[x], x)):
+            at = trie.setdefault((at, index(x)), len(trie) + 1)
+        return at
+    rows = tuple((*row, e and tuple(map(node, e))) for *row, e in rows)
+    return rows, powers, tuple(trie)
 
 
 def _weights(n: int, r1: int, r2: int, kind: str, point: ParameterPoint):
-    """A plan's rows and a side's value at a point, each power once."""
-    rows, powers = _weight_plan(n, r1, r2, kind)
+    """A plan's rows and its program's node values at a point."""
+    rows, powers, program = _weight_plan(n, r1, r2, kind)
     atoms = _atoms(n + r1 + r2, point, powers)
     values = [atoms[i] ** k for i, k in powers]
-    return rows, lambda part: math.prod(map(values.__getitem__, part))
+    acc = [1]
+    for parent, i in program:
+        acc.append(acc[parent] * values[i])
+    return rows, acc
 
 
 # Bounded: a long-lived process meets unboundedly many points, and each
@@ -185,13 +198,13 @@ def _weights(n: int, r1: int, r2: int, kind: str, point: ParameterPoint):
 def weight_table(n: int, r1: int, r2: int,
                  point: ParameterPoint) -> MappingProxyType:
     """The one weight evaluator: the read-only map shape -> weight over the
-    double partitions of n, kept in a bounded cache.  It evaluates each
-    distinct atom power of ``_weight_plan(n, r1, r2, "B")`` once; a weight
-    is then one product of powers on each side, G over L, and one Rat: a
-    single gcd; one zero beyond the row bounds."""
-    (rows, side), zero = _weights(n, r1, r2, "B", point), Rat(0)
+    double partitions of n, kept in a bounded cache.  It runs the program
+    of ``_weight_plan(n, r1, r2, "B")`` once, one multiply per node; a
+    weight is then two nodes, G over L, and one Rat: a single gcd; one zero
+    beyond the row bounds."""
+    (rows, acc), zero = _weights(n, r1, r2, "B", point), Rat(0)
     return MappingProxyType({
-        shape: zero if entry is None else Rat(side(entry[0]), side(entry[1]))
+        shape: zero if entry is None else Rat(acc[entry[0]], acc[entry[1]])
         for shape, _, _, entry in rows})
 
 
@@ -290,15 +303,15 @@ def q1_point(q) -> ParameterPoint:
 
 def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
     """Rows (shape, split, weight, dimension) of size n >= 1 at Q = 1, one Rat
-    a class of the type-D plan over the shared atoms: merged classes at their
+    a class of nodes of the type-D plan's program: merged classes at their
     first shape, split None; the halves 1, 2 of (alpha, alpha), half as big."""
     if n < 1 or point.Q != 1:
         raise ValueError("type D needs --n >= 1" if n < 1 else
                          f"type-D weights live at Q = 1, not Q = {point.Q}")
-    (plan, side), zero, rows = _weights(n, r1, r2, "D", point), Rat(0), []
+    (plan, acc), zero, rows = _weights(n, r1, r2, "D", point), Rat(0), []
     for shape, splits, d, entry in plan:
         w = zero if entry is None else Rat(
-            side(entry[0]) * sum(map(side, entry[2:])), side(entry[1]))
+            acc[entry[0]] * sum(acc[t] for t in entry[2:]), acc[entry[1]])
         rows += [(shape, split, w, d) for split in splits]
     return rows
 

@@ -68,6 +68,7 @@ ARGVS = [
     trace(n="0"),
     ["verify", "--suite", "hom", "--n", "0"],
     ["verify", "--suite", "hom", "--points", "0"],
+    trace(n="1_0"),
     # rationals
     trace(q=""),
     trace(q="abc"),
@@ -79,6 +80,8 @@ ARGVS = [
     trace(Q="-3/0"),
     trace(q=" 3 ", Q="5", word="x"),
     trace(q=" 1 "),
+    trace(q="1_0/3"),
+    trace(q="+3/2"),
     # excluded points
     trace(q="1"),
     trace(q="0"),

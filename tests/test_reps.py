@@ -32,7 +32,12 @@ def test_parse_word():
                          tprime_letter(0), tprime_letter(2))
     assert str(w) == "t g1 G2 t'0 t'2"
     assert parse_word("").letters == ()
-    for bad in ("h1", "g", "t'x", "g1g2"):
+    # index digits are ASCII digits, "-" first or not: no "_", "+" or
+    # other scripts' digits, all of which int() takes
+    assert parse_word("G05 t'-1").letters \
+        == (ginv_letter(5), tprime_letter(-1))
+    for bad in ("h1", "g", "t'x", "g1g2", "g1_0", "g+5", "t'+0", "G\u0663",
+                "t g1 g\u00b2", "g--1"):
         with pytest.raises(ValueError, match="bad word token"):
             parse_word(bad)
 

@@ -19,7 +19,10 @@ def test_parse_rational():
     assert parse_rational("3/4") == Rat(3, 4)
     assert parse_rational("-5") == Rat(-5)
     assert parse_rational(" 7/2 ") == Rat(7, 2)
-    for bad in ("", "a", "1/0/2", "1.5", "1/0", "-3/0"):
+    assert parse_rational("-06/-4") == Rat(3, 2)
+    # ASCII digits only, "-" first or not, though int() takes more
+    for bad in ("", "a", "1/0/2", "1.5", "1/0", "-3/0", "1_0/3", "+3/2",
+                "3/+2", "1 /2", "1/ 2", "\u0663/2", "--3", "-"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

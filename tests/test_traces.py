@@ -13,9 +13,9 @@ from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
     guard_bound
 from heckeweights.schur import schur_normalized
-from heckeweights.traces import _atoms, _weight_plan, markov_params, \
-    markov_trace_B, markov_trace_D, q1_point, trace_table, weight_B, \
-    weight_B_schur_form, weight_D, weight_table
+from heckeweights.traces import _atoms, _weight_plan, _weights, \
+    markov_params, markov_trace_B, markov_trace_D, q1_point, trace_table, \
+    weight_B, weight_B_schur_form, weight_D, weight_table
 from helpers import linear, markov_trace_by_shape, mat_eq, to_rat, \
     typeA_markov_trace
 
@@ -181,14 +181,15 @@ def test_weight_plan():
     entries = []
     for n in range(7):
         for r1, r2 in ((n + 1, n + 1), (0, 3), (2, 1), (2 * n + 2, 0)):
-            rows, powers = _weight_plan(n, r1, r2, "B")
+            rows, powers, program = _weight_plan(n, r1, r2, "B")
             assert [(s, splits, d) for s, splits, d, _ in rows] \
                 == [(s, (None,), dimension(s)) for s in double_partitions(n)]
-            _check_powers(rows, powers)
+            _check_powers(rows, powers, program)
             entries += [entry for _, _, _, entry in rows]
     for num, den, *terms in filter(None, entries):
-        # a class of one shape: weight_table reads G over L only
-        assert terms == [()]
+        # a class of one shape: weight_table reads G over L only, its one
+        # term the root, the empty product
+        assert terms == [0]
     # 556 shapes, 314 of them beyond their row bounds
     assert (len(entries), entries.count(None)) == (556, 314)
 
@@ -208,23 +209,64 @@ def test_cyclotomic_atoms():
             assert all(atoms[k] > 0 for k in range(2, m + 1)), (q, m)
 
 
-def _check_powers(rows, powers):
-    # each distinct (atom, exponent > 0) pair once, sorted and used; every
-    # index of an entry in range, no atom twice in one part and none on both
-    # sides of an entry
+def _paths(program) -> list:
+    """Each node of a plan's program as its path from the root 0: the power
+    indices multiplied in, root first."""
+    paths = [()]
+    for parent, i in program:
+        assert 0 <= parent < len(paths)
+        paths.append(paths[parent] + (i,))
+    return paths
+
+
+def _check_powers(rows, powers, program):
+    # each distinct (atom, exponent > 0) pair once, sorted and used; the
+    # program a trie, no (parent, power) twice and every node on the path of
+    # some part; each part, decoded to its path, with every index in range,
+    # no atom twice and none on both sides of an entry
     assert list(powers) == sorted(set(powers))
     assert all(k > 0 for _, k in powers)
-    used = set()
+    assert len(set(program)) == len(program)
+    paths, used, reached = _paths(program), set(), {0}
     for _, _, _, entry in rows:
         if entry is None:
             continue
-        num, den = entry[:2]
-        assert all(0 <= i < len(powers) for part in entry for i in part)
+        num, den = (paths[v] for v in entry[:2])
         assert not {powers[i][0] for i in num} & {powers[i][0] for i in den}
-        for part in entry:
+        for v in entry:
+            part = paths[v]
+            assert all(0 <= i < len(powers) for i in part)
             assert len({powers[i][0] for i in part}) == len(part)
             used.update(part)
+            while v not in reached:
+                reached.add(v)
+                v = program[v - 1][0]
     assert used == set(range(len(powers)))
+    assert reached == set(range(len(paths)))
+
+
+def test_weight_program_nodes_are_path_products():
+    # at a point each node of a program is the product of its path's powers
+    for n, kind, point in ((3, "B", WIDE), (6, "B", WIDE),
+                           (4, "D", q1_point(WIDE.q)),
+                           (6, "D", q1_point(Rat(911, 127)))):
+        _, powers, program = _weight_plan(n, n + 1, n + 1, kind)
+        atoms = _atoms(3 * n + 2, point, powers)
+        values = [atoms[i] ** k for i, k in powers]
+        _, acc = _weights(n, n + 1, n + 1, kind, point)
+        assert acc == [math.prod(values[i] for i in path)
+                       for path in _paths(program)], (n, kind)
+
+
+def test_weight_program_shares_prefixes():
+    # one multiply per trie node: fewer than the factors of the parts taken
+    # one row at a time, which would have one per power of each part
+    for kind, nodes, factors in (("B", 652, 1289), ("D", 502, 981)):
+        rows, _, program = _weight_plan(6, 7, 7, kind)
+        paths = _paths(program)
+        assert sum(len(paths[v]) for *_, e in rows if e for v in e) \
+            == factors, kind
+        assert len(program) == nodes < factors, kind
 
 
 def test_weight_table_cache_is_bounded():
@@ -554,8 +596,8 @@ def test_weight_D_rows_are_weight_B_sums():
     merged = empty = 0
     for n in range(1, 7):
         for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (1, 5)):
-            rows, powers = _weight_plan(n, r1, r2, "D")
-            _check_powers(rows, powers)
+            rows, powers, program = _weight_plan(n, r1, r2, "D")
+            _check_powers(rows, powers, program)
             for _, _, _, entry in rows:
                 if entry is None:
                     empty += 1
