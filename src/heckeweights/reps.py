@@ -105,19 +105,17 @@ def parse_word(text: str) -> HeckeWord:
     """Parse whitespace-separated tokens: t, u, g3, G3 (inverse), t'2.
     Only the token's form is checked; whether the letter exists is the
     algebra's to say when it evaluates the word."""
-    # int reads ASCII tokens without "_" or "+" as parse_int does
-    letters, number = [], int if text.isascii() and "_" not in text \
-        and "+" not in text else parse_int
+    letters = []
     for token in text.split():
         try:
             if token == "t" or token == "u":
                 letters.append((token, 0))
             elif token[:2] == "t'":
-                letters.append(("tprime", number(token[2:])))
+                letters.append(("tprime", parse_int(token[2:])))
             elif token[0] == "g":
-                letters.append(("g", number(token[1:])))
+                letters.append(("g", parse_int(token[1:])))
             elif token[0] == "G":
-                letters.append(("ginv", number(token[1:])))
+                letters.append(("ginv", parse_int(token[1:])))
             else:
                 raise ValueError
         except ValueError:

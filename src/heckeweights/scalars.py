@@ -27,19 +27,20 @@ except ImportError:  # pragma: no cover
 
 
 def parse_int(text: str) -> int:
-    """ASCII digits, "-" first or not, as an int; ``int`` alone would also
-    take "_", "+", spaces and the digits of other scripts."""
-    if text.isascii() and text.removeprefix("-").isdigit():
-        return int(text)
-    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    """``int(text)``, spaces around it and all, but refused unless ASCII
+    digits after an optional "-": not "_", "+" or other scripts' digits.
+    Of an ASCII text, int() takes only those beside digits, "-" and spaces."""
+    number = int(text)
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"not ASCII digits after an optional '-': {text!r}")
+    return number
 
 
 def parse_rational(text):
-    """Parse 'p/q' or an integer string into a Rat.
+    """Parse 'p/q' or an integer string into a Rat, each by ``parse_int``.
 
     Raises ValueError on malformed input.
     """
-    text = text.strip()
     num, slash, den = text.partition("/")
     if not slash:
         return Rat(parse_int(num))

@@ -220,6 +220,16 @@ def test_negative_rational_after_a_space(capsys):
     assert err.startswith("error: q = -3/2 is excluded")
 
 
+def test_spaces_around_integers(capsys):
+    """Every integer of the command line may have spaces around it, as for
+    int(): those of --n and --r1 as well as those of --q and --Q."""
+    plain = run(capsys, ["weights", "--type", "B", "--n", "3", "--r1", "2",
+                         "--q", "2/3", "--Q", "-5"])
+    assert plain[0] == 0
+    assert run(capsys, ["weights", "--type", "B", "--n", " 3", "--r1", "2 ",
+                        "--q", " 2 / 3 ", "--Q", " -5"]) == plain
+
+
 def test_closed_stdout_ends_without_traceback():
     """A reader that closes the pipe early (as "| head" does) ends the
     command quietly, without a BrokenPipeError traceback.  The table is

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
-    guard_bound, identity, is_zero_matrix, parse_rational, specialized_point, \
-    zeros
+    guard_bound, identity, is_zero_matrix, parse_int, parse_rational, \
+    specialized_point, zeros
 from helpers import mat_eq, matrix, qpow, rat
 
 
@@ -15,14 +15,31 @@ def test_rat_basics():
     assert rat(2) ** -3 == rat(1, 8)
 
 
+def test_parse_int():
+    """What int() takes, less "_", "+" and other scripts' digits; spaces
+    around the integer are allowed.  int()'s own error stands where int()
+    fails."""
+    assert parse_int("07") == 7
+    assert parse_int(" -3 ") == -3
+    assert parse_int("\t12\n") == 12
+    for bad in ("1_0", "+3", " +3", "\u0663", "3\u2003"):
+        with pytest.raises(ValueError,
+                           match="not ASCII digits after an optional '-'"):
+            parse_int(bad)
+    for bad in ("", "-", "--3", "3a", "1 0", "\u00b2"):
+        with pytest.raises(ValueError, match="invalid literal for int()"):
+            parse_int(bad)
+
+
 def test_parse_rational():
     assert parse_rational("3/4") == Rat(3, 4)
     assert parse_rational("-5") == Rat(-5)
     assert parse_rational(" 7/2 ") == Rat(7, 2)
     assert parse_rational("-06/-4") == Rat(3, 2)
-    # ASCII digits only, "-" first or not, though int() takes more
+    assert parse_rational(" 1 / 2") == Rat(1, 2)
+    # each integer as parse_int reads it
     for bad in ("", "a", "1/0/2", "1.5", "1/0", "-3/0", "1_0/3", "+3/2",
-                "3/+2", "1 /2", "1/ 2", "\u0663/2", "--3", "-"):
+                "3/+2", "\u0663/2", "--3", "-"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
