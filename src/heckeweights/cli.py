@@ -40,7 +40,7 @@ def cmd_weights(args) -> int:
     if kind == "B":
         if args.Q is None:
             raise ValueError("--Q is required for type B")
-        point = ParameterPoint(q, args.Q, guard_bound(n, r1, r2))
+        point = ParameterPoint(q, args.Q).guard(guard_bound(n, r1, r2))
     elif kind == "D" and n < 1:
         # weight_D says the same, but only after q has been checked
         raise ValueError("type D needs --n >= 1")
@@ -81,7 +81,7 @@ def cmd_trace(args) -> int:
     n, r1, r2 = _row_bounds(args)
     if n < 1:
         raise ValueError("trace needs --n >= 1")
-    point = ParameterPoint(args.q, args.Q, guard_bound(n, r1, r2))
+    point = ParameterPoint(args.q, args.Q).guard(guard_bound(n, r1, r2))
     print(markov_trace_B(parse_word(args.word), n, r1, r2, point))
     return 0
 

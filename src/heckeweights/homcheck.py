@@ -127,11 +127,11 @@ def relations_report(family: str, points, sizes, name=None) -> Report:
 
 # -- traces ------------------------------------------------------------------
 
-def _last_letter(n, r1, r2, points, seed, words, kind, make, i, c_name):
+def _last_letter(n, r1, r2, points, seed, words, kind, make, i):
     """tr(h x) = c tr(h) at each point for ``words`` random type-``kind``
     words h of size n - 1, drawn from ``random.Random(seed)`` point by point,
     each distinct h once and none at n = 1: x = make(n - 1) and c is entry i
-    of ``markov_params``, (z, y)."""
+    of ``markov_params``, z or y, and named so in the message."""
     rng = random.Random(seed)
     x = make(n - 1)
     for p in points if n >= 2 else ():
@@ -140,21 +140,20 @@ def _last_letter(n, r1, r2, points, seed, words, kind, make, i, c_name):
                                for _ in range(words)):
             yield (markov_trace_B(word(h.letters + (x,)), n, r1, r2, p),
                    c * markov_trace_B(h, n - 1, r1, r2, p),
-                   lambda: f"tr({h} {word((x,))}) = {c_name} tr({h}) "
+                   lambda: f"tr({h} {word((x,))}) = {'zy'[i]} tr({h}) "
                            f"at {p}")
 
 
 @identity("Section 4 definition; Lemma 5.2")
 def markov_property(n, r1, r2, points, seed, words=5):
     """tr(h g_{n-1}) = z tr(h) for random words h of size n - 1."""
-    return _last_letter(n, r1, r2, points, seed, words, "B", g_letter, 0, "z")
+    return _last_letter(n, r1, r2, points, seed, words, "B", g_letter, 0)
 
 
 @identity("Prop 4.1")
 def tprime_property(n, r1, r2, points, seed, words=5):
     """tr(h t'_{n-1}) = y tr(h) for random words h of size n - 1."""
-    return _last_letter(n, r1, r2, points, seed, words, "B", tprime_letter, 1,
-                        "y")
+    return _last_letter(n, r1, r2, points, seed, words, "B", tprime_letter, 1)
 
 
 def _double_coset_products(n):
@@ -405,4 +404,4 @@ def typeD_normalization(n, r1, r2, qs):
 def typeD_markov_property(n, r1, r2, qs, seed, words=5):
     """tr_D(h g_{n-1}) = z tr_D(h) for random type-D words h of size n - 1."""
     return _last_letter(n, r1, r2, [q1_point(q) for q in qs], seed, words,
-                        "D", g_letter, 0, "z")
+                        "D", g_letter, 0)

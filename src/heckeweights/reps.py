@@ -274,10 +274,9 @@ def _seminormal_plan(shape):
     """The point-free part of the generators of a nonempty double
     partition: its dimension, the component of entry 1 in each standard
     tableau (a box tuple), for each g_i its blocks (s, s2, box of i, box of
-    i+1), s with no standard swap (s2 None) or the earlier of a pair, their
-    exponents (e, kind), the content of the box of i+1 less that of i and 0
-    within a component, +1 from the first to the second, -1 back, and the
-    largest |e|."""
+    i+1), s with no standard swap (s2 None) or the earlier of a pair, and
+    their exponents (e, kind), the content of the box of i+1 less that of i
+    and 0 within a component, +1 from the first to the second, -1 back."""
     shape = (trim(shape[0]), trim(shape[1]))
     if shape == ((), ()):
         raise ValueError("no module of size 0: the double partition is empty")
@@ -295,29 +294,26 @@ def _seminormal_plan(shape):
                 pairs.append((col2 - row2 - col1 + row1, c2 - c1))
         generators.append(tuple(blocks))
         exponents.append(tuple(pairs))
-    top = max((abs(e) for pairs in exponents for e, _ in pairs), default=0)
     return len(basis), tuple(t[0][0] for t in basis), tuple(generators), \
-        tuple(exponents), top
+        tuple(exponents)
 
 
-def _build(plan, point, exponents, top, t_eigenvalues):
+def _build(plan, point, exponents, t_eigenvalues):
     """The module of a ``_seminormal_plan`` at ``point``: g_i acts by the
     seminormal rule at the axial ratio x = q^e (-1/Q)^kind of its block's
-    (e, kind) in ``exponents``, |e| <= ``top``: in a swap pair the earlier
-    tableau's column carries (1 - q x) / (1 - x), the later's (q - x) /
-    (1 - x).  t acts by the ratio of the pair ``t_eigenvalues[c]`` on a
-    tableau with entry 1 in component c.  With q = a/b and Q = c/d, x = u / v
-    off one list of powers of a and b, a block's entries over b (v - u)."""
-    dim, components, generators, _, _ = plan
+    (e, kind) in ``exponents``: in a swap pair the earlier tableau's column
+    carries (1 - q x) / (1 - x), the later's (q - x) / (1 - x).  t acts by
+    the ratio of the pair ``t_eigenvalues[c]`` on a tableau with entry 1 in
+    component c.  With q = a/b and Q = c/d, a block's x = u / v is made
+    from the powers a^|e|, b^|e| it reads, its entries over b (v - u)."""
+    dim, components, generators, _ = plan
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
-    # q^e = pw[e] / pw[-e] for |e| <= top, (-1/Q)^kind = qu[kind] / qv[kind]
-    pw, qu, qv = [1] * (2 * top + 1), (1, -d, -c), (1, c, d)
-    for k in range(1, top + 1):
-        pw[k], pw[-k] = pw[k - 1] * a, pw[1 - k] * b
+    qu, qv = (1, -d, -c), (1, c, d)  # (-1/Q)^kind = qu[kind] / qv[kind]
     letters = {}
     for i, (blocks, ex) in enumerate(zip(generators, exponents), 1):
-        xs = [(pw[e] * qu[kind], pw[-e] * qv[kind]) for e, kind in ex]
+        xs = [(a ** e * qu[kind], b ** e * qv[kind]) if e >= 0
+              else (b ** -e * qu[kind], a ** -e * qv[kind]) for e, kind in ex]
         den = b * math.lcm(*(v - u for u, v in xs))
         num = zeros(dim, dim)
         for (s, s2, _, _), (u, v) in zip(blocks, xs):
@@ -348,7 +344,7 @@ def typeB_rep(shape, point: ParameterPoint) -> Representation:
     """Seminormal representation indexed by a double partition; t acts
     diagonally by Q or -1 according to the component holding entry 1."""
     plan = _seminormal_plan(shape)
-    return _build(plan, point, plan[3], plan[4],
+    return _build(plan, point, plan[3],
                   ((point.Q.numerator, point.Q.denominator), (-1, 1)))
 
 
@@ -372,13 +368,12 @@ def skew_rep(shape, m: int, r1: int, q) -> Representation:
     plan = _seminormal_plan(shape)
     exponents = [[(mu_content(box2, m, r1) - mu_content(box1, m, r1), 0)
                   for _, _, box1, box2 in blocks] for blocks in plan[2]]
-    top = max((abs(e) for pairs in exponents for e, _ in pairs), default=0)
     e = full_twist_exponent((m + 1,) + (m,) * (r1 - 1)) \
         - full_twist_exponent((m,) * r1 + (1,))
     point = specialized_point(q, m, r1)
     a, b = point.q.numerator, point.q.denominator
     twist = (-a ** e, b ** e) if e >= 0 else (-b ** -e, a ** -e)
-    return _build(plan, point, exponents, top, (twist, (-1, 1)))
+    return _build(plan, point, exponents, (twist, (-1, 1)))
 
 
 def full_twist_exponent(nu) -> int:

@@ -16,7 +16,6 @@ and ``branching`` suites of ``verify`` never load it.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -52,45 +51,41 @@ def parse_rational(text):
 
 @dataclass(frozen=True)
 class ParameterPoint:
-    """An admissible specialization (q, Q) of the two algebra parameters.
-
-    q must be a positive rational different from 1 (so q**k != 1 for k != 0),
-    and Q must avoid 0, -1 and every -q**s with |s| <= guard_bound.  These
-    conditions keep all representations and weight formulas in this package
-    free of zero denominators.
-    """
+    """A specialization (q, Q) of the two algebra parameters: q positive
+    and not 1 (so q**k != 1 for k != 0), Q nonzero.  Which Q = -q**s zero a
+    denominator depends on the size: the callers that know it ``guard``."""
 
     q: object
     Q: object
-    guard_bound: int
 
     def __post_init__(self):
-        # on the integers of q = a/b and Q = c/d in lowest terms, b, d > 0,
-        # read once: with the guard bound, the key that every cache lookup
-        # hashes and every hit compares, never a Fraction (whose hash takes
-        # a modular inverse); equal points have equal keys
+        # the integers of q = a/b and Q = c/d in lowest terms, b, d > 0, read
+        # once: the key every cache lookup hashes and every hit compares,
+        # never a Fraction (whose hash takes a modular inverse)
         q, Q = self.q, self.Q
         a, b, c, d = q.numerator, q.denominator, Q.numerator, Q.denominator
-        key = (a, b, c, d, self.guard_bound)
+        key = (a, b, c, d)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         if a <= 0 or a == b:
             raise ValueError(f"q = {q} is excluded (need q > 0, q != 1)")
         if c == 0:
             raise ValueError("Q = 0 is excluded")
-        if self.guard_bound < 0:
-            raise ValueError("guard_bound must be nonnegative")
+
+    def guard(self, bound: int) -> ParameterPoint:
+        """This point, unless Q = -q**s with |s| <= bound (a ValueError).
+        -c/d = q^s means (-c, d) = (a^s, b^s), or (b^-s, a^-s) for s < 0, so
+        max(-c, d) = max(a, b)^|s|, and their bit lengths bound |s|."""
+        a, b, c, d = self._key
         if c > 0:
-            return  # -q^s < 0 for every s, since q > 0
-        # -Q = -c/d = q^s exactly when (-c, d) is (a^s, b^s) or, for s < 0,
-        # (b^-s, a^-s); either way max(-c, d) = max(a, b)^|s|.  The
-        # logarithm only proposes |s|, the integer comparison decides, and
-        # max(a, b) >= 2 since q != 1.
-        c = -c
-        k = round(math.log(max(c, d)) / math.log(max(a, b)))
-        if k <= self.guard_bound and (c, d) in ((a**k, b**k), (b**k, a**k)):
-            s = k if (c, d) == (a**k, b**k) else -k
-            raise ValueError(f"Q = -q^{s} is excluded")
+            return self  # -q^s < 0 for every s, since q > 0
+        c, u, v = -c, 1, 1
+        top = (max(c, d).bit_length() - 1) // (max(a, b).bit_length() - 1)
+        for s in range(min(bound, top) + 1):
+            if c == u and d == v or c == v and d == u:
+                raise ValueError(f"Q = -q^{s if c == u else -s} is excluded")
+            u, v = u * a, v * b
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, ParameterPoint):
@@ -105,19 +100,19 @@ class ParameterPoint:
 
 
 def guard_bound(n: int, r1: int, r2: int) -> int:
-    """Guard bound for computations at size n with row bounds r1, r2: enough
-    for every denominator in the weight formulas and seminormal matrices."""
+    """The bound to ``guard`` a point at for size n and row bounds r1, r2:
+    enough for every denominator of the weight formulas and modules."""
     return max(n, r1 + r2, 2 * n + 2)
 
 
 def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
-    """Deterministic pseudo-random admissible point for computations at
-    size n with row bounds r1, r2, guarded up to guard_bound(n, r1, r2).
+    """Deterministic pseudo-random point for size n and row bounds r1, r2:
+    the first draw that passes ``guard(guard_bound(n, r1, r2))``.
 
     q is drawn from small-height rationals in (1/4, 4) to keep exact
     arithmetic cheap.
     """
-    guard = guard_bound(n, r1, r2)
+    bound = guard_bound(n, r1, r2)
     rng = random.Random(seed)
     while True:
         q = Rat(rng.randint(1, 48), rng.randint(1, 48))
@@ -127,16 +122,16 @@ def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
         if Q == 0:
             continue
         try:
-            return ParameterPoint(q, Q, guard)
+            return ParameterPoint(q, Q).guard(bound)
         except ValueError:
             continue
 
 
 def specialized_point(q, m: int, r1: int) -> ParameterPoint:
     """The point (q, Q = -q^(r1+m)) linking type B to the reduced type-A
-    picture; admissible for algebra sizes n < r1 + m."""
+    picture, valid for algebra sizes n < r1 + m and so never guarded."""
     q, k = Rat(q), r1 + m  # ParameterPoint rejects q <= 0 and q = 1
-    return ParameterPoint(q, Rat(-q.numerator ** k, q.denominator ** k), k - 1)
+    return ParameterPoint(q, Rat(-q.numerator ** k, q.denominator ** k))
 
 
 # -- dense matrices -----------------------------------------------------------

@@ -293,10 +293,10 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
 
 def q1_point(q) -> ParameterPoint:
     """The exact Q = 1 point of types D and A (at r2 = 0 every cross ratio
-    is C(x) / C(x), so a type-A weight does not depend on Q); admissible for
-    any q > 0 since 1 is never -q^s, so it needs no guard and serves every
-    size and row bound."""
-    return ParameterPoint(Rat(q), Rat(1), 0)
+    is C(x) / C(x), so a type-A weight does not depend on Q).  1 > 0 is
+    never -q^s, so it passes every guard unchecked and serves every size
+    and row bound."""
+    return ParameterPoint(Rat(q), Rat(1))
 
 
 # -- type D ------------------------------------------------------------------

@@ -5,14 +5,15 @@ from heckeweights.scalars import ParameterPoint, Rat, admissible_point
 
 @pytest.fixture
 def point():
-    """Small exact point with generous guard; the worked-example values."""
-    return ParameterPoint(Rat(2), Rat(5), 12)
+    """Small exact point, admissible at every size (Q > 0); the
+    worked-example values."""
+    return ParameterPoint(Rat(2), Rat(5))
 
 
 @pytest.fixture
 def point_frac():
     """A non-integer point, q < 1."""
-    return ParameterPoint(Rat(1, 2), Rat(7, 3), 12)
+    return ParameterPoint(Rat(1, 2), Rat(7, 3))
 
 
 @pytest.fixture

@@ -181,7 +181,8 @@ def test_relation_residuals_match_rat_oracle(monkeypatch):
     # with g1 of one module perturbed, each residual (num, den) is the
     # Rat-entry lhs - rhs, of types B and D: on the module alone, and as
     # the module's slice of the stack of the d = 3 modules at n = 3
-    points = [ParameterPoint(Rat(2, 3), Rat(-5, 7), 10), q1_point(Rat(7, 2))]
+    points = [ParameterPoint(Rat(2, 3), Rat(-5, 7)).guard(10),
+              q1_point(Rat(7, 2))]
     real = reps.typeB_rep
     group = [s for s in double_partitions(3) if dimension(s) == 3]
     cases = 0
@@ -494,9 +495,9 @@ def test_integer_product_matches_fraction_product():
     # on every shape of size <= 4, at 3-digit points (two with Q < 0), on
     # random words with G_i, t'_i and u
     rng = random.Random(29)
-    pts = [ParameterPoint(Rat(347, 512), Rat(-613, 229), 10),
-           ParameterPoint(Rat(911, 127), Rat(389, 754), 10),
-           ParameterPoint(Rat(128, 311), Rat(-7, 205), 10)]
+    pts = [ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(10),
+           ParameterPoint(Rat(911, 127), Rat(389, 754)),
+           ParameterPoint(Rat(128, 311), Rat(-7, 205)).guard(10)]
     cases = 0
     for p in pts:
         for n in range(1, 5):
@@ -523,9 +524,9 @@ def test_generators_match_rat_oracle():
     # denominator of its entries: every shape of size <= 4, at a point with
     # Q < 0 (and there of size 5 too), one with q > 1 and one with
     # three-digit values, and skew_rep at each point's q with m = r1 = n + 1
-    pts = [ParameterPoint(Rat(2, 3), Rat(-5, 7), 10),
-           ParameterPoint(Rat(7, 2), Rat(3), 10),
-           ParameterPoint(Rat(347, 512), Rat(613, 229), 10)]
+    pts = [ParameterPoint(Rat(2, 3), Rat(-5, 7)).guard(10),
+           ParameterPoint(Rat(7, 2), Rat(3)),
+           ParameterPoint(Rat(347, 512), Rat(613, 229))]
     cases = 0
     for p in pts:
         for n in range(1, 6 if p.Q < 0 else 5):

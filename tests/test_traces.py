@@ -57,9 +57,9 @@ def test_normalization(points):
 
 
 # 3-digit points, two with negative Q, guarded for n <= 6 and r1 + r2 <= 14
-THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229), 14),
-               ParameterPoint(Rat(911, 127), Rat(389, 754), 14),
-               ParameterPoint(Rat(100, 999), Rat(-998, 7), 14)]
+THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(14),
+               ParameterPoint(Rat(911, 127), Rat(389, 754)),
+               ParameterPoint(Rat(100, 999), Rat(-998, 7)).guard(14)]
 
 
 def test_two_forms_agree(points):
@@ -110,7 +110,7 @@ def test_weight_oracle_is_independent():
 
 
 # a 3-digit point with negative Q, guarded for n <= 6 and r1 + r2 <= 16
-WIDE = ParameterPoint(Rat(347, 512), Rat(-613, 229), 16)
+WIDE = ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(16)
 
 
 def _wide_frames(n):
@@ -173,7 +173,8 @@ def test_weight_plan():
     assert _weight_plan.cache_info().maxsize is not None
     _weight_plan.cache_clear()
     for k in range(5):
-        p = ParameterPoint(Rat(2 * k + 3, 13), Rat(-9), guard_bound(4, 3, 5))
+        p = ParameterPoint(Rat(2 * k + 3, 13), Rat(-9))
+        p = p.guard(guard_bound(4, 3, 5))
         weight_table(4, 3, 5, p)
         weight_D(4, 3, 5, q1_point(p.q))
     info = _weight_plan.cache_info()
@@ -273,7 +274,7 @@ def test_weight_table_cache_is_bounded():
     maxsize = weight_table.cache_info().maxsize
     assert maxsize is not None
     for k in range(maxsize + 5):
-        weight_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5), 4))
+        weight_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5)))
     assert weight_table.cache_info().currsize <= maxsize
 
 
@@ -382,7 +383,7 @@ def test_trace_table_cache_is_bounded():
     maxsize = trace_table.cache_info().maxsize
     assert maxsize is not None
     for k in range(maxsize + 5):
-        trace_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5), 4))
+        trace_table(1, 2, 2, ParameterPoint(Rat(2 * k + 1, 2), Rat(5)))
     assert trace_table.cache_info().currsize <= maxsize
 
 
@@ -449,7 +450,7 @@ def test_trace_derives_letters_on_the_stacks_only():
     # after a trace with G, t' and u letters at a point no other test uses,
     # every stack holds the word's derived letters and every module of the
     # table still holds only its generators
-    p = ParameterPoint(Rat(419, 283), Rat(-271, 613), 8)
+    p = ParameterPoint(Rat(419, 283), Rat(-271, 613)).guard(8)
     n = 3
     w = parse_word("G1 t'2 u g2 t")
     markov_trace_B(w, n, 4, 4, p)
@@ -556,7 +557,7 @@ def test_weight_D_structure():
             + weight_B(((), (2,)), r1, r2, point1)
     assert ((), (2,)) not in [row[0] for row in weight_D(2, 3, 3, point1)]
     with pytest.raises(ValueError, match="Q = 1"):
-        weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2), 0))
+        weight_D(2, 3, 3, ParameterPoint(Rat(2), Rat(2)))
 
 
 def _weight_D_sums(n, r1, r2, point1) -> int:
@@ -684,7 +685,7 @@ def test_typeA_weight_is_normalized_schur_value():
                 if n > 6:
                     continue
                 for Q in (Rat(2), Rat(-613, 229)):
-                    other = ParameterPoint(q, Q, guard_bound(n, r, 0))
+                    other = ParameterPoint(q, Q).guard(guard_bound(n, r, 0))
                     assert weight_table(n, r, 0, other) \
                         == weight_table(n, r, 0, p), (n, r, other)
                     tables += 1
