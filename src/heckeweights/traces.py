@@ -8,12 +8,12 @@ matrices satisfy the defining relations.
 Weights are computed in integers, in two steps.  Per size and type,
 ``_weight_plan`` walks the paper's product over every pair of rows of each
 shape once and puts each class of shapes over one denominator of atoms
-Phi_k(b, a), 1 + Q q^x, a and b: a shape alone for type B; for type D
-{(alpha, beta), (beta, alpha)} or a split (alpha, alpha), weighing the sum
-of its shapes' (Prop 6.1).  Per point each atom power is evaluated once,
-each node of the plan's shared product trie is one multiply, a class one Rat.
-``weight_table`` reads the type-B rows and ``weight_D`` the type-D ones;
-``weight_B`` and ``trace_table`` read the table.
+Phi_k(b, a), 1 + Q q^x, a and b: a shape alone for type B; for type D, at
+Q = 1 with 1 + q^x = (1 - q^2x) / (1 - q^x), {(alpha, beta), (beta, alpha)}
+or a split (alpha, alpha), weighing the sum of its shapes' (Prop 6.1).  Per
+point each atom power is evaluated once, each trie node of the plan's
+program is one multiply, a class one Rat.  ``weight_table`` reads type-B
+rows, ``weight_D`` type-D ones; ``weight_B`` and ``trace_table`` the table.
 
 ``trace_table`` groups the nonzero weights by the dimension of their shapes,
 each group a ``reps.stacks`` stack of the modules of its shapes.  Since
@@ -112,15 +112,15 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
 
     With q = a/b and Q = c/d, 1 - q^k is (b^k - a^k) / b^k, and C(x) is
     (d b^x + c a^x) / (d b^x) for x >= 0 and (d a^-x + c b^-x) / (d a^-x)
-    for x < 0; the d's cancel in each ratio.  With m = n + r the atoms are
-    Phi_k(b, a) at index k, the numerator of C(x) at 2m + 1 + x for |x| <=
-    m, and a and b at 3m + 2 and 3m + 3.  With ei the net exponents of the
-    class's i-th shape within the row bounds and low = min(e1, ...), the
-    class weighs prod G (prod T1 + ...) / prod L, G = max(low, 0), L =
-    max(-low, 0) and Ti = ei - low.  A part, its powers most used first
-    (ties by index), is a path in one trie from its root 0; ``program``
-    lists nodes 1, 2, ... as (parent, power index) and entry (G, L, T1, ...)
-    names each part's node; None with no such shape, (G, L, 0) for type B."""
+    for x < 0, d cancelling; type D, at Q = 1, writes a^|x| + b^|x|, x != 0,
+    as (b^2|x| - a^2|x|) / (b^|x| - a^|x|).  With m = n + r the atoms are
+    Phi_k(b, a) at k <= 2m, C(x)'s numerator at 3m + 1 + x, a and b at
+    4m + 2, 4m + 3.  With ei the net exponents of its i-th shape in the row
+    bounds and low = min(e1, ...), a class weighs prod G (prod T1 + ...) /
+    prod L, G = max(low, 0), L = max(-low, 0), Ti = ei - low.  A part, its
+    powers most used first (ties by index), is a path in one trie from its
+    root 0; ``program`` lists nodes 1, 2, ... as (parent, power index), an
+    entry (G, L, T1, ...) each part's node, None if no shape; B's (G, L, 0)."""
     r = r1 + r2
     m, nets = n + r, {}
     for alpha, beta in double_partitions(n):
@@ -129,7 +129,7 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
         lam1 = alpha + (0,) * (r1 - len(alpha))
         lam2 = beta + (0,) * (r2 - len(beta))
         # ((1 - q) / (1 - q^r))^n q^(n(alpha) + n(beta) + r1 |beta|)
-        e = [0] * (3 * m + 4)
+        e = [0] * (4 * m + 4)
         e[1] = n
         e[r] -= n
         ea = sum(i * p for i, p in enumerate(lam1 + lam2))
@@ -141,19 +141,23 @@ def _weight_plan(n: int, r1: int, r2: int, kind: str) -> tuple:
                 e[lam[i] - lam[j] + j - i] += 1
                 e[j - i] -= 1
                 eb += lam[j] - lam[i]
-        # b^k - a^k is the product of the Phi_j(b, a) with j | k; going up,
-        # j reads each e[k] before k's own turn
-        for j in range(1, m // 2 + 1):
-            e[j] += sum(e[k] for k in range(2 * j, m + 1, j))
         # C(alpha_i - beta_j + j - i) / C(j - i), every row i of alpha and
-        # j of beta
+        # j of beta; at Q = 1 (type D), 1 + q^z = (1 - q^2z) / (1 - q^z)
         for (i, p), (j, s) in product(enumerate(lam1), enumerate(lam2)):
             x, y = p - s + j - i, j - i
-            e[2 * m + 1 + x] += 1
-            e[2 * m + 1 + y] -= 1
+            for z, k in ((x, 1), (y, -1)):
+                if kind == "D" and z:
+                    e[2 * abs(z)] += k
+                    e[abs(z)] -= k
+                else:
+                    e[3 * m + 1 + z] += k
             ea += min(x, 0) - min(y, 0)
             eb += max(y, 0) - max(x, 0)
-        e[3 * m + 2], e[3 * m + 3] = ea, eb
+        # b^k - a^k is the product of the Phi_j(b, a) with j | k; going up,
+        # j reads each e[k] before k's own turn
+        for j in range(1, m + 1):
+            e[j] += sum(e[k] for k in range(2 * j, 2 * m + 1, j))
+        e[4 * m + 2], e[4 * m + 3] = ea, eb
         nets[alpha, beta] = Counter({i: k for i, k in enumerate(e) if k})
     classes = {}
     for s in double_partitions(n):
@@ -209,15 +213,15 @@ def weight_table(n: int, r1: int, r2: int,
 
 
 def _atoms(m: int, point: ParameterPoint, powers) -> list:
-    """The atoms for m = n + r1 + r2 at a point, by index, that a plan's
-    sorted ``powers`` names: Phi_k(b, a) by exact sieve up to the largest k
-    named, C(x) from the least to the largest x named, a and b; None at
-    every other index."""
+    """The atoms for m = n + r1 + r2 at a point, at the indices of
+    ``_weight_plan``, that its sorted ``powers`` names: Phi_k(b, a) by exact
+    sieve up to the largest k <= 2m named, C(x) from the least to the
+    largest x named, a and b; None at every other index."""
     a, b = point.q.numerator, point.q.denominator
     c, d = point.Q.numerator, point.Q.denominator
-    cut, end = bisect(powers, (m + 1,)), bisect(powers, (3 * m + 2,))
+    cut, end = bisect(powers, (2 * m + 1,)), bisect(powers, (4 * m + 2,))
     top = powers[cut - 1][0] if cut else 0
-    lo, hi = (powers[cut][0] - 2 * m - 1, powers[end - 1][0] - 2 * m - 1) \
+    lo, hi = (powers[cut][0] - 3 * m - 1, powers[end - 1][0] - 3 * m - 1) \
         if cut < end else (0, -1)
     pa, pb = (list(accumulate(repeat(x, max(top, -lo, hi)), mul, initial=1))
               for x in (a, b))
@@ -225,8 +229,8 @@ def _atoms(m: int, point: ParameterPoint, powers) -> list:
     for j in range(1, top // 2 + 1):
         for k in range(2 * j, top + 1, j):
             atoms[k] //= atoms[j]
-    # d C(x) a^max(-x, 0) b^max(x, 0) at 2m + 1 + x
-    atoms += [None] * (2 * m + lo - top)
+    # d C(x) a^max(-x, 0) b^max(x, 0) at 3m + 1 + x
+    atoms += [None] * (3 * m + lo - top)
     atoms += [d * pa[x] + c * pb[x] for x in range(-lo, 0, -1)]
     atoms += [d * pb[x] + c * pa[x] for x in range(max(lo, 0), hi + 1)]
     return atoms + [None] * (m - hi) + [a, b]
@@ -302,9 +306,10 @@ def q1_point(q) -> ParameterPoint:
 # -- type D ------------------------------------------------------------------
 
 def weight_D(n: int, r1: int, r2: int, point: ParameterPoint) -> list:
-    """Rows (shape, split, weight, dimension) of size n >= 1 at Q = 1, one Rat
-    a class of nodes of the type-D plan's program: merged classes at their
-    first shape, split None; the halves 1, 2 of (alpha, alpha), half as big."""
+    """Rows (shape, split, weight, dimension) of size n >= 1, one Rat a class
+    of the type-D program's nodes: merged classes at their first shape, split
+    None; halves 1, 2 of (alpha, alpha), half as big.  Only at Q = 1: the
+    plan reads 1 + Q q^x as 1 + q^x, so it would misweigh any other Q."""
     if n < 1 or point.Q != 1:
         raise ValueError("type D needs --n >= 1" if n < 1 else
                          f"type-D weights live at Q = 1, not Q = {point.Q}")

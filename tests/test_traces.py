@@ -196,18 +196,19 @@ def test_weight_plan():
 
 
 def test_cyclotomic_atoms():
-    # atom k of the plans is Phi_k(b, a): over the divisors j of k the atoms
-    # multiply to b^k - a^k, and each Phi_k with k >= 2 is positive
+    # atom k <= 2m of the plans is Phi_k(b, a): over the divisors j of k the
+    # atoms multiply to b^k - a^k, and each Phi_k with k >= 2 is positive
     for q in (Rat(2), Rat(1, 2), Rat(347, 512), Rat(911, 127), Rat(100, 999)):
         a, b = q.numerator, q.denominator
         for m in range(1, 24):
-            atoms = _atoms(m, q1_point(q), [(k, 1) for k in range(1, m + 1)])
-            for k in range(1, m + 1):
+            ks = range(1, 2 * m + 1)
+            atoms = _atoms(m, q1_point(q), [(k, 1) for k in ks])
+            for k in ks:
                 assert math.prod(atoms[j] for j in range(1, k + 1)
                                  if k % j == 0) == b ** k - a ** k, (q, m, k)
                 # named alone, Phi_k sieves only up to k
                 assert _atoms(m, q1_point(q), [(k, 1)])[k] == atoms[k]
-            assert all(atoms[k] > 0 for k in range(2, m + 1)), (q, m)
+            assert all(atoms[k] > 0 for k in ks[1:]), (q, m)
 
 
 def _paths(program) -> list:
@@ -262,7 +263,7 @@ def test_weight_program_nodes_are_path_products():
 def test_weight_program_shares_prefixes():
     # one multiply per trie node: fewer than the factors of the parts taken
     # one row at a time, which would have one per power of each part
-    for kind, nodes, factors in (("B", 652, 1289), ("D", 502, 981)):
+    for kind, nodes, factors in (("B", 652, 1289), ("D", 208, 428)):
         rows, _, program = _weight_plan(6, 7, 7, kind)
         paths = _paths(program)
         assert sum(len(paths[v]) for *_, e in rows if e for v in e) \
@@ -577,14 +578,18 @@ def _weight_D_sums(n, r1, r2, point1) -> int:
     return len(rows)
 
 
+def _D_frames(n):
+    """Row bounds that put no shape, one shape or both shapes of a type-D
+    class of size n beyond them."""
+    return (n + 1, n + 1), (n + 1, n + 2), (0, 3), (3, 0), (1, 5), (2, 2)
+
+
 def test_weight_D_rows_are_weight_B_sums():
-    # every row against the two-parameter weights it sums, at row bounds
-    # that put no shape, one shape or both shapes of a class beyond them
+    # every row against the two-parameter weights it sums
     cases = 0
     for q in (p.q for p in THREE_DIGIT):
         for n in range(1, 7):
-            for r1, r2 in ((n + 1, n + 1), (n + 1, n + 2), (0, 3), (3, 0),
-                           (1, 5), (2, 2)):
+            for r1, r2 in _D_frames(n):
                 cases += _weight_D_sums(n, r1, r2, q1_point(q))
     # 1 + 4 + 5 + 13 + 18 + 37 rows for n = 1..6
     assert cases == 3 * 6 * 78
@@ -592,6 +597,10 @@ def test_weight_D_rows_are_weight_B_sums():
     assert sum(_weight_D_sums(n, r1, r2, q1_point(WIDE.q))
                for n in range(1, 7) for r1, r2 in _wide_frames(n)) \
         == 7 + 9 * 4 + 11 * 5 + 13 * 13 + 15 * 18 + 17 * 37
+    # and n = 7, 8 at a three-digit q, where 2|x| runs well past m
+    assert [_weight_D_sums(n, r1, r2, q1_point(THREE_DIGIT[1].q))
+            for n in (7, 8) for r1, r2 in ((n + 1, n + 1), (2, n + 3))] \
+        == [55, 55, 100, 100]
     # the plan puts each merged class over one denominator with positive
     # exponents
     merged = empty = 0
@@ -606,6 +615,25 @@ def test_weight_D_rows_are_weight_B_sums():
                 merged += len(entry) == 4
     # 11 classes at (1, 5) have no shape within the row bounds
     assert (merged, empty) == (144, 11)
+
+
+def test_weight_D_plan_has_no_cross_atom_but_C0():
+    # at Q = 1 each cross factor 1 + q^x, x != 0, is (1 - q^2x) / (1 - q^x):
+    # a type-D plan names Phi_k (k <= 2m), C(0) = 2 (at 3m + 1), a and b
+    # (from 4m + 2) only, never another C(x)
+    for n in range(1, 9):
+        for r1, r2 in {*_D_frames(n), *_wide_frames(n)}:
+            m = n + r1 + r2
+            _, powers, _ = _weight_plan(n, r1, r2, "D")
+            assert all(i <= 2 * m or i == 3 * m + 1 or i >= 4 * m + 2
+                       for i, _ in powers), (n, r1, r2)
+    # at (6, 7, 7) the type-D atoms reach past Phi_m, and the type-B plan,
+    # at any Q, keeps its cross atoms
+    m = 6 + 7 + 7
+    _, powers, _ = _weight_plan(6, 7, 7, "D")
+    assert any(m < i <= 2 * m for i, _ in powers)
+    _, powers, _ = _weight_plan(6, 7, 7, "B")
+    assert any(2 * m < i < 4 * m + 2 and i != 3 * m + 1 for i, _ in powers)
 
 
 def test_weight_D_needs_a_size():
