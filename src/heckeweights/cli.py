@@ -15,8 +15,8 @@ from types import SimpleNamespace
 from . import homcheck
 from .combinatorics import dimension, partition_str, shape_str
 from .reps import parse_word
-from .scalars import ParameterPoint, admissible_point, guard_bound, \
-    parse_int, parse_rational
+from .scalars import ParameterPoint, admissible_point, parse_int, \
+    parse_rational
 from .traces import markov_params, markov_trace_B, q1_point, weight_D, \
     weight_table
 
@@ -40,7 +40,7 @@ def cmd_weights(args) -> int:
     if kind == "B":
         if args.Q is None:
             raise ValueError("--Q is required for type B")
-        point = ParameterPoint(q, args.Q).guard(guard_bound(n, r1, r2))
+        point = ParameterPoint(q, args.Q).guard(n - 1)
     elif kind == "D" and n < 1:
         # weight_D says the same, but only after q has been checked
         raise ValueError("type D needs --n >= 1")
@@ -81,7 +81,7 @@ def cmd_trace(args) -> int:
     n, r1, r2 = _row_bounds(args)
     if n < 1:
         raise ValueError("trace needs --n >= 1")
-    point = ParameterPoint(args.q, args.Q).guard(guard_bound(n, r1, r2))
+    point = ParameterPoint(args.q, args.Q).guard(n - 1)
     print(markov_trace_B(parse_word(args.word), n, r1, r2, point))
     return 0
 
@@ -92,12 +92,12 @@ def cmd_trace(args) -> int:
 # the check catalogue in ``homcheck``, which draws its own words; it compares
 # nothing itself.
 
-def _points(n, r1, r2, seed, count):
-    return [admissible_point(n, r1, r2, seed + 1000 * i) for i in range(count)]
+def _points(n, seed, count):
+    return [admissible_point(n, seed + 1000 * i) for i in range(count)]
 
 
 def suite_relations(n, seed, points):
-    pts = _points(n, n + 1, n + 1, seed, points)
+    pts = _points(n, seed, points)
     k = min(n, 3)
     return [
         homcheck.relations_report("typeB", pts, range(1, n + 1),
@@ -108,7 +108,7 @@ def suite_relations(n, seed, points):
 
 
 def suite_markov(n, seed, points):
-    pts = _points(n, n + 1, n + 1, seed, points)
+    pts = _points(n, seed, points)
     r = n + 1
     return [
         homcheck.markov_property(n, r, r, pts, seed,
@@ -120,7 +120,7 @@ def suite_markov(n, seed, points):
 
 
 def suite_branching(n, seed, points):
-    pts = _points(n, n + 2, n + 2, seed, points)
+    pts = _points(n, seed, points)
     r = n + 2
     return [
         homcheck.weight_branching(r, r, pts, range(n),
@@ -136,7 +136,7 @@ def suite_branching(n, seed, points):
 
 
 def suite_schur(n, seed, points):
-    qs = [p.q for p in _points(n, n + 1, n + 1, seed, points)]
+    qs = [p.q for p in _points(n, seed, points)]
     return [
         homcheck.rectangle_closed_form(qs),
         homcheck.schur_factorization(n, n + 1, n + 1, (n + 1, n + 2), qs,
@@ -148,7 +148,7 @@ def suite_schur(n, seed, points):
 
 
 def suite_hom(n, seed, points):
-    qs = [p.q for p in _points(n, n + 1, n + 1, seed, min(points, 3))]
+    qs = [p.q for p in _points(n, seed, min(points, 3))]
     m = r1 = n + 1
     return [
         homcheck.rho_eigenvalue_report(m, r1, qs, name="rho-eigenvalues"),
@@ -162,7 +162,7 @@ def suite_hom(n, seed, points):
 
 
 def suite_typeD(n, seed, points):
-    pts = _points(n, n + 1, n + 1, seed, points)
+    pts = _points(n, seed, points)
     qs = [p.q for p in pts]
     # r1 != r2: at Q = 1 and r1 = r2 a shape and its swap weigh the same
     r1, r2 = n + 1, n + 2

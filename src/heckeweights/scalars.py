@@ -52,8 +52,9 @@ def parse_rational(text):
 @dataclass(frozen=True)
 class ParameterPoint:
     """A specialization (q, Q) of the two algebra parameters: q positive
-    and not 1 (so q**k != 1 for k != 0), Q nonzero.  Which Q = -q**s zero a
-    denominator depends on the size: the callers that know it ``guard``."""
+    and not 1 (so q**k != 1 for k != 0), Q nonzero.  By Dipper-James,
+    H(B_n) is semisimple, and its weights defined, unless Q = -q**s with
+    |s| <= n - 1: the callers that know n ``guard(n - 1)``."""
 
     q: object
     Q: object
@@ -99,20 +100,13 @@ class ParameterPoint:
         return f"q = {self.q}, Q = {self.Q}"
 
 
-def guard_bound(n: int, r1: int, r2: int) -> int:
-    """The bound to ``guard`` a point at for size n and row bounds r1, r2:
-    enough for every denominator of the weight formulas and modules."""
-    return max(n, r1 + r2, 2 * n + 2)
-
-
-def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
-    """Deterministic pseudo-random point for size n and row bounds r1, r2:
-    the first draw that passes ``guard(guard_bound(n, r1, r2))``.
+def admissible_point(n: int, seed: int) -> ParameterPoint:
+    """Deterministic pseudo-random point for size n: the first draw that
+    passes ``guard(n - 1)``, so H(B_n) is semisimple there.
 
     q is drawn from small-height rationals in (1/4, 4) to keep exact
     arithmetic cheap.
     """
-    bound = guard_bound(n, r1, r2)
     rng = random.Random(seed)
     while True:
         q = Rat(rng.randint(1, 48), rng.randint(1, 48))
@@ -122,14 +116,15 @@ def admissible_point(n: int, r1: int, r2: int, seed: int) -> ParameterPoint:
         if Q == 0:
             continue
         try:
-            return ParameterPoint(q, Q).guard(bound)
+            return ParameterPoint(q, Q).guard(n - 1)
         except ValueError:
             continue
 
 
 def specialized_point(q, m: int, r1: int) -> ParameterPoint:
     """The point (q, Q = -q^(r1+m)) linking type B to the reduced type-A
-    picture, valid for algebra sizes n < r1 + m and so never guarded."""
+    picture: it passes ``guard(n - 1)`` for every size n <= r1 + m, so the
+    callers, which stay below that, never guard it."""
     q, k = Rat(q), r1 + m  # ParameterPoint rejects q <= 0 and q = 1
     return ParameterPoint(q, Rat(-q.numerator ** k, q.denominator ** k))
 

@@ -77,10 +77,12 @@ def weight_B_schur_form(shape, r1: int, r2: int, point: ParameterPoint):
         * (b ** (r - 1) * (b - a)) ** n
     den = b ** e * s_alpha.denominator * s_beta.denominator \
         * (b ** r - a ** r) ** n
-    for i, p in enumerate(pad(alpha, r1)):
-        for j, s in enumerate(pad(beta, r2)):
-            num *= cross(p - s + j - i)
-            den *= cross(j - i)
+    # each C(x) netted first: past the guard one may be 0 on both sides
+    net = Counter(p - s + j - i for i, p in enumerate(pad(alpha, r1))
+                  for j, s in enumerate(pad(beta, r2)))
+    net.subtract(j - i for i in range(r1) for j in range(r2))
+    num *= math.prod(cross(x) ** k for x, k in (+net).items())
+    den *= math.prod(cross(x) ** k for x, k in (-net).items())
     return Rat(num, den)
 
 
@@ -298,8 +300,8 @@ def markov_trace_B(element, n: int, r1: int, r2: int, point: ParameterPoint):
 def q1_point(q) -> ParameterPoint:
     """The exact Q = 1 point of types D and A (at r2 = 0 every cross ratio
     is C(x) / C(x), so a type-A weight does not depend on Q).  1 > 0 is
-    never -q^s, so it passes every guard unchecked and serves every size
-    and row bound."""
+    never -q^s: H(B_n) is semisimple there at every n, so it passes
+    ``guard(n - 1)`` unchecked and serves every size and row bound."""
     return ParameterPoint(Rat(q), Rat(1))
 
 

@@ -19,4 +19,4 @@ def point_frac():
 @pytest.fixture
 def points():
     """A handful of deterministic admissible points for n <= 4."""
-    return [admissible_point(4, 5, 5, seed) for seed in (0, 1, 2)]
+    return [admissible_point(4, seed) for seed in (0, 1, 2)]

@@ -40,8 +40,8 @@ def criterion(num, label, limit_s, body):
     assert elapsed <= limit_s, f"criterion {num} exceeded {limit_s}s"
 
 
-def five_points(n, r1, r2):
-    return [admissible_point(n, r1, r2, 100 + 7 * k) for k in range(5)]
+def five_points(n):
+    return [admissible_point(n, 100 + 7 * k) for k in range(5)]
 
 
 def assert_reports(reports, cases):
@@ -53,7 +53,7 @@ def assert_reports(reports, cases):
 
 def test_criterion_01_defining_relations():
     def body():
-        pts = five_points(5, 6, 6)
+        pts = five_points(5)
         # type B to size 5 holds the type-A modules, those of (mu, ())
         assert_reports([relations_report("typeB", pts, range(1, 6)),
                         relations_report("skew", pts, range(1, 4))], 450)
@@ -65,9 +65,8 @@ def test_criterion_02_markov_property():
     def body():
         # 20 words h per point, each distinct h once: at n = 2 the words use
         # only t and t'_0, so 35 of 100 are distinct
-        assert_reports([markov_property(n, n + 1, n + 1,
-                                        five_points(n, n + 1, n + 1), 2024,
-                                        words=20)
+        assert_reports([markov_property(n, n + 1, n + 1, five_points(n),
+                                        2024, words=20)
                         for n in range(2, 6)], 290)
     criterion(2, "Markov property tr(h g_{n-1}) = z tr(h) on random words, "
                  "sizes 2..5", 120, body)
@@ -75,14 +74,12 @@ def test_criterion_02_markov_property():
 
 def test_criterion_03_tprime_property_and_powers():
     def body():
-        reports = [tprime_property(n, n + 1, n + 1,
-                                   five_points(n, n + 1, n + 1)[:3], 31,
+        reports = [tprime_property(n, n + 1, n + 1, five_points(n)[:3], 31,
                                    words=10)
                    for n in range(2, 5)]
         # 61 distinct h, and all 54 products d_1 ... d_4 at each point,
         # Lemma 5.4's t'_0 ... t'_{k-1} among them
-        reports.append(double_coset_reduction(4, 5, 5,
-                                              five_points(4, 5, 5)[:3]))
+        reports.append(double_coset_reduction(4, 5, 5, five_points(4)[:3]))
         assert_reports(reports, 223)
     criterion(3, "trace eats a trailing t'_{n-1} as a factor y; products "
                  "t'_0..t'_{k-1} trace to y^k", 120, body)
@@ -90,9 +87,10 @@ def test_criterion_03_tprime_property_and_powers():
 
 def test_criterion_04_trace_of_t_closed_form():
     def body():
+        pts = five_points(1)
         for r1 in range(1, 5):
             for r2 in range(1, 5):
-                for p in five_points(1, r1, r2):
+                for p in pts:
                     q, Q = p.q, p.Q
                     _, y = markov_params(r1, r2, p)
                     assert y == (Q * q**r2 + 1) * (1 - q**r1) / (1 - q**(r1 + r2)) - 1
@@ -105,7 +103,7 @@ def test_criterion_04_trace_of_t_closed_form():
 
 def test_criterion_05_weight_branching():
     def body():
-        pts = five_points(4, 5, 5)
+        pts = five_points(4)
         assert_reports([weight_branching(5, 5, pts, range(0, 4)),
                         weight_normalization(4, 5, 5, pts)], 95)
     criterion(5, "weights branch over one-box successors and normalize to 1, "
@@ -114,8 +112,8 @@ def test_criterion_05_weight_branching():
 
 def test_criterion_06_weight_two_forms():
     def body():
-        assert_reports([weight_two_forms(5, 5, five_points(4, 5, 5),
-                                         range(1, 5))], 185)
+        assert_reports([weight_two_forms(5, 5, five_points(4), range(1, 5))],
+                       185)
     criterion(6, "product form and Schur form of the weight agree, "
                  "sizes to 4", 60, body)
 
@@ -143,7 +141,7 @@ def test_criterion_08_skew_characters_match():
 
 def test_criterion_09_full_twist():
     def body():
-        for p in five_points(4, 5, 5)[:3]:
+        for p in five_points(4)[:3]:
             for f in range(1, 5):
                 for nu in partitions(f):
                     rep = typeA_rep(nu, p)

@@ -191,10 +191,16 @@ def test_weights_requires_Q_for_type_B(capsys):
 
 
 def test_excluded_parameter_exits_2(capsys):
-    code, _, err = run(capsys, ["weights", "--type", "B", "--n", "2",
-                                "--q", "2", "--Q", "-4"])
-    assert code == 2
-    assert "Q = -q^2 is excluded" in err
+    # at n = 3 the guard refuses Q = -q^s for |s| <= 2 and no further
+    for Q, s in (("-4", "2"), ("-1/4", "-2")):
+        code, _, err = run(capsys, ["weights", "--type", "B", "--n", "3",
+                                    "--q", "2", "--Q", Q])
+        assert code == 2
+        assert err == f"error: Q = -q^{s} is excluded\n"
+    for Q in ("-8", "-1/8"):
+        code, _, _ = run(capsys, ["weights", "--type", "B", "--n", "3",
+                                  "--q", "2", "--Q", Q])
+        assert code == 0
     for kind in ("A", "D"):
         for q in ("1", "0", "-2"):
             code, _, err = run(capsys, ["weights", "--type", kind, "--n", "2",
@@ -435,7 +441,7 @@ def test_verify_failure_names_counterexample(capsys, monkeypatch):
     assert check["name"] == "weight-branching-n2"
     assert check["pass"] is False
     # the first case, the empty shape, already sees the doubled successor
-    p = admissible_point(2, 4, 4, 0)
+    p = admissible_point(2, 0)
     lhs = real(((), ()), 4, 4, p)
     rhs = 2 * real(broken, 4, 4, p) + real(((), (1,)), 4, 4, p)
     assert check["failure"] == (

@@ -45,17 +45,32 @@ WEIGHTS = options(type=st.sampled_from(["A", "B", "D", "X"]), n=SIZES,
                   r1=ROW_BOUNDS, r2=ROW_BOUNDS, q=RATIONALS,
                   Q=st.one_of(st.none(), RATIONALS),
                   format=st.sampled_from(["json", "csv"]))
-# Mostly admissible weights argvs, so that many of them print a table: row
-# bounds down to 0, n = 0 and negative Q included.
-TABLES = options(type=st.sampled_from(["A", "B", "D"]), n=st.integers(0, 4),
-                 r1=st.one_of(st.none(), st.integers(0, 3)),
-                 r2=st.one_of(st.none(), st.integers(0, 3)),
-                 q=st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 9),
-                             st.integers(1, 9)),
-                 Q=st.builds(lambda p, q: f"{p}/{q}",
-                             st.integers(-9, 9).filter(bool),
-                             st.integers(1, 9)),
-                 format=st.sampled_from(["json", "csv"]))
+
+
+def minus_power(a, b, s):
+    """-(a/b)^s as the text of a rational."""
+    return f"-{a ** s}/{b ** s}" if s >= 0 else f"-{b ** -s}/{a ** -s}"
+
+
+def tables(n, a, b):
+    """Mostly admissible weights argvs at size n and q = a/b, so that many
+    of them print a table: row bounds down to 0, n = 0 and negative Q
+    included, and Q = -q^s for |s| <= n + 3, which the guard refuses at
+    |s| <= n - 1 and admits past it."""
+    return options(type=st.sampled_from(["A", "B", "D"]), n=st.just(n),
+                   r1=st.one_of(st.none(), st.integers(0, 3)),
+                   r2=st.one_of(st.none(), st.integers(0, 3)),
+                   q=st.just(f"{a}/{b}"),
+                   Q=st.one_of(st.builds(lambda p, q: f"{p}/{q}",
+                                         st.integers(-9, 9).filter(bool),
+                                         st.integers(1, 9)),
+                               st.integers(-n - 3, n + 3).map(
+                                   lambda s: minus_power(a, b, s))),
+                   format=st.sampled_from(["json", "csv"]))
+
+
+TABLES = st.tuples(st.integers(0, 4), st.integers(1, 9),
+                   st.integers(1, 9)).flatmap(lambda t: tables(*t))
 TRACE = options(word=st.lists(TOKENS, max_size=4).map(" ".join), n=SIZES,
                 r1=ROW_BOUNDS, r2=ROW_BOUNDS, q=RATIONALS,
                 Q=st.one_of(st.none(), RATIONALS))

@@ -2,7 +2,8 @@
 output and standard error of each bad argv below, replayed in process
 against ``errors_golden.json``.  The argvs cover the grammar (commands,
 options, values, choices, the ``--opt=value`` form), the rationals, the
-excluded points and the word tokens.  The file was made with
+excluded points and the word tokens; three points just past the excluded
+ones print a trace instead.  The file was made with
 
     PYTHONPATH=src python3 tests/test_errors_golden.py > tests/errors_golden.json
 
@@ -91,6 +92,8 @@ ARGVS = [
     trace(Q="-4"),
     trace(Q="-1/8"),
     trace(q="3/2", Q="-9/4"),
+    trace(n="3", Q="-4"),
+    trace(n="3", Q="-1/4"),
     ["weights", "--type", "A", "--n", "3", "--q", "1"],
     ["weights", "--type", "D", "--n", "2", "--q", "-2"],
     # word tokens
@@ -121,7 +124,10 @@ def replay(argv) -> dict:
 def test_errors_match_golden():
     golden = json.loads(GOLDEN.read_text())
     assert [entry["argv"] for entry in golden] == ARGVS
-    assert [e for e in golden if (e["code"], e["stdout"]) != (2, "")] == []
+    # each argv is refused but Q = -q^2, -q^-3 and -q^2 at n = 2, one power
+    # and more past the guard: those print their trace
+    assert [e["argv"] for e in golden if (e["code"], e["stdout"]) != (2, "")] \
+        == [trace(Q="-4"), trace(Q="-1/8"), trace(q="3/2", Q="-9/4")]
     assert [replay(entry["argv"]) for entry in golden] == golden
 
 

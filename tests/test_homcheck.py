@@ -5,11 +5,13 @@ import pytest
 from heckeweights import homcheck
 from heckeweights.combinatorics import double_partitions, embed_double
 from heckeweights.homcheck import character_match_report, \
-    double_coset_reduction, rho_eigenvalue_report, schur_factorization, \
-    skew_dimension_report, weight_ratio_report
+    double_coset_reduction, markov_property, relations_report, \
+    rho_eigenvalue_report, schur_factorization, skew_dimension_report, \
+    tprime_property, weight_normalization, weight_ratio_report, \
+    weight_two_forms
 from heckeweights.reps import g_letter
-from heckeweights.scalars import Rat, admissible_point, identity, \
-    specialized_point
+from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
+    identity, specialized_point
 from heckeweights.schur import schur_normalized
 
 # the q's of the three-digit points of test_traces.py, on both sides of 1
@@ -20,10 +22,34 @@ def test_double_coset_reduction_takes_every_product():
     """d_i ranges over {1, t'_0} at i = 1 and {1, g_{i-1}, t'_{i-1}} after,
     so 2 * 3^(n-1) products per point."""
     for n in range(1, 5):
-        points = [admissible_point(n, n + 1, n + 1, seed) for seed in (0, 1)]
+        points = [admissible_point(n, seed) for seed in (0, 1)]
         report = double_coset_reduction(n, n + 1, n + 1, points)
         assert report.passed, report.failure
         assert report.cases == 2 * 2 * 3 ** (n - 1)
+
+
+def test_checks_pass_just_past_the_guard():
+    """guard(n - 1) admits Q = -q^s for every |s| >= n: there the trace is
+    a Markov trace and the weights normalize and agree in both forms, at
+    n <= s <= 2n + 2 on both sides of q = 1 and of s = 0."""
+    cases = []
+    for n in range(1, 4):
+        r1, r2 = n + 1, n + 2
+        pts = [ParameterPoint(q, -(q ** s)).guard(n - 1)
+               for q in (Rat(3, 2), Rat(2, 5))
+               for s in (*range(n, 2 * n + 3), *range(-2 * n - 2, 1 - n))]
+        reports = [markov_property(n, r1, r2, pts, n),
+                   tprime_property(n, r1, r2, pts, n),
+                   double_coset_reduction(n, r1, r2, pts),
+                   relations_report("typeB", pts, range(1, n + 1)),
+                   weight_normalization(n, r1, r2, pts),
+                   weight_two_forms(r1, r2, pts, range(1, n + 1))]
+        for report in reports:
+            assert report.passed, (report.name, report.failure)
+        cases.append([report.cases for report in reports])
+    # the Markov and t' checks take no case at n = 1
+    assert cases == [[0, 0, 32, 32, 16, 32], [63, 63, 120, 140, 20, 140],
+                     [110, 110, 432, 408, 24, 408]]
 
 
 @pytest.mark.parametrize("q", [Rat(2), Rat(1, 2), Rat(3, 2)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
-    guard_bound, identity, is_zero_matrix, parse_int, parse_rational, \
+    identity, is_zero_matrix, parse_int, parse_rational, \
     specialized_point, zeros
 from heckeweights.traces import weight_table
 from helpers import mat_eq, matrix, qpow, rat
@@ -115,20 +115,26 @@ def test_point_guard_matches_brute_force():
 
 
 def test_admissible_point_deterministic():
-    p1 = admissible_point(3, 4, 4, 17)
-    p2 = admissible_point(3, 4, 4, 17)
+    p1 = admissible_point(3, 17)
+    p2 = admissible_point(3, 17)
     assert (p1.q, p1.Q) == (p2.q, p2.Q) and p1 == p2
-    assert guard_bound(3, 4, 4) == max(3, 8, 8)
-    assert p1.guard(guard_bound(3, 4, 4)) is p1
+    assert p1.guard(2) is p1
     assert Rat(1, 4) < p1.q < 4 and p1.q != 1
 
 
 def test_admissible_point_respects_guard():
-    bound = guard_bound(2, 3, 3)
-    for seed in range(20):
-        p = admissible_point(2, 3, 3, seed)
-        for s in range(-bound, bound + 1):
-            assert p.Q != -(p.q**s)
+    # the first draw with no Q = -q^s at |s| <= n - 1, and no bound larger:
+    # seeds 88, 124 and 274 first draw Q = -q^-1, -q^-2 and -q^3, kept at
+    # n = 1, 2, 3 and redrawn at the next size
+    for n in range(1, 5):
+        for seed in range(20):
+            p = admissible_point(n, seed)
+            for s in range(1 - n, n):
+                assert p.Q != -(p.q**s)
+    for n, seed, s in ((1, 88, -1), (2, 124, -2), (3, 274, 3)):
+        p = admissible_point(n, seed)
+        assert p.Q == -(p.q**s)
+        assert admissible_point(n + 1, seed) != p
 
 
 def test_point_hash_is_cached_and_unchanged():
@@ -138,7 +144,7 @@ def test_point_hash_is_cached_and_unchanged():
     points = [ParameterPoint(Rat(2), Rat(5)),
               ParameterPoint(Rat(347, 512), Rat(-613, 229)),
               ParameterPoint(Rat(3, 2), Rat(1)),
-              admissible_point(3, 4, 4, 17)]
+              admissible_point(3, 17)]
     for p in points:
         assert hash(p) == hash((p.q.numerator, p.q.denominator,
                                 p.Q.numerator, p.Q.denominator))

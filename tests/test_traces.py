@@ -7,11 +7,10 @@ from heckeweights.combinatorics import dimension, double_partitions, \
     partitions
 from heckeweights.homcheck import weight_branching, weight_normalization, \
     weight_two_forms
-from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, evaluate, \
-    expand_word, g_letter, ginv_letter, parse_word, random_word, \
-    tprime_letter, typeB_rep, word
-from heckeweights.scalars import ParameterPoint, Rat, admissible_point, \
-    guard_bound
+from heckeweights.reps import T_LETTER, U_LETTER, HeckeElement, \
+    _seminormal_plan, evaluate, expand_word, g_letter, ginv_letter, \
+    parse_word, random_word, tprime_letter, typeB_rep, word
+from heckeweights.scalars import ParameterPoint, Rat, admissible_point
 from heckeweights.schur import schur_normalized
 from heckeweights.traces import _atoms, _weight_plan, _weights, \
     markov_params, markov_trace_B, markov_trace_D, q1_point, trace_table, \
@@ -56,10 +55,10 @@ def test_normalization(points):
             assert report.passed, report.failure
 
 
-# 3-digit points, two with negative Q, guarded for n <= 6 and r1 + r2 <= 14
-THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(14),
+# 3-digit points, two with negative Q, guarded for n <= 6
+THREE_DIGIT = [ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(5),
                ParameterPoint(Rat(911, 127), Rat(389, 754)),
-               ParameterPoint(Rat(100, 999), Rat(-998, 7)).guard(14)]
+               ParameterPoint(Rat(100, 999), Rat(-998, 7)).guard(5)]
 
 
 def test_two_forms_agree(points):
@@ -109,8 +108,8 @@ def test_weight_oracle_is_independent():
     assert not _names(_weight_plan.__wrapped__.__code__) & {"pad", "n_stat"}
 
 
-# a 3-digit point with negative Q, guarded for n <= 6 and r1 + r2 <= 16
-WIDE = ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(16)
+# a 3-digit point with negative Q, guarded for n <= 6
+WIDE = ParameterPoint(Rat(347, 512), Rat(-613, 229)).guard(5)
 
 
 def _wide_frames(n):
@@ -174,7 +173,7 @@ def test_weight_plan():
     _weight_plan.cache_clear()
     for k in range(5):
         p = ParameterPoint(Rat(2 * k + 3, 13), Rat(-9))
-        p = p.guard(guard_bound(4, 3, 5))
+        p = p.guard(3)
         weight_table(4, 3, 5, p)
         weight_D(4, 3, 5, q1_point(p.q))
     info = _weight_plan.cache_info()
@@ -245,6 +244,32 @@ def _check_powers(rows, powers, program):
                 v = program[v - 1][0]
     assert used == set(range(len(powers)))
     assert reached == set(range(len(paths)))
+
+
+def test_guard_is_the_largest_pole():
+    # Dipper-James: H(B_n) is semisimple unless Q = -q^s, |s| <= n - 1, and
+    # so the guard is guard(n - 1), neither smaller nor larger.  Point-free,
+    # at every row bound to n + 3: each C(x) = 1 + Q q^x left below in a
+    # type-B plan has |x| <= n - 1, each cross block (kind != 0, 1 - q^e
+    # (-1/Q)^kind) of a module of size n has |e| <= n - 2, and both reach it
+    for n in range(1, 8):
+        poles = set()
+        for r1 in range(n + 4):
+            for r2 in range(n + 4):
+                if r1 + r2 == 0:
+                    continue
+                rows, powers, program = _weight_plan(n, r1, r2, "B")
+                m, paths = n + r1 + r2, _paths(program)
+                # C(x) is atom 3m + 1 + x, between 2m and 4m + 2
+                atoms = {powers[i][0] for *_, e in rows if e
+                         for i in paths[e[1]]}
+                poles |= {k - 3 * m - 1 for k in atoms
+                          if 2 * m < k < 4 * m + 2}
+        crosses = {e for shape in double_partitions(n)
+                   for pairs in _seminormal_plan(shape)[3]
+                   for e, kind in pairs if kind}
+        assert poles == set(range(1 - n, n)), n
+        assert max(map(abs, crosses), default=-1) == n - 2, n
 
 
 def test_weight_program_nodes_are_path_products():
@@ -648,7 +673,7 @@ def test_markov_params_textbook_form():
     # y = (Q q^r2 + 1)(1 - q^r1) / (1 - q^r) - 1 taken in Rat
     cases = negative = 0
     for seed in range(300):
-        p = admissible_point(5, 5, 5, seed)
+        p = admissible_point(5, seed)
         q, Q = p.q, p.Q
         negative += Q < 0
         for r1 in range(6):
@@ -713,7 +738,7 @@ def test_typeA_weight_is_normalized_schur_value():
                 if n > 6:
                     continue
                 for Q in (Rat(2), Rat(-613, 229)):
-                    other = ParameterPoint(q, Q).guard(guard_bound(n, r, 0))
+                    other = ParameterPoint(q, Q).guard(n - 1)
                     assert weight_table(n, r, 0, other) \
                         == weight_table(n, r, 0, p), (n, r, other)
                     tables += 1
